@@ -28,14 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .fp_core import MixedFpProblem, OuterFunction, RatioTerm, SmoothFn
-from .solver import (
-    FeasibleSet,
-    IterationRecord,
-    IterationTrace,
-    SolveOptions,
-    project_box,
-    run_mm,
-)
+from .solver import IterationRecord, IterationTrace, SolveOptions, box_set, run_mm
 
 # Rates at or below this fraction of mu are outside the open domain: the
 # average age diverges as lambda_k -> 0.
@@ -154,10 +147,7 @@ def build_aoi_problem(scenario: AoiScenario) -> MixedFpProblem:
         terms.append(RatioTerm(num2, den2, outer, side="min"))
 
     floor = _RATE_FLOOR_REL * mu
-    feasible = FeasibleSet(
-        project=lambda x: project_box(x, 0.0, mu),
-        in_domain=lambda x: bool(np.all(np.asarray(x) > floor)),
-    )
+    feasible = box_set(0.0, mu, in_domain=lambda x: bool(np.all(np.asarray(x) > floor)))
     return MixedFpProblem(terms=tuple(terms), feasible=feasible)
 
 

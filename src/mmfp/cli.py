@@ -319,12 +319,11 @@ def _frontier_rows(points: list[secure.TradeoffPoint]) -> list[list]:
     ]
 
 
-def _run_tradeoff(cfg: dict, out: Path, etas=None) -> None:
+def _run_tradeoff(cfg: dict, out: Path) -> None:
     scenario = _build_secure(cfg["scenario"])
+    etas = cfg["scenario"].get("etas")
     if etas is None:
-        etas = cfg["scenario"].get("etas")
-        if etas is None:
-            etas = np.logspace(-3, 2, 26).tolist()
+        etas = np.logspace(-3, 2, 26).tolist()
     points = secure.tradeoff_sweep(scenario, [float(e) for e in etas])
     _write_csv(out / "frontier.csv", _FRONTIER_HEADER, _frontier_rows(points))
     opens = [p.fast_open for p in points]

@@ -154,40 +154,37 @@ class OuterFunction:
     def increasing(self) -> bool:
         return self.kind in _INCREASING_KINDS
 
-    def in_domain(self, r: float) -> bool:
-        if self.kind == "log1p":
-            return r > -1.0
-        if self.kind == "log1m":
-            return r < 1.0
-        if self.kind == "neg_half_inverse":
-            return r > 0.0
-        return True
+    def _value_slope(self, r: float) -> tuple[float, float] | None:
+        """``(f(r), f'(r))``, or ``None`` when ``r`` is outside the domain.
+
+        The one home of the five formulas: a single kind dispatch and a
+        single domain test per call.
+        """
+        kind = self.kind
+        w = self.weight
+        if kind == "identity":
+            return w * r, w
+        if kind == "neg_identity":
+            return -w * r, -w
+        if kind == "log1p":
+            return (w * math.log1p(r), w / (1.0 + r)) if r > -1.0 else None
+        if kind == "log1m":
+            return (w * math.log1p(-r), -w / (1.0 - r)) if r < 1.0 else None
+        # neg_half_inverse; two divisions, because r*r underflows to 0 for
+        # tiny r and 0.5/0.0 raises where 0.5/r/r overflows to inf
+        return (-0.5 / r, 0.5 / r / r) if r > 0.0 else None
+
+    def _checked(self, r: float) -> tuple[float, float]:
+        pair = self._value_slope(r)
+        if pair is None:
+            raise DomainError(f"ratio {r} outside domain of {self.kind}")
+        return pair
 
     def evaluate(self, r: float) -> float:
-        if not self.in_domain(r):
-            raise DomainError(f"ratio {r} outside domain of {self.kind}")
-        if self.kind == "identity":
-            return self.weight * r
-        if self.kind == "log1p":
-            return self.weight * math.log1p(r)
-        if self.kind == "log1m":
-            return self.weight * math.log1p(-r)
-        if self.kind == "neg_half_inverse":
-            return -0.5 / r
-        return -self.weight * r  # neg_identity
+        return self._checked(r)[0]
 
     def derivative(self, r: float) -> float:
-        if not self.in_domain(r):
-            raise DomainError(f"ratio {r} outside domain of {self.kind}")
-        if self.kind == "identity":
-            return self.weight
-        if self.kind == "log1p":
-            return self.weight / (1.0 + r)
-        if self.kind == "log1m":
-            return -self.weight / (1.0 - r)
-        if self.kind == "neg_half_inverse":
-            return 0.5 / (r * r)
-        return -self.weight  # neg_identity
+        return self._checked(r)[1]
 
     def limit_at_infinity(self) -> float:
         """Limit of f(r) as r -> +inf (extended-real)."""
@@ -264,14 +261,6 @@ class MixedFpProblem:
         if len(self.terms) == 0:
             raise InvalidInputError("a mixed FP problem needs at least one term")
 
-    @property
-    def max_terms(self) -> list[int]:
-        return [i for i, t in enumerate(self.terms) if t.side == "max"]
-
-    @property
-    def min_terms(self) -> list[int]:
-        return [i for i, t in enumerate(self.terms) if t.side == "min"]
-
     # -- true objective ------------------------------------------------
     def objective(self, x: np.ndarray) -> float:
         total = 0.0
@@ -283,12 +272,13 @@ class MixedFpProblem:
                     f"term {i}: need A >= 0 and B > 0, got A={A}, B={B}", term_index=i
                 )
             r = A / B
-            if not term.outer.in_domain(r):
+            pair = term.outer._value_slope(r)
+            if pair is None:
                 raise DomainError(
                     f"term {i}: ratio {r} outside domain of {term.outer.kind}",
                     term_index=i,
                 )
-            total += term.outer.evaluate(r)
+            total += pair[0]
         return total
 
     def objective_grad(self, x: np.ndarray) -> np.ndarray:
@@ -302,20 +292,14 @@ class MixedFpProblem:
             g += term.outer.derivative(r) * (gA * B - A * gB) / (B * B)
         return g
 
-    # -- auxiliary update ------------------------------------------------
+    # -- auxiliary update and surrogate -----------------------------------
     def update_aux(self, x: np.ndarray, eps: float = 1e-12) -> AuxState:
-        y = []
-        y_tilde = []
-        for term in self.terms:
-            A = term.numerator.value(x)
-            B = term.denominator.value(x)
-            if term.side == "max":
-                y.append(opt_y(A, B))
-            else:
-                y_tilde.append(opt_y_tilde(A, B, eps))
-        return AuxState(y=np.array(y), y_tilde=np.array(y_tilde))
+        y, y_tilde = _closed_form_aux(
+            ((t.outer, t.numerator.value(x), t.denominator.value(x)) for t in self.terms),
+            eps,
+        )
+        return AuxState(y=y, y_tilde=y_tilde)
 
-    # -- surrogate -------------------------------------------------------
     def surrogate(self, x: np.ndarray, aux: AuxState) -> tuple[float, np.ndarray | None]:
         """Surrogate value and gradient at ``x`` for fixed auxiliaries.
 
@@ -323,51 +307,83 @@ class MixedFpProblem:
         an outer-domain constraint fails (reject-point signal).
         """
         x = np.asarray(x, dtype=float)
-        value = 0.0
-        grad = np.zeros_like(x)
-        i_max = 0
-        i_min = 0
-        for term in self.terms:
-            A = term.numerator.value(x)
-            B = term.denominator.value(x)
-            gA = term.numerator.grad(x)
-            gB = term.denominator.grad(x)
-            if term.side == "max":
-                y = float(aux.y[i_max])
-                i_max += 1
-                if A < 0:
-                    return -math.inf, None
-                bracket = 2.0 * y * math.sqrt(A) - y * y * B
-                if not term.outer.in_domain(bracket):
-                    return -math.inf, None
-                coeff = y / math.sqrt(max(A, _SQRT_GRAD_FLOOR)) if y != 0.0 else 0.0
-                g_bracket = coeff * gA - y * y * gB
-                value += term.outer.evaluate(bracket)
-                grad += term.outer.derivative(bracket) * g_bracket
-            else:
-                yt = float(aux.y_tilde[i_min])
-                i_min += 1
-                if B < 0:
-                    return -math.inf, None
-                bracket = 2.0 * yt * math.sqrt(B) - yt * yt * A
-                if bracket <= 0.0:
-                    lim = term.outer.limit_at_infinity()
-                    if lim == -math.inf:
-                        return -math.inf, None
-                    value += lim  # bounded outer: clamp contributes its limit
-                    continue
-                ratio = 1.0 / bracket
-                if not term.outer.in_domain(ratio):
-                    return -math.inf, None
-                g_bracket = (yt / math.sqrt(max(B, POSITIVE_UNDERFLOW))) * gB - yt * yt * gA
-                value += term.outer.evaluate(ratio)
-                grad += term.outer.derivative(ratio) * (-1.0 / (bracket * bracket)) * g_bracket
-        return value, grad
+        ratios = (
+            (t.outer, t.numerator.value(x), t.denominator.value(x),
+             t.numerator.grad(x), t.denominator.grad(x))
+            for t in self.terms
+        )
+        return _quadratic_transform(x, ratios, aux.y, aux.y_tilde)
 
 
-def mixed_objective(problem: MixedFpProblem, x: np.ndarray) -> float:
-    """True objective: sum of outer functions applied to their ratios."""
-    return problem.objective(x)
+# ---------------------------------------------------------------------------
+# The quadratic transform, shared by every scalar ratio program
+# ---------------------------------------------------------------------------
+
+
+def _closed_form_aux(ratios, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Auxiliaries that make the quadratic transform tight at the point
+    where ``ratios`` was evaluated.
+
+    ``ratios`` yields ``(outer, A, B)`` per ratio. A ratio under an
+    increasing outer gets ``y = sqrt(A)/B``, one under a decreasing outer
+    ``y_tilde = sqrt(B)/(A + eps)``; each array keeps the ratio order.
+    """
+    y = []
+    y_tilde = []
+    for outer, A, B in ratios:
+        if outer.increasing:
+            y.append(opt_y(A, B))
+        else:
+            y_tilde.append(opt_y_tilde(A, B, eps))
+    return np.array(y), np.array(y_tilde)
+
+
+def _quadratic_transform(
+    x: np.ndarray, ratios, y: np.ndarray, y_tilde: np.ndarray, value: float = 0.0
+) -> tuple[float, np.ndarray | None]:
+    """``value`` plus the transformed ratios, with the gradient in ``x``.
+
+    ``ratios`` yields ``(outer, A, B, grad A, grad B)`` at ``x``, in the
+    order the auxiliaries were made by :func:`_closed_form_aux`. A ratio
+    under an increasing outer contributes ``f(2*y*sqrt(A) - y**2 * B)``,
+    one under a decreasing outer ``f(1 / [2*yt*sqrt(B) - yt**2 * A]_+)``.
+    Returns ``(-inf, None)`` as soon as a term leaves its domain (reject
+    signal); ``ratios`` is not read past that term.
+    """
+    grad = np.zeros_like(x)
+    i_max = 0
+    i_min = 0
+    for outer, A, B, gA, gB in ratios:
+        if outer.increasing:
+            y_i = float(y[i_max])
+            i_max += 1
+            if A < 0:
+                return -math.inf, None
+            pair = outer._value_slope(2.0 * y_i * math.sqrt(A) - y_i * y_i * B)
+            if pair is None:
+                return -math.inf, None
+            coeff = y_i / math.sqrt(max(A, _SQRT_GRAD_FLOOR)) if y_i != 0.0 else 0.0
+            value += pair[0]
+            grad += pair[1] * (coeff * gA - y_i * y_i * gB)
+        else:
+            yt = float(y_tilde[i_min])
+            i_min += 1
+            if B < 0:
+                return -math.inf, None
+            bracket = 2.0 * yt * math.sqrt(B) - yt * yt * A
+            if bracket <= 0.0:
+                lim = outer.limit_at_infinity()
+                if lim == -math.inf:
+                    return -math.inf, None
+                value += lim  # bounded outer: clamp contributes its limit
+                continue
+            pair = outer._value_slope(1.0 / bracket)
+            if pair is None:
+                return -math.inf, None
+            g_bracket = (yt / math.sqrt(max(B, POSITIVE_UNDERFLOW))) * gB - yt * yt * gA
+            value += pair[0]
+            grad += pair[1] * (-1.0 / (bracket * bracket)) * g_bracket
+    return value, grad
 
 
 def mixed_surrogate(problem: MixedFpProblem, x: np.ndarray, anchor: np.ndarray) -> float:
@@ -385,8 +401,7 @@ def mixed_surrogate(problem: MixedFpProblem, x: np.ndarray, anchor: np.ndarray) 
 
 def affine_fn(coeffs: Sequence[float], offset: float = 0.0) -> SmoothFn:
     """Affine helper ``offset + sum_i coeffs[i] * x[i]``."""
-    c = np.asarray(coeffs, dtype=float)
-    return SmoothFn(
-        value=lambda x: float(offset + c @ np.asarray(x, dtype=float)),
-        grad=lambda x: c.copy(),
-    )
+    c = np.array(coeffs, dtype=float)
+    c.flags.writeable = False  # shared by every gradient call
+    # ndarray.dot: the same BLAS product as ``c @ x`` at half the call cost
+    return SmoothFn(value=lambda x: float(offset + c.dot(x)), grad=lambda x: c)

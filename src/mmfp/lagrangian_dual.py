@@ -14,7 +14,7 @@ Maximizing over the auxiliaries recovers the log terms exactly; the
 closed-form maximizers are ``g = A/B`` and ``gt = A/(A+B)``. With the
 auxiliaries frozen at an anchor point, the summed zetas minorize the
 original objective and depend on x only through the two plain fractions,
-so one more pass of the quadratic transforms of :mod:`mmfp.fp_core` yields
+so one more pass of the quadratic transform of :mod:`mmfp.fp_core` yields
 a logarithm-free concave subproblem (:class:`LogRatioMmProblem`).
 
 All values are in nats.
@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .fp_core import SmoothFn, _SQRT_GRAD_FLOOR
+from .fp_core import OuterFunction, SmoothFn, _closed_form_aux, _quadratic_transform
 from .solver import FeasibleSet
 
 # Keep ln(1 - gamma_tilde) finite; the closed form can only approach 1 when
@@ -137,10 +138,12 @@ def log_ratio_surrogate(terms: list[LogRatioTerm], x: np.ndarray, anchor: np.nda
 
 @dataclass(frozen=True)
 class LogRatioAux:
-    """Frozen auxiliaries for one MM step: gammas plus the inner-transform
-    auxiliaries for the induced sum-of-ratios subproblem."""
+    """Frozen auxiliaries for one MM step: the gammas, the outer function of
+    each live term's induced ratio, the quadratic-transform auxiliaries of
+    those ratios, and the gamma-only zeta pieces."""
 
     gammas: GammaState
+    outers: tuple[OuterFunction, ...]
     y: np.ndarray
     y_tilde: np.ndarray
     const: float  # gamma-only zeta pieces, independent of x
@@ -151,16 +154,20 @@ class LogRatioMmProblem:
     """Log-ratio maximization driven by the nested decoupling.
 
     One outer MM step freezes the gammas, which turns the objective into a
-    mixed sum-of-ratios in x; the quadratic transforms then produce a
-    concave, logarithm-free subproblem. Implements the driver protocol of
+    mixed sum of plain ratios in x: ``w(1+g) * A/(A+B)`` under an identity
+    outer per max-side term and ``w(1-gt) * A/B`` under a negated identity
+    per min-side term (the factor is the outer's weight). The quadratic
+    transform of :mod:`mmfp.fp_core` then gives a concave,
+    logarithm-free subproblem. Implements the driver protocol of
     :mod:`mmfp.solver`.
     """
 
     terms: tuple[LogRatioTerm, ...]
     feasible: FeasibleSet
 
-    def _live(self) -> list[LogRatioTerm]:
-        return [t for t in self.terms if t.weight > 0]
+    @cached_property
+    def _live(self) -> tuple[LogRatioTerm, ...]:
+        return tuple(t for t in self.terms if t.weight > 0)
 
     def objective(self, x: np.ndarray) -> float:
         return log_ratio_objective(list(self.terms), x)
@@ -177,64 +184,46 @@ class LogRatioMmProblem:
         return g
 
     def update_aux(self, x: np.ndarray, eps: float = 1e-12) -> LogRatioAux:
-        live = self._live()
-        gs = _gammas_at(live, x)
-        y = []
-        y_tilde = []
+        gamma = []
+        gamma_tilde = []
+        ratios = []
         const = 0.0
-        i_max = 0
-        i_min = 0
-        for term in live:
+        for term in self._live:
             A = term.numerator.value(x)
             B = term.denominator.value(x)
+            w = term.weight
             if term.side == "max":
-                g = float(gs.gamma[i_max])
-                i_max += 1
-                # induced max ratio: w(1+g)A over A+B
-                y.append(math.sqrt(term.weight * (1.0 + g) * A) / (A + B))
-                const += term.weight * (math.log1p(g) - g)
+                g = opt_gamma(A, B)
+                gamma.append(g)
+                const += w * (math.log1p(g) - g)
+                ratios.append((OuterFunction.identity(w * (1.0 + g)), A, A + B))
             else:
-                gt = float(gs.gamma_tilde[i_min])
-                i_min += 1
-                # induced min ratio: w(1-gt)A over B
-                y_tilde.append(math.sqrt(B) / (term.weight * (1.0 - gt) * A + eps))
-                const += term.weight * (math.log1p(-gt) + gt)
-        return LogRatioAux(gammas=gs, y=np.array(y), y_tilde=np.array(y_tilde), const=const)
+                gt = opt_gamma_tilde(A, B)
+                gamma_tilde.append(gt)
+                const += w * (math.log1p(-gt) + gt)
+                ratios.append((OuterFunction.neg_identity(w * (1.0 - gt)), A, B))
+        y, y_tilde = _closed_form_aux(ratios, eps)
+        return LogRatioAux(
+            gammas=GammaState(gamma=np.array(gamma), gamma_tilde=np.array(gamma_tilde)),
+            outers=tuple(outer for outer, _, _ in ratios),
+            y=y,
+            y_tilde=y_tilde,
+            const=const,
+        )
 
-    def surrogate(self, x: np.ndarray, aux: LogRatioAux) -> tuple[float, np.ndarray | None]:
-        x = np.asarray(x, dtype=float)
-        value = aux.const
-        grad = np.zeros_like(x)
-        i_max = 0
-        i_min = 0
-        for term in self._live():
+    def _induced_ratios(self, x: np.ndarray, outers):
+        for term, outer in zip(self._live, outers):
             A = term.numerator.value(x)
             B = term.denominator.value(x)
             gA = term.numerator.grad(x)
             gB = term.denominator.grad(x)
             if term.side == "max":
-                y = float(aux.y[i_max])
-                g = float(aux.gammas.gamma[i_max])
-                i_max += 1
-                c = term.weight * (1.0 + g)
-                if A < 0:
-                    return -math.inf, None
-                value += 2.0 * y * math.sqrt(c * A) - y * y * (A + B)
-                coeff = (
-                    y * c / math.sqrt(max(c * A, _SQRT_GRAD_FLOOR)) if y != 0.0 else 0.0
-                )
-                grad += coeff * gA - y * y * (gA + gB)
+                yield outer, A, A + B, gA, gA + gB
             else:
-                yt = float(aux.y_tilde[i_min])
-                gt = float(aux.gammas.gamma_tilde[i_min])
-                i_min += 1
-                ct = term.weight * (1.0 - gt)
-                if B < 0:
-                    return -math.inf, None
-                bracket = 2.0 * yt * math.sqrt(B) - yt * yt * ct * A
-                if bracket <= 0.0:
-                    return -math.inf, None
-                value += -1.0 / bracket
-                g_bracket = (yt / math.sqrt(max(B, 1e-300))) * gB - yt * yt * ct * gA
-                grad += (1.0 / (bracket * bracket)) * g_bracket
-        return value, grad
+                yield outer, A, B, gA, gB
+
+    def surrogate(self, x: np.ndarray, aux: LogRatioAux) -> tuple[float, np.ndarray | None]:
+        x = np.asarray(x, dtype=float)
+        return _quadratic_transform(
+            x, self._induced_ratios(x, aux.outers), aux.y, aux.y_tilde, aux.const
+        )

@@ -39,10 +39,10 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .solver import (
-    FeasibleSet,
     IterationRecord,
     IterationTrace,
     SolveOptions,
+    block_ball_set,
     project_ball,
     run_mm,
 )
@@ -136,6 +136,11 @@ def response_derivative(scenario: RadarScenario, m: int) -> np.ndarray:
     return complex(scenario.beta[m][m]) * (np.outer(da_r, a_t) + np.outer(a_r, da_t))
 
 
+def _derivative_lift(scenario: RadarScenario, m: int) -> np.ndarray:
+    """Sample-space lift ``D_m = I_L kron dG_mm`` of the self-derivative."""
+    return np.kron(np.eye(scenario.l_samples), response_derivative(scenario, m))
+
+
 class _Operators:
     """Sample-space lifts ``T[m][m'] = I_L kron G_mm'`` and
     ``D[m] = I_L kron dG_mm``, built once per scenario."""
@@ -147,9 +152,7 @@ class _Operators:
             [np.kron(eye_l, response_matrix(scenario, m, mp)) for mp in range(m_radars)]
             for m in range(m_radars)
         ]
-        self.D = [
-            np.kron(eye_l, response_derivative(scenario, m)) for m in range(m_radars)
-        ]
+        self.D = [_derivative_lift(scenario, m) for m in range(m_radars)]
         self.s_dims = [scenario.waveform_length(m) for m in range(m_radars)]
         self.f_dims = [scenario.l_samples * scenario.n_rx[m] for m in range(m_radars)]
         # block layout of the stacked real decision vector [Re s_m; Im s_m]
@@ -179,12 +182,6 @@ def unstack_waveforms(z: np.ndarray, dims: list[int]) -> list[np.ndarray]:
         out.append(re + 1j * im)
         pos += 2 * d
     return out
-
-
-def covariance_K(scenario: RadarScenario, waveforms: list[np.ndarray], m: int) -> np.ndarray:
-    """Interference-plus-noise covariance at radar ``m`` (Hermitian PD)."""
-    ops = _Operators(scenario)
-    return _covariance(ops, scenario, waveforms, m)
 
 
 def _covariance(
@@ -237,15 +234,6 @@ def _sum_crb(ops: _Operators, scenario: RadarScenario, waveforms: list[np.ndarra
     return total
 
 
-def radar_aux_update(
-    scenario: RadarScenario, waveforms: list[np.ndarray], m: int
-) -> np.ndarray:
-    """Closed-form auxiliary ``Y_m = K_m^{-1} v_m`` at the current waveforms."""
-    ops = _Operators(scenario)
-    K = _covariance(ops, scenario, waveforms, m)
-    return np.linalg.solve(K, ops.D[m] @ waveforms[m])
-
-
 @dataclass(frozen=True)
 class RadarAux:
     """Frozen auxiliaries plus per-term constants for fast bracket evaluation.
@@ -266,13 +254,7 @@ class RadarMmProblem:
     def __init__(self, scenario: RadarScenario):
         self.scenario = scenario
         self.ops = _Operators(scenario)
-        self.feasible = FeasibleSet(project=self._project)
-
-    def _project(self, z: np.ndarray) -> np.ndarray:
-        out = np.asarray(z, dtype=float).copy()
-        for (a, b), p in zip(self.ops.blocks, self.scenario.power):
-            out[a:b] = project_ball(out[a:b], p)
-        return out
+        self.feasible = block_ball_set(self.ops.blocks, list(scenario.power))
 
     def split(self, z: np.ndarray) -> list[np.ndarray]:
         return unstack_waveforms(np.asarray(z, dtype=float), self.ops.s_dims)
@@ -337,25 +319,17 @@ class RadarMmProblem:
         return value, grad
 
 
-def radar_subproblem_objective(
-    scenario: RadarScenario, waveforms: list[np.ndarray], aux: RadarAux
-) -> tuple[float, np.ndarray | None]:
-    """Bracket-sum surrogate value and stacked-real gradient (reject=-inf)."""
-    problem = RadarMmProblem(scenario)
-    return problem.surrogate(stack_waveforms(waveforms), aux)
-
-
 def initial_waveforms(scenario: RadarScenario, seed: int = 0) -> list[np.ndarray]:
     """Flat max-power start, perturbed only if the derivative signal is
     degenerate there."""
     rng = np.random.default_rng(seed)
-    ops = _Operators(scenario)
     waveforms = []
     for m in range(scenario.m_radars):
         n = scenario.waveform_length(m)
         s = np.full(n, math.sqrt(scenario.power[m] / n), dtype=complex)
-        d_scale = np.linalg.norm(ops.D[m], "fro") * np.linalg.norm(s)
-        if np.linalg.norm(ops.D[m] @ s) <= 1e-12 * max(d_scale, 1e-300):
+        d = _derivative_lift(scenario, m)
+        d_scale = np.linalg.norm(d, "fro") * np.linalg.norm(s)
+        if np.linalg.norm(d @ s) <= 1e-12 * max(d_scale, 1e-300):
             noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             s = s + 1e-3 * np.linalg.norm(s) * noise / np.linalg.norm(noise)
             s = project_ball(s, scenario.power[m])

@@ -37,20 +37,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .fp_core import MixedFpProblem, OuterFunction, RatioTerm, SmoothFn
-from .lagrangian_dual import (
-    GammaState,
-    LogRatioAux,
-    LogRatioMmProblem,
-    LogRatioTerm,
-)
-from .solver import (
-    FeasibleSet,
-    IterationTrace,
-    SolveOptions,
-    project_box,
-    run_mm,
-)
+from .fp_core import MixedFpProblem, OuterFunction, RatioTerm, SmoothFn, affine_fn
+from .lagrangian_dual import LogRatioMmProblem, LogRatioTerm
+from .solver import IterationTrace, SolveOptions, box_set, run_mm
 from .units import dbm_to_mw, nats_to_bits
 
 
@@ -202,63 +191,33 @@ def _weighted_sum_rate_batch(scenario: SecureScenario, p_rows: np.ndarray) -> np
 # ---------------------------------------------------------------------------
 
 
-def _feasible_box(scenario: SecureScenario) -> FeasibleSet:
-    return FeasibleSet(project=lambda x: project_box(x, 0.0, scenario.p_max))
+def _fraction(
+    gains: np.ndarray, i: int, noise: float, whole_row: bool = False
+) -> tuple[SmoothFn, SmoothFn]:
+    """Transmitter ``i``'s received power ``gains[i] * p_i`` over ``noise``
+    plus the power received from the other transmitters (from all of them
+    with ``whole_row``), as affine functions of ``p``."""
+    own = np.zeros(gains.size)
+    own[i] = gains[i]
+    return affine_fn(own), affine_fn(gains if whole_row else gains - own, noise)
 
 
 def build_direct_problem(scenario: SecureScenario) -> MixedFpProblem:
     """Mixed FP with L increasing log terms (user SINRs) and K decreasing
     ones (whole-row leakage fractions)."""
-    terms = []
-    n = scenario.l_cells
-    for i in range(n):
-        row = scenario.h2[i].copy()
-        interf = row.copy()
-        interf[i] = 0.0
-        own = np.zeros(n)
-        own[i] = row[i]
-        num = SmoothFn(
-            value=lambda x, i=i, row=row: float(row[i] * x[i]),
-            grad=lambda x, own=own: own,
+    w = scenario.w
+    terms = [
+        RatioTerm(*_fraction(scenario.h2[i], i, scenario.sigma2[i]), OuterFunction.log1p(w[i]), "max")
+        for i in range(scenario.l_cells)
+    ] + [
+        RatioTerm(
+            *_fraction(scenario.ht2[k], k, scenario.sigma2_tilde[k], whole_row=True),
+            OuterFunction.log1m(w[k]),
+            "min",
         )
-        den = SmoothFn(
-            value=lambda x, i=i, interf=interf: float(interf @ x) + scenario.sigma2[i],
-            grad=lambda x, interf=interf: interf,
-        )
-        terms.append(RatioTerm(num, den, OuterFunction.log1p(scenario.w[i]), side="max"))
-    for k in range(scenario.k_eavesdropped):
-        row = scenario.ht2[k].copy()
-        own = np.zeros(n)
-        own[k] = row[k]
-        num = SmoothFn(
-            value=lambda x, k=k, row=row: float(row[k] * x[k]),
-            grad=lambda x, own=own: own,
-        )
-        den = SmoothFn(
-            value=lambda x, k=k, row=row: float(row @ x) + scenario.sigma2_tilde[k],
-            grad=lambda x, row=row: row,
-        )
-        terms.append(RatioTerm(num, den, OuterFunction.log1m(scenario.w[k]), side="min"))
-    return MixedFpProblem(terms=tuple(terms), feasible=_feasible_box(scenario))
-
-
-def direct_fp_aux(
-    scenario: SecureScenario, p, eps: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form auxiliaries of the direct method at ``p``."""
-    problem = build_direct_problem(scenario)
-    aux = problem.update_aux(np.asarray(p, dtype=float), eps)
-    return aux.y, aux.y_tilde
-
-
-def direct_fp_surrogate(
-    scenario: SecureScenario, p, aux: tuple[np.ndarray, np.ndarray]
-) -> tuple[float, np.ndarray | None]:
-    """Direct-method surrogate value and gradient (reject = -inf)."""
-    from .fp_core import AuxState
-
-    problem = build_direct_problem(scenario)
-    return problem.surrogate(np.asarray(p, dtype=float), AuxState(y=aux[0], y_tilde=aux[1]))
+        for k in range(scenario.k_eavesdropped)
+    ]
+    return MixedFpProblem(terms=tuple(terms), feasible=box_set(0.0, scenario.p_max))
 
 
 def run_algorithm3(
@@ -279,94 +238,17 @@ def run_algorithm3(
 
 
 def build_fast_problem(scenario: SecureScenario) -> LogRatioMmProblem:
-    """Log-ratio form of the same objective for the nested decoupling."""
-    terms = []
-    n = scenario.l_cells
-    for i in range(n):
-        row = scenario.h2[i].copy()
-        interf = row.copy()
-        interf[i] = 0.0
-        own = np.zeros(n)
-        own[i] = row[i]
-        num = SmoothFn(
-            value=lambda x, i=i, row=row: float(row[i] * x[i]),
-            grad=lambda x, own=own: own,
-        )
-        den = SmoothFn(
-            value=lambda x, i=i, interf=interf: float(interf @ x) + scenario.sigma2[i],
-            grad=lambda x, interf=interf: interf,
-        )
-        terms.append(LogRatioTerm(num, den, weight=scenario.w[i], side="max"))
-    for k in range(scenario.k_eavesdropped):
-        row = scenario.ht2[k].copy()
-        interf = row.copy()
-        interf[k] = 0.0
-        own = np.zeros(n)
-        own[k] = row[k]
-        num = SmoothFn(
-            value=lambda x, k=k, row=row: float(row[k] * x[k]),
-            grad=lambda x, own=own: own,
-        )
-        den = SmoothFn(
-            value=lambda x, k=k, interf=interf: float(interf @ x) + scenario.sigma2_tilde[k],
-            grad=lambda x, interf=interf: interf,
-        )
-        terms.append(LogRatioTerm(num, den, weight=scenario.w[k], side="min"))
-    return LogRatioMmProblem(terms=tuple(terms), feasible=_feasible_box(scenario))
-
-
-def fast_fp_gamma(scenario: SecureScenario, p) -> GammaState:
-    """Dual auxiliaries at ``p``: user SINRs and whole-row leakage fractions."""
-    p = np.asarray(p, dtype=float)
-    gamma = np.array([_sinr(scenario, p, i) for i in range(scenario.l_cells)])
-    gamma_tilde = np.array(
-        [
-            scenario.ht2[k, k] * p[k]
-            / (float(scenario.ht2[k] @ p) + scenario.sigma2_tilde[k])
-            for k in range(scenario.k_eavesdropped)
-        ]
-    )
-    return GammaState(gamma=gamma, gamma_tilde=gamma_tilde)
-
-
-def fast_fp_objective_fr(scenario: SecureScenario, p, gammas: GammaState) -> float:
-    """Dual-decoupled objective; equals the weighted sum rate when the
-    auxiliaries are at their closed-form optima for ``p``.
-
-    With the auxiliaries held fixed, the only ``p`` dependence is through
-    plain fractions (no logarithm of any power-dependent quantity).
-    """
-    p = np.asarray(p, dtype=float)
-    total = 0.0
-    for i in range(scenario.l_cells):
-        w = scenario.w[i]
-        if w == 0.0:
-            continue
-        g = float(gammas.gamma[i])
-        row = scenario.h2[i]
-        full = float(row @ p) + scenario.sigma2[i]
-        total += w * (math.log1p(g) - g) + w * (1.0 + g) * row[i] * p[i] / full
-    for k in range(scenario.k_eavesdropped):
-        w = scenario.w[k]
-        if w == 0.0:
-            continue
-        gt = float(gammas.gamma_tilde[k])
-        row = scenario.ht2[k]
-        interf = float(row @ p) - row[k] * p[k] + scenario.sigma2_tilde[k]
-        total += w * (math.log1p(-gt) + gt) - w * (1.0 - gt) * row[k] * p[k] / interf
-    return total
-
-
-def fast_fp_subproblem(
-    scenario: SecureScenario, p, aux: LogRatioAux
-) -> tuple[float, np.ndarray | None]:
-    """Logarithm-free concave subproblem (bracket sums only, no dual
-    constant); reject = -inf."""
-    problem = build_fast_problem(scenario)
-    value, grad = problem.surrogate(np.asarray(p, dtype=float), aux)
-    if value == -math.inf:
-        return value, grad
-    return value - aux.const, grad
+    """Log-ratio form of the same objective for the nested decoupling: user
+    SINRs on the max side, eavesdropper SINRs on the min side."""
+    w = scenario.w
+    terms = [
+        LogRatioTerm(*_fraction(scenario.h2[i], i, scenario.sigma2[i]), weight=w[i], side="max")
+        for i in range(scenario.l_cells)
+    ] + [
+        LogRatioTerm(*_fraction(scenario.ht2[k], k, scenario.sigma2_tilde[k]), weight=w[k], side="min")
+        for k in range(scenario.k_eavesdropped)
+    ]
+    return LogRatioMmProblem(terms=tuple(terms), feasible=box_set(0.0, scenario.p_max))
 
 
 def run_algorithm4(
@@ -534,7 +416,6 @@ def tradeoff_sweep(
     scenario: SecureScenario,
     etas,
     opts: SolveOptions | None = None,
-    include_direct: bool = True,
 ) -> list[TradeoffPoint]:
     """Sweep the open-cell weight ``eta``, solving with both methods (best
     over the shared start set of :func:`sweep_start_points`) and the
@@ -547,12 +428,8 @@ def tradeoff_sweep(
         sc = scenario.with_weights(w)
         p_fast = _solve_best(sc, run_algorithm4, opts)
         fast_secure, fast_open = _rate_split(sc, p_fast)
-        if include_direct:
-            p_dir = _solve_best(sc, run_algorithm3, opts)
-            direct_secure, direct_open = _rate_split(sc, p_dir)
-            direct_obj = weighted_sum_rate(sc, p_dir)
-        else:
-            direct_secure = direct_open = direct_obj = math.nan
+        p_dir = _solve_best(sc, run_algorithm3, opts)
+        direct_secure, direct_open = _rate_split(sc, p_dir)
         p_base, base_obj = baseline_max_power_linear_search(sc)
         base_secure, base_open = _rate_split(sc, p_base)
         points.append(
@@ -563,7 +440,7 @@ def tradeoff_sweep(
                 direct_secure=direct_secure,
                 direct_open=direct_open,
                 fast_objective_nats=weighted_sum_rate(sc, p_fast),
-                direct_objective_nats=direct_obj,
+                direct_objective_nats=weighted_sum_rate(sc, p_dir),
                 baseline_secure=base_secure,
                 baseline_open=base_open,
                 baseline_objective_nats=base_obj,

@@ -87,10 +87,14 @@ def project_ball(x: np.ndarray, radius_sq: float) -> np.ndarray:
 
 
 def box_set(lo, hi, in_domain: Callable[[np.ndarray], bool] | None = None) -> FeasibleSet:
+    """Box ``[lo, hi]``; the bounds are validated here, once, and broadcast
+    against each projected point."""
     lo_arr = np.asarray(lo, dtype=float)
     hi_arr = np.asarray(hi, dtype=float)
+    if np.any(lo_arr > hi_arr):
+        raise InvalidInputError("box lower bound exceeds upper bound")
     return FeasibleSet(
-        project=lambda x: project_box(x, lo_arr, hi_arr),
+        project=lambda x: np.minimum(np.maximum(x, lo_arr), hi_arr),
         in_domain=in_domain or _always_true,
     )
 

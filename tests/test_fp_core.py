@@ -15,7 +15,6 @@ from mmfp.fp_core import (
     SmoothFn,
     affine_fn,
     inv_quad_surrogate,
-    mixed_objective,
     mixed_surrogate,
     opt_y,
     opt_y_tilde,
@@ -137,13 +136,13 @@ class TestMixedObjective:
         problem = _identity_box_problem(
             [RatioTerm(_square_fn(), _const_fn(1.0), OuterFunction.identity(), "max")]
         )
-        assert mixed_objective(problem, np.array([3.0])) == pytest.approx(9.0)
+        assert problem.objective(np.array([3.0])) == pytest.approx(9.0)
 
     def test_single_min_ratio(self):
         problem = _identity_box_problem(
             [RatioTerm(_const_fn(2.0), _const_fn(4.0), OuterFunction.neg_identity(), "min")]
         )
-        assert mixed_objective(problem, np.array([1.0])) == pytest.approx(-0.5)
+        assert problem.objective(np.array([1.0])) == pytest.approx(-0.5)
 
     def test_additivity_of_log_terms(self):
         problem = _identity_box_problem(
@@ -153,7 +152,7 @@ class TestMixedObjective:
             ]
         )
         expected = math.log(2.0) + math.log(4.0)
-        assert mixed_objective(problem, np.array([1.0])) == pytest.approx(expected)
+        assert problem.objective(np.array([1.0])) == pytest.approx(expected)
 
     def test_domain_error_names_term(self):
         problem = _identity_box_problem(
@@ -163,7 +162,7 @@ class TestMixedObjective:
             ]
         )
         with pytest.raises(DomainError) as err:
-            mixed_objective(problem, np.array([1.0]))
+            problem.objective(np.array([1.0]))
         assert err.value.term_index == 1
 
 
@@ -182,7 +181,7 @@ class TestMixedSurrogate:
             )
             x = rng.uniform(0.1, 1.0, 2)
             assert mixed_surrogate(problem, x, x) == pytest.approx(
-                mixed_objective(problem, x), abs=1e-9
+                problem.objective(x), abs=1e-9
             )
 
     def test_hand_evaluated_max_bound(self):
@@ -196,7 +195,7 @@ class TestMixedSurrogate:
         problem = _identity_box_problem([term])
         value = mixed_surrogate(problem, np.array([1.0]), np.array([4.0]))
         assert value == pytest.approx(0.0, abs=1e-12)
-        assert value <= mixed_objective(problem, np.array([1.0]))
+        assert value <= problem.objective(np.array([1.0]))
 
     def test_min_side_clamp_returns_neg_inf(self):
         term = RatioTerm(
@@ -208,7 +207,7 @@ class TestMixedSurrogate:
         problem = _identity_box_problem([term])
         value = mixed_surrogate(problem, np.array([4.0]), np.array([1.0]))
         assert value == -math.inf
-        assert value <= mixed_objective(problem, np.array([4.0]))
+        assert value <= problem.objective(np.array([4.0]))
 
 
 class TestOuterFunction:

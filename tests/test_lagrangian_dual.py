@@ -188,6 +188,28 @@ class TestLogRatioSurrogate:
         assert len(consts_plus) == 1 and len(consts_minus) == 1
 
 
+def test_nested_sandwich_on_random_instances():
+    # quadratic transform of the zetas <= zetas <= log-ratio objective,
+    # all three equal at the anchor
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        dim = int(rng.integers(1, 4))
+        terms = _random_terms(rng, dim, int(rng.integers(1, 5)))
+        problem = LogRatioMmProblem(
+            terms=tuple(terms), feasible=solver.box_set(np.zeros(dim), np.full(dim, 3.0))
+        )
+        anchor = rng.uniform(0.1, 3.0, dim)
+        aux = problem.update_aux(anchor, eps=0.0)
+        x = rng.uniform(0.1, 3.0, dim)
+        inner, _ = problem.surrogate(x, aux)
+        dual = log_ratio_surrogate(terms, x, anchor)
+        assert inner <= dual + 1e-10
+        assert dual <= log_ratio_objective(terms, x) + 1e-10
+        true = log_ratio_objective(terms, anchor)
+        assert problem.surrogate(anchor, aux)[0] == pytest.approx(true, abs=1e-10)
+        assert log_ratio_surrogate(terms, anchor, anchor) == pytest.approx(true, abs=1e-10)
+
+
 class TestLogRatioMmProblem:
     def _problem(self, rng, dim=2):
         terms = []

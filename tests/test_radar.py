@@ -9,12 +9,10 @@ from mmfp.radar import (
     RadarMmProblem,
     RadarScenario,
     benchmark_scenario,
-    covariance_K,
     fisher_information,
     initial_waveforms,
+    lifted_covariance,
     lifted_sum_crb,
-    radar_aux_update,
-    radar_subproblem_objective,
     response_derivative,
     response_matrix,
     run_algorithm2,
@@ -116,16 +114,26 @@ class TestResponse:
             assert np.all(np.abs(got - fd) <= 1e-5 * (1 + np.abs(fd)))
 
 
+def covariance(sc, waveforms, m):
+    """Interference-plus-noise covariance at radar m: the lifted covariance
+    at the rank-1 lifts of the waveforms."""
+    return lifted_covariance(sc, [np.outer(s, s.conj()) for s in waveforms], m)
+
+
+def aux_y(sc, waveforms, m):
+    return RadarMmProblem(sc).update_aux(stack_waveforms(waveforms)).Y[m]
+
+
 class TestCovariance:
     def test_single_radar_is_noise_only(self):
         sc = tiny_scenario()
-        K = covariance_K(sc, [np.array([1.0 + 0j])], 0)
+        K = covariance(sc, [np.array([1.0 + 0j])], 0)
         assert np.allclose(K, np.eye(2))
 
     def test_zero_waveforms(self):
         sc = two_radar_scenario()
         waveforms = [np.zeros(sc.waveform_length(m), dtype=complex) for m in range(2)]
-        K = covariance_K(sc, waveforms, 0)
+        K = covariance(sc, waveforms, 0)
         assert np.allclose(K, sc.sigma2[0] * np.eye(K.shape[0]))
 
     def test_positive_definite_with_interference(self):
@@ -135,7 +143,7 @@ class TestCovariance:
             rng.standard_normal(sc.waveform_length(m)) + 1j * rng.standard_normal(sc.waveform_length(m))
             for m in range(2)
         ]
-        K = covariance_K(sc, waveforms, 1)
+        K = covariance(sc, waveforms, 1)
         assert np.linalg.eigvalsh(K).min() >= sc.sigma2[1] - 1e-12
 
 
@@ -174,7 +182,7 @@ class TestAuxAndSubproblem:
     def test_aux_single_radar(self):
         sc = tiny_scenario()
         s = [np.array([1.0 + 0j])]
-        y = radar_aux_update(sc, s, 0)
+        y = aux_y(sc, s, 0)
         ops_d = np.kron(np.eye(1), response_derivative(sc, 0))
         assert np.allclose(y, (ops_d @ s[0]) / sc.sigma2[0])
 
@@ -189,9 +197,9 @@ class TestAuxAndSubproblem:
             for m in range(2)
         ]
         for m in range(2):
-            y = radar_aux_update(sc, waveforms, m)
+            y = aux_y(sc, waveforms, m)
             v = np.kron(np.eye(sc.l_samples), response_derivative(sc, m)) @ waveforms[m]
-            k_mat = covariance_K(sc, waveforms, m)
+            k_mat = covariance(sc, waveforms, m)
             y_matrix = fp_matrix.opt_y(v[:, None], k_mat)
             assert np.allclose(y[:, None], y_matrix, atol=1e-12)
 
@@ -207,7 +215,7 @@ class TestAuxAndSubproblem:
         q = problem._brackets(waveforms, aux)
         js = np.array([fisher_information(sc, waveforms, m) for m in range(2)])
         assert np.allclose(q, js / 2, rtol=1e-10)
-        value, _ = radar_subproblem_objective(sc, waveforms, aux)
+        value, _ = problem.surrogate(stack_waveforms(waveforms), aux)
         assert value == pytest.approx(-sum_crb(sc, waveforms), rel=1e-10)
 
     def test_subproblem_gradient_matches_finite_differences(self):

@@ -5,16 +5,12 @@ import pytest
 
 from mmfp import solver
 from mmfp.errors import InvalidInputError
+from mmfp.lagrangian_dual import log_ratio_surrogate
 from mmfp.secure import (
     SecureScenario,
     baseline_max_power_linear_search,
     build_direct_problem,
     build_fast_problem,
-    direct_fp_aux,
-    direct_fp_surrogate,
-    fast_fp_gamma,
-    fast_fp_objective_fr,
-    fast_fp_subproblem,
     oracle_grid_2d,
     run_algorithm3,
     run_algorithm4,
@@ -88,14 +84,14 @@ class TestRates:
 class TestDirectMethod:
     def test_aux_unit_case(self):
         sc = single_link()
-        y, yt = direct_fp_aux(sc, [1.0])
-        assert y == pytest.approx([1.0])
-        assert yt.size == 0
+        aux = build_direct_problem(sc).update_aux(np.array([1.0]))
+        assert aux.y == pytest.approx([1.0])
+        assert aux.y_tilde.size == 0
 
     def test_aux_safeguard_at_zero_power(self):
         sc = single_link(k_eaves=1)
-        y, yt = direct_fp_aux(sc, [0.0])
-        assert np.all(np.isfinite(yt))
+        aux = build_direct_problem(sc).update_aux(np.array([0.0]))
+        assert np.all(np.isfinite(aux.y_tilde))
 
     def test_aux_restores_interior_bracket(self):
         # plugging the update back in gives a min bracket above one, which
@@ -117,8 +113,8 @@ class TestDirectMethod:
     def test_surrogate_tight_at_anchor(self):
         sc = two_link_benchmark()
         p = np.array([3.0, 8.0])
-        aux = direct_fp_aux(sc, p, eps=0.0)
-        value, _ = direct_fp_surrogate(sc, p, aux)
+        problem = build_direct_problem(sc)
+        value, _ = problem.surrogate(p, problem.update_aux(p, eps=0.0))
         assert value == pytest.approx(weighted_sum_rate(sc, p), abs=1e-12)
 
     def test_surrogate_gradient_matches_finite_differences(self):
@@ -155,12 +151,12 @@ class TestDirectMethod:
 class TestFastMethod:
     def test_gamma_values(self):
         sc = single_link()
-        gs = fast_fp_gamma(sc, [1.0])
+        gs = build_fast_problem(sc).update_aux(np.array([1.0])).gammas
         assert gs.gamma == pytest.approx([1.0])
 
     def test_gamma_tilde_zero_power(self):
         sc = single_link(k_eaves=1)
-        gs = fast_fp_gamma(sc, [0.0])
+        gs = build_fast_problem(sc).update_aux(np.array([0.0])).gammas
         assert gs.gamma_tilde == pytest.approx([0.0])
 
     def test_gamma_tilde_below_one(self):
@@ -168,7 +164,7 @@ class TestFastMethod:
         for _ in range(200):
             sc = random_scenario(rng)
             p = rng.uniform(0.0, sc.p_max, sc.l_cells)
-            gs = fast_fp_gamma(sc, p)
+            gs = build_fast_problem(sc).update_aux(p).gammas
             assert np.all(gs.gamma_tilde >= 0.0) and np.all(gs.gamma_tilde < 1.0)
 
     def test_objective_fr_tight_at_optimal_gammas(self):
@@ -176,27 +172,23 @@ class TestFastMethod:
         for _ in range(200):
             sc = random_scenario(rng)
             p = rng.uniform(0.1, sc.p_max, sc.l_cells)
-            gs = fast_fp_gamma(sc, p)
+            terms = build_fast_problem(sc).terms
             ws = weighted_sum_rate(sc, p)
-            assert fast_fp_objective_fr(sc, p, gs) == pytest.approx(ws, abs=1e-12 * (1 + abs(ws)))
+            assert log_ratio_surrogate(terms, p, p) == pytest.approx(ws, abs=1e-12 * (1 + abs(ws)))
 
     def test_zero_power_zero_objective(self):
         sc = two_link_benchmark()
         p = np.zeros(2)
-        gs = fast_fp_gamma(sc, p)
-        assert fast_fp_objective_fr(sc, p, gs) == pytest.approx(0.0)
+        assert log_ratio_surrogate(build_fast_problem(sc).terms, p, p) == pytest.approx(0.0)
 
     def test_full_surrogate_chain(self):
         sc = two_link_benchmark()
         p = np.array([2.0, 7.0])
         problem = build_fast_problem(sc)
         aux = problem.update_aux(p, eps=1e-12)
-        gs = fast_fp_gamma(sc, p)
         full, _ = problem.surrogate(p, aux)
-        assert full == pytest.approx(fast_fp_objective_fr(sc, p, gs), abs=1e-10)
+        assert full == pytest.approx(log_ratio_surrogate(problem.terms, p, p), abs=1e-10)
         assert full == pytest.approx(weighted_sum_rate(sc, p), abs=1e-10)
-        q_only, _ = fast_fp_subproblem(sc, p, aux)
-        assert q_only == pytest.approx(full - aux.const, abs=1e-12)
 
     def test_subproblem_gradient_matches_finite_differences(self):
         sc = two_link_benchmark()
@@ -293,6 +285,20 @@ class TestTradeoffSweep:
             assert p.direct_objective_nats >= p.baseline_objective_nats - 1e-9
             assert abs(p.fast_secure - p.direct_secure) <= 1e-2
             assert abs(p.fast_open - p.direct_open) <= 1e-2
+
+
+def test_both_problems_have_the_weighted_sum_rate_as_objective():
+    # some cells carry zero weight and some transmit at zero power
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        sc = random_scenario(rng)
+        sc = sc.with_weights(np.where(rng.random(sc.l_cells) < 0.3, 0.0, sc.w))
+        p = rng.uniform(0.0, sc.p_max, sc.l_cells)
+        p[rng.random(sc.l_cells) < 0.2] = 0.0
+        ws = weighted_sum_rate(sc, p)
+        tol = 1e-12 * (1 + abs(ws))
+        assert build_direct_problem(sc).objective(p) == pytest.approx(ws, abs=tol)
+        assert build_fast_problem(sc).objective(p) == pytest.approx(ws, abs=tol)
 
 
 def test_scenario_validation():

@@ -53,6 +53,20 @@ class TestProjections:
         out = project_ball(z, 1.0)
         assert np.real(np.vdot(out, out)) == pytest.approx(1.0)
 
+    def test_box_set_validates_once_and_matches_project_box(self):
+        with pytest.raises(InvalidInputError):
+            box_set(np.array([0.0, 2.0]), 1.0)
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            lo = rng.uniform(-2.0, 0.5, n) if rng.random() < 0.5 else float(rng.uniform(-2.0, 0.5))
+            hi = rng.uniform(0.5, 3.0, n)
+            x = rng.standard_normal(n) * 3
+            got = box_set(lo, hi).project(x)
+            want = project_box(x, lo, hi)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_projection_idempotent(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
