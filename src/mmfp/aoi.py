@@ -14,7 +14,7 @@ which algebraically splits into two convex-over-concave fractions
     (rhat^2 + 3*rhat + 1) / (mu * (1 + rhat))  +  (rhat + 1)^2 / (mu * rho),
 
 so minimizing the sum age over the box ``0 <= lambda_k <= mu`` is a
-min-only mixed fractional program with ``2K`` ratio terms. Note the age is
+min-only mixed fractional program with ``2K`` ratios. Note the age is
 *not* symmetric under permuting the rates: ``rhat_k`` depends on the
 source order.
 """
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .fp_core import MixedFpProblem, OuterFunction, RatioTerm, SmoothFn
-from .solver import IterationRecord, IterationTrace, SolveOptions, box_set, run_mm
+from .fp_core import MixedFpProblem, OuterFunction
+from .solver import IterationTrace, SolveOptions, box_set, run_mm
 
 # Rates at or below this fraction of mu are outside the open domain: the
 # average age diverges as lambda_k -> 0.
@@ -110,54 +110,30 @@ def _sum_aoi_batch(rate_rows: np.ndarray, mu: float) -> np.ndarray:
 def build_aoi_problem(scenario: AoiScenario) -> MixedFpProblem:
     """Min-only mixed FP whose objective equals minus the total average age.
 
-    All ``2K`` terms carry the decreasing outer ``-r``; numerators are
-    convex and denominators concave in the rates, with analytic gradients.
+    All ``2K`` ratios carry the decreasing outer ``-r``; source k gives rows
+    ``2k`` and ``2k+1`` of its two fractions. Numerators are convex and
+    denominators concave in the rates, with analytic Jacobians; one
+    ``cumsum`` gives every ``rhat_k``.
     """
     k_sources = scenario.k
     mu = scenario.mu
-    terms = []
-    for k in range(k_sources):
-        mask = np.zeros(k_sources)
-        mask[:k] = 1.0  # rhat_k depends on the earlier rates only
+    # both fractions of source k depend on the earlier rates through rhat_k
+    earlier = np.repeat(np.tri(k_sources, k=-1), 2, axis=0)
+    jac_b = earlier.copy()
+    jac_b[1::2] = np.eye(k_sources)
+    jac_b.flags.writeable = False
 
-        def make_pair(k=k, mask=mask):
-            def rhat(x):
-                return float(mask @ x) / mu
-
-            num1 = SmoothFn(
-                value=lambda x: rhat(x) ** 2 + 3 * rhat(x) + 1,
-                grad=lambda x: (2 * rhat(x) + 3) / mu * mask,
-            )
-            den1 = SmoothFn(
-                value=lambda x: mu * (1 + rhat(x)),
-                grad=lambda x: mask.copy(),
-            )
-            e_k = np.zeros(k_sources)
-            e_k[k] = 1.0
-            num2 = SmoothFn(
-                value=lambda x: (rhat(x) + 1) ** 2,
-                grad=lambda x: 2 * (rhat(x) + 1) / mu * mask,
-            )
-            den2 = SmoothFn(value=lambda x: float(x[k]), grad=lambda x: e_k.copy())
-            return num1, den1, num2, den2
-
-        num1, den1, num2, den2 = make_pair()
-        outer = OuterFunction.neg_identity(1.0)
-        terms.append(RatioTerm(num1, den1, outer, side="min"))
-        terms.append(RatioTerm(num2, den2, outer, side="min"))
+    def fractions(x: np.ndarray):
+        _, rhat = _loads(x, mu)
+        A = np.column_stack([rhat**2 + 3 * rhat + 1, (rhat + 1) ** 2]).ravel()
+        B = np.column_stack([mu * (1 + rhat), x]).ravel()
+        dA = np.column_stack([2 * rhat + 3, 2 * (rhat + 1)]).ravel() / mu
+        return A, B, dA[:, None] * earlier, jac_b
 
     floor = _RATE_FLOOR_REL * mu
     feasible = box_set(0.0, mu, in_domain=lambda x: bool(np.all(np.asarray(x) > floor)))
-    return MixedFpProblem(terms=tuple(terms), feasible=feasible)
-
-
-def _as_min_trace(trace: IterationTrace) -> IterationTrace:
-    """Re-sign a maximization trace into the minimized quantity."""
-    records = [
-        IterationRecord(r.outer_index, -r.objective, r.wall_ms, r.inner_iterations)
-        for r in trace.records
-    ]
-    return IterationTrace(records=records, status=trace.status)
+    outers = (OuterFunction.neg_identity(1.0),) * (2 * k_sources)
+    return MixedFpProblem(fractions, outers, feasible)
 
 
 def run_algorithm1(
@@ -171,7 +147,7 @@ def run_algorithm1(
     problem = build_aoi_problem(scenario)
     x0 = np.full(scenario.k, scenario.mu / scenario.k)
     rates, trace = run_mm(problem, x0, opts)
-    return rates, _as_min_trace(trace)
+    return rates, trace.negated()
 
 
 def baseline_max_rate(scenario: AoiScenario) -> tuple[np.ndarray, float]:

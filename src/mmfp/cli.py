@@ -34,9 +34,6 @@ _SOLVER_KEYS = {
     "max_outer",
     "inner_tol",
     "max_inner",
-    "armijo_c",
-    "backtrack_factor",
-    "eps_safeguard",
 }
 
 _SCENARIO_KEYS = {

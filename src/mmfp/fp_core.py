@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -198,48 +198,18 @@ class OuterFunction:
 
 
 # ---------------------------------------------------------------------------
-# Ratio terms and the mixed problem
+# The mixed problem
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class SmoothFn:
-    """Scalar-valued smooth function of the decision vector with gradient."""
-
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class RatioTerm:
-    """One ratio ``numerator/denominator`` with its outer function and side.
-
-    At every queried feasible point the numerator must be nonnegative and
-    the denominator strictly positive. A max-side term requires an
-    increasing outer, a min-side term a decreasing one.
-    """
-
-    numerator: SmoothFn
-    denominator: SmoothFn
-    outer: OuterFunction
-    side: str  # "max" or "min"
-
-    def __post_init__(self):
-        if self.side not in ("max", "min"):
-            raise InvalidInputError(f"side must be 'max' or 'min', got {self.side!r}")
-        if self.side == "max" and not self.outer.increasing:
-            raise InvalidInputError("max-side term needs an increasing outer function")
-        if self.side == "min" and self.outer.increasing:
-            raise InvalidInputError("min-side term needs a decreasing outer function")
-
-    def ratio(self, x: np.ndarray) -> float:
-        return self.numerator.value(x) / self.denominator.value(x)
+# ``x -> (A, B, JA, JB)``: the ``n`` numerators and denominators, shape
+# ``(n,)``, and their ``(n, dim)`` Jacobians.
+Fractions = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
 class AuxState:
-    """Closed-form auxiliaries: ``y`` per max-side term, ``y_tilde`` per
-    min-side term, in term order."""
+    """Closed-form auxiliaries: ``y`` per ratio under an increasing outer,
+    ``y_tilde`` per ratio under a decreasing one, each in ratio order."""
 
     y: np.ndarray
     y_tilde: np.ndarray
@@ -247,57 +217,51 @@ class AuxState:
 
 @dataclass(frozen=True)
 class MixedFpProblem:
-    """Ratio-term list plus feasible-set descriptor.
+    """Ratio vector ``A(x)/B(x)``, one outer function per ratio, and the
+    feasible set.
 
-    Implements the driver protocol of :mod:`mmfp.solver`: true objective,
-    closed-form auxiliary update, and the minorizing surrogate with its
-    gradient.
+    At every queried feasible point each numerator must be nonnegative and
+    each denominator strictly positive. A ratio under an increasing outer
+    is maximized, one under a decreasing outer minimized. Implements the
+    driver protocol of :mod:`mmfp.solver`: true objective, closed-form
+    auxiliary update, and the minorizing surrogate with its gradient.
     """
 
-    terms: tuple[RatioTerm, ...]
+    fractions: Fractions
+    outers: tuple[OuterFunction, ...]
     feasible: FeasibleSet
 
     def __post_init__(self):
-        if len(self.terms) == 0:
-            raise InvalidInputError("a mixed FP problem needs at least one term")
+        if len(self.outers) == 0:
+            raise InvalidInputError("a mixed FP problem needs at least one ratio")
 
     # -- true objective ------------------------------------------------
     def objective(self, x: np.ndarray) -> float:
+        A, B, _, _ = self.fractions(np.asarray(x, dtype=float))
         total = 0.0
-        for i, term in enumerate(self.terms):
-            A = term.numerator.value(x)
-            B = term.denominator.value(x)
-            if A < 0 or B <= 0:
+        for i, (outer, a, b) in enumerate(zip(self.outers, A.tolist(), B.tolist())):
+            if a < 0 or b <= 0:
                 raise DomainError(
-                    f"term {i}: need A >= 0 and B > 0, got A={A}, B={B}", term_index=i
+                    f"ratio {i}: need A >= 0 and B > 0, got A={a}, B={b}", term_index=i
                 )
-            r = A / B
-            pair = term.outer._value_slope(r)
+            r = a / b
+            pair = outer._value_slope(r)
             if pair is None:
                 raise DomainError(
-                    f"term {i}: ratio {r} outside domain of {term.outer.kind}",
-                    term_index=i,
+                    f"ratio {i}: {r} outside domain of {outer.kind}", term_index=i
                 )
             total += pair[0]
         return total
 
     def objective_grad(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(np.asarray(x, dtype=float))
-        for term in self.terms:
-            A = term.numerator.value(x)
-            B = term.denominator.value(x)
-            gA = term.numerator.grad(x)
-            gB = term.denominator.grad(x)
-            r = A / B
-            g += term.outer.derivative(r) * (gA * B - A * gB) / (B * B)
-        return g
+        A, B, JA, JB = self.fractions(np.asarray(x, dtype=float))
+        slopes = np.array([o.derivative(a / b) for o, a, b in zip(self.outers, A, B)]) / B
+        return JA.T @ slopes - JB.T @ (slopes * A / B)
 
     # -- auxiliary update and surrogate -----------------------------------
     def update_aux(self, x: np.ndarray, eps: float = 1e-12) -> AuxState:
-        y, y_tilde = _closed_form_aux(
-            ((t.outer, t.numerator.value(x), t.denominator.value(x)) for t in self.terms),
-            eps,
-        )
+        A, B, _, _ = self.fractions(np.asarray(x, dtype=float))
+        y, y_tilde = _closed_form_aux(self.outers, A, B, eps)
         return AuxState(y=y, y_tilde=y_tilde)
 
     def surrogate(self, x: np.ndarray, aux: AuxState) -> tuple[float, np.ndarray | None]:
@@ -306,13 +270,8 @@ class MixedFpProblem:
         Returns ``(-inf, None)`` when a min-side bracket is nonpositive or
         an outer-domain constraint fails (reject-point signal).
         """
-        x = np.asarray(x, dtype=float)
-        ratios = (
-            (t.outer, t.numerator.value(x), t.denominator.value(x),
-             t.numerator.grad(x), t.denominator.grad(x))
-            for t in self.terms
-        )
-        return _quadratic_transform(x, ratios, aux.y, aux.y_tilde)
+        A, B, JA, JB = self.fractions(np.asarray(x, dtype=float))
+        return _quadratic_transform(self.outers, A, B, JA, JB, aux.y, aux.y_tilde)
 
 
 # ---------------------------------------------------------------------------
@@ -320,57 +279,59 @@ class MixedFpProblem:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_aux(ratios, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _closed_form_aux(outers, A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Auxiliaries that make the quadratic transform tight at the point
-    where ``ratios`` was evaluated.
+    where ``A`` and ``B`` were evaluated.
 
-    ``ratios`` yields ``(outer, A, B)`` per ratio. A ratio under an
-    increasing outer gets ``y = sqrt(A)/B``, one under a decreasing outer
-    ``y_tilde = sqrt(B)/(A + eps)``; each array keeps the ratio order.
+    A ratio under an increasing outer gets ``y = sqrt(A)/B``, one under a
+    decreasing outer ``y_tilde = sqrt(B)/(A + eps)``; each array keeps the
+    ratio order.
     """
     y = []
     y_tilde = []
-    for outer, A, B in ratios:
+    for outer, a, b in zip(outers, A.tolist(), B.tolist()):
         if outer.increasing:
-            y.append(opt_y(A, B))
+            y.append(opt_y(a, b))
         else:
-            y_tilde.append(opt_y_tilde(A, B, eps))
+            y_tilde.append(opt_y_tilde(a, b, eps))
     return np.array(y), np.array(y_tilde)
 
 
 def _quadratic_transform(
-    x: np.ndarray, ratios, y: np.ndarray, y_tilde: np.ndarray, value: float = 0.0
+    outers, A, B, JA, JB, y: np.ndarray, y_tilde: np.ndarray, value: float = 0.0
 ) -> tuple[float, np.ndarray | None]:
     """``value`` plus the transformed ratios, with the gradient in ``x``.
 
-    ``ratios`` yields ``(outer, A, B, grad A, grad B)`` at ``x``, in the
-    order the auxiliaries were made by :func:`_closed_form_aux`. A ratio
-    under an increasing outer contributes ``f(2*y*sqrt(A) - y**2 * B)``,
-    one under a decreasing outer ``f(1 / [2*yt*sqrt(B) - yt**2 * A]_+)``.
-    Returns ``(-inf, None)`` as soon as a term leaves its domain (reject
-    signal); ``ratios`` is not read past that term.
+    ``A``, ``B`` and their Jacobians ``JA``, ``JB`` are evaluated at ``x``;
+    the auxiliaries come from :func:`_closed_form_aux`. A ratio under an
+    increasing outer contributes ``f(2*y*sqrt(A) - y**2 * B)``, one under a
+    decreasing outer ``f(1 / [2*yt*sqrt(B) - yt**2 * A]_+)``. The gradient
+    is ``JA.T @ cA + JB.T @ cB`` with one coefficient per ratio in each of
+    ``cA`` and ``cB``. Returns ``(-inf, None)`` as soon as a ratio leaves
+    its domain (reject signal).
     """
-    grad = np.zeros_like(x)
-    i_max = 0
-    i_min = 0
-    for outer, A, B, gA, gB in ratios:
+    n = len(outers)
+    cA = [0.0] * n
+    cB = [0.0] * n
+    ys = iter(y.tolist())
+    yts = iter(y_tilde.tolist())
+    for i, (outer, a, b) in enumerate(zip(outers, A.tolist(), B.tolist())):
         if outer.increasing:
-            y_i = float(y[i_max])
-            i_max += 1
-            if A < 0:
+            y_i = next(ys)
+            if a < 0:
                 return -math.inf, None
-            pair = outer._value_slope(2.0 * y_i * math.sqrt(A) - y_i * y_i * B)
+            pair = outer._value_slope(2.0 * y_i * math.sqrt(a) - y_i * y_i * b)
             if pair is None:
                 return -math.inf, None
-            coeff = y_i / math.sqrt(max(A, _SQRT_GRAD_FLOOR)) if y_i != 0.0 else 0.0
+            coeff = y_i / math.sqrt(max(a, _SQRT_GRAD_FLOOR)) if y_i != 0.0 else 0.0
             value += pair[0]
-            grad += pair[1] * (coeff * gA - y_i * y_i * gB)
+            cA[i] = pair[1] * coeff
+            cB[i] = -pair[1] * y_i * y_i
         else:
-            yt = float(y_tilde[i_min])
-            i_min += 1
-            if B < 0:
+            yt = next(yts)
+            if b < 0:
                 return -math.inf, None
-            bracket = 2.0 * yt * math.sqrt(B) - yt * yt * A
+            bracket = 2.0 * yt * math.sqrt(b) - yt * yt * a
             if bracket <= 0.0:
                 lim = outer.limit_at_infinity()
                 if lim == -math.inf:
@@ -380,10 +341,12 @@ def _quadratic_transform(
             pair = outer._value_slope(1.0 / bracket)
             if pair is None:
                 return -math.inf, None
-            g_bracket = (yt / math.sqrt(max(B, POSITIVE_UNDERFLOW))) * gB - yt * yt * gA
+            # d f(1/bracket) = -f' / bracket**2 * d bracket
+            s = -pair[1] / (bracket * bracket)
             value += pair[0]
-            grad += pair[1] * (-1.0 / (bracket * bracket)) * g_bracket
-    return value, grad
+            cA[i] = -s * yt * yt
+            cB[i] = s * yt / math.sqrt(max(b, POSITIVE_UNDERFLOW))
+    return value, JA.T @ cA + JB.T @ cB
 
 
 def mixed_surrogate(problem: MixedFpProblem, x: np.ndarray, anchor: np.ndarray) -> float:
@@ -399,9 +362,17 @@ def mixed_surrogate(problem: MixedFpProblem, x: np.ndarray, anchor: np.ndarray) 
     return value
 
 
-def affine_fn(coeffs: Sequence[float], offset: float = 0.0) -> SmoothFn:
-    """Affine helper ``offset + sum_i coeffs[i] * x[i]``."""
-    c = np.array(coeffs, dtype=float)
-    c.flags.writeable = False  # shared by every gradient call
-    # ndarray.dot: the same BLAS product as ``c @ x`` at half the call cost
-    return SmoothFn(value=lambda x: float(offset + c.dot(x)), grad=lambda x: c)
+def affine_fractions(NA, a0, NB, b0) -> Fractions:
+    """Ratios ``(NA @ x + a0) / (NB @ x + b0)``.
+
+    The coefficient matrices are copied once, here, and returned read-only
+    as the Jacobians of every call.
+    """
+    NA, a0, NB, b0 = (np.array(v, dtype=float) for v in (NA, a0, NB, b0))
+    for v in (NA, a0, NB, b0):
+        v.flags.writeable = False
+
+    def fractions(x: np.ndarray):
+        return NA @ x + a0, NB @ x + b0, NA, NB
+
+    return fractions

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .fp_core import OuterFunction, SmoothFn, _closed_form_aux, _quadratic_transform
+from .fp_core import Fractions, OuterFunction, _closed_form_aux, _quadratic_transform
 from .solver import FeasibleSet
 
 # Keep ln(1 - gamma_tilde) finite; the closed form can only approach 1 when
@@ -69,77 +69,51 @@ def zeta_minus(w: float, gamma_tilde: float, A: float, B: float) -> float:
 
 
 @dataclass(frozen=True)
-class LogRatioTerm:
-    """One weighted log-ratio ``+/- w * ln(1 + A(x)/B(x))``."""
-
-    numerator: SmoothFn
-    denominator: SmoothFn
-    weight: float
-    side: str  # "max" or "min"
-
-    def __post_init__(self):
-        if self.side not in ("max", "min"):
-            raise InvalidInputError(f"side must be 'max' or 'min', got {self.side!r}")
-        if self.weight < 0:
-            raise InvalidInputError("weight must be nonnegative")
-
-
-@dataclass(frozen=True)
 class GammaState:
-    gamma: np.ndarray  # one per max-side term
-    gamma_tilde: np.ndarray  # one per min-side term
+    gamma: np.ndarray  # one per live max-side ratio
+    gamma_tilde: np.ndarray  # one per live min-side ratio
 
 
-def _gammas_at(terms: list[LogRatioTerm], x: np.ndarray) -> GammaState:
-    gamma = []
-    gamma_tilde = []
-    for term in terms:
-        A = term.numerator.value(x)
-        B = term.denominator.value(x)
-        if term.side == "max":
-            gamma.append(opt_gamma(A, B))
-        else:
-            gamma_tilde.append(opt_gamma_tilde(A, B))
-    return GammaState(gamma=np.array(gamma), gamma_tilde=np.array(gamma_tilde))
-
-
-def log_ratio_objective(terms: list[LogRatioTerm], x: np.ndarray) -> float:
+def log_ratio_objective(problem: "LogRatioMmProblem", x: np.ndarray) -> float:
+    """``sum_n +/- w_n * ln(1 + A_n/B_n)``, plus on the rows marked
+    ``maximize``, minus on the others."""
+    A, B, _, _ = problem.fractions(np.asarray(x, dtype=float))
     total = 0.0
-    for term in terms:
-        r = term.numerator.value(x) / term.denominator.value(x)
-        sgn = 1.0 if term.side == "max" else -1.0
-        total += sgn * term.weight * math.log1p(r)
+    for w, mx, a, b in zip(
+        problem.weights.tolist(), problem.maximize.tolist(), A.tolist(), B.tolist()
+    ):
+        sgn = 1.0 if mx else -1.0
+        total += sgn * w * math.log1p(a / b)
     return total
 
 
-def log_ratio_surrogate(terms: list[LogRatioTerm], x: np.ndarray, anchor: np.ndarray) -> float:
+def log_ratio_surrogate(problem: "LogRatioMmProblem", x: np.ndarray, anchor: np.ndarray) -> float:
     """Summed zetas with auxiliaries held at their anchor-point optima.
 
     Never exceeds the true log-ratio objective; equals it at ``x = anchor``.
-    Zero-weight terms are dropped entirely (their zetas are identically 0
+    Zero-weight rows are dropped entirely (their zetas are identically 0
     but would otherwise manufacture 0 * inf at degenerate ratios).
     """
-    live = [t for t in terms if t.weight > 0]
-    gs = _gammas_at(live, np.asarray(anchor, dtype=float))
+    A, B, _, _ = problem.fractions(np.asarray(x, dtype=float))
+    A0, B0, _, _ = problem.fractions(np.asarray(anchor, dtype=float))
     value = 0.0
-    i_max = 0
-    i_min = 0
-    for term in live:
-        A = term.numerator.value(x)
-        B = term.denominator.value(x)
-        if term.side == "max":
-            value += zeta_plus(term.weight, float(gs.gamma[i_max]), A, B)
-            i_max += 1
+    for w, mx, a, b, a0, b0 in zip(
+        problem.weights.tolist(), problem.maximize.tolist(),
+        A.tolist(), B.tolist(), A0.tolist(), B0.tolist(),
+    ):
+        if w == 0.0:
+            continue
+        if mx:
+            value += zeta_plus(w, opt_gamma(a0, b0), a, b)
         else:
-            value += zeta_minus(term.weight, float(gs.gamma_tilde[i_min]), A, B)
-            i_min += 1
+            value += zeta_minus(w, opt_gamma_tilde(a0, b0), a, b)
     return value
 
 
 @dataclass(frozen=True)
 class LogRatioAux:
     """Frozen auxiliaries for one MM step: the gammas, the outer function of
-    each live term's induced ratio, the quadratic-transform auxiliaries of
+    each live row's induced ratio, the quadratic-transform auxiliaries of
     those ratios, and the gamma-only zeta pieces."""
 
     gammas: GammaState
@@ -153,77 +127,82 @@ class LogRatioAux:
 class LogRatioMmProblem:
     """Log-ratio maximization driven by the nested decoupling.
 
-    One outer MM step freezes the gammas, which turns the objective into a
-    mixed sum of plain ratios in x: ``w(1+g) * A/(A+B)`` under an identity
-    outer per max-side term and ``w(1-gt) * A/B`` under a negated identity
-    per min-side term (the factor is the outer's weight). The quadratic
-    transform of :mod:`mmfp.fp_core` then gives a concave,
-    logarithm-free subproblem. Implements the driver protocol of
-    :mod:`mmfp.solver`.
+    ``fractions(x)`` returns ``(A, B, JA, JB)`` as in
+    :class:`mmfp.fp_core.MixedFpProblem`; row ``n`` enters the objective as
+    ``+w_n * ln(1 + A_n/B_n)`` where ``maximize[n]`` and as ``-w_n * ln(1 +
+    A_n/B_n)`` elsewhere. One outer MM step freezes the gammas, which turns
+    the objective into a mixed sum of plain ratios in x: ``w(1+g) *
+    A/(A+B)`` under an identity outer per max row and ``w(1-gt) * A/B``
+    under a negated identity per min row (the factor is the outer's
+    weight). Only rows with a positive weight take part. The quadratic
+    transform of :mod:`mmfp.fp_core` then gives a concave, logarithm-free
+    subproblem. Implements the driver protocol of :mod:`mmfp.solver`.
     """
 
-    terms: tuple[LogRatioTerm, ...]
+    fractions: Fractions
+    weights: np.ndarray
+    maximize: np.ndarray
     feasible: FeasibleSet
 
+    def __post_init__(self):
+        weights = np.asarray(self.weights, dtype=float)
+        maximize = np.asarray(self.maximize)
+        if maximize.dtype != bool or weights.ndim != 1 or maximize.shape != weights.shape:
+            raise InvalidInputError("maximize must be a boolean array with one entry per weight")
+        if np.any(weights < 0):
+            raise InvalidInputError("weights must be nonnegative")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "maximize", maximize)
+
     @cached_property
-    def _live(self) -> tuple[LogRatioTerm, ...]:
-        return tuple(t for t in self.terms if t.weight > 0)
+    def _live(self) -> np.ndarray | None:
+        """Indices of the positive-weight rows, ``None`` when that is all."""
+        live = np.flatnonzero(self.weights > 0)
+        return None if live.size == self.weights.size else live
+
+    def _live_rows(self, x: np.ndarray):
+        A, B, JA, JB = self.fractions(np.asarray(x, dtype=float))
+        live = self._live
+        if live is None:
+            return self.weights, self.maximize, A, B, JA, JB
+        return self.weights[live], self.maximize[live], A[live], B[live], JA[live], JB[live]
 
     def objective(self, x: np.ndarray) -> float:
-        return log_ratio_objective(list(self.terms), x)
+        return log_ratio_objective(self, x)
 
     def objective_grad(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(np.asarray(x, dtype=float))
-        for term in self.terms:
-            A = term.numerator.value(x)
-            B = term.denominator.value(x)
-            gA = term.numerator.grad(x)
-            gB = term.denominator.grad(x)
-            sgn = 1.0 if term.side == "max" else -1.0
-            g += sgn * term.weight * (gA * B - A * gB) / (B * (A + B))
-        return g
+        A, B, JA, JB = self.fractions(np.asarray(x, dtype=float))
+        s = np.where(self.maximize, self.weights, -self.weights) / (B * (A + B))
+        return JA.T @ (s * B) - JB.T @ (s * A)
 
     def update_aux(self, x: np.ndarray, eps: float = 1e-12) -> LogRatioAux:
+        weights, maximize, A, B, _, _ = self._live_rows(x)
         gamma = []
         gamma_tilde = []
-        ratios = []
+        outers = []
         const = 0.0
-        for term in self._live:
-            A = term.numerator.value(x)
-            B = term.denominator.value(x)
-            w = term.weight
-            if term.side == "max":
-                g = opt_gamma(A, B)
+        for w, mx, a, b in zip(weights.tolist(), maximize.tolist(), A.tolist(), B.tolist()):
+            if mx:
+                g = opt_gamma(a, b)
                 gamma.append(g)
                 const += w * (math.log1p(g) - g)
-                ratios.append((OuterFunction.identity(w * (1.0 + g)), A, A + B))
+                outers.append(OuterFunction.identity(w * (1.0 + g)))
             else:
-                gt = opt_gamma_tilde(A, B)
+                gt = opt_gamma_tilde(a, b)
                 gamma_tilde.append(gt)
                 const += w * (math.log1p(-gt) + gt)
-                ratios.append((OuterFunction.neg_identity(w * (1.0 - gt)), A, B))
-        y, y_tilde = _closed_form_aux(ratios, eps)
+                outers.append(OuterFunction.neg_identity(w * (1.0 - gt)))
+        y, y_tilde = _closed_form_aux(outers, A, np.where(maximize, A + B, B), eps)
         return LogRatioAux(
             gammas=GammaState(gamma=np.array(gamma), gamma_tilde=np.array(gamma_tilde)),
-            outers=tuple(outer for outer, _, _ in ratios),
+            outers=tuple(outers),
             y=y,
             y_tilde=y_tilde,
             const=const,
         )
 
-    def _induced_ratios(self, x: np.ndarray, outers):
-        for term, outer in zip(self._live, outers):
-            A = term.numerator.value(x)
-            B = term.denominator.value(x)
-            gA = term.numerator.grad(x)
-            gB = term.denominator.grad(x)
-            if term.side == "max":
-                yield outer, A, A + B, gA, gA + gB
-            else:
-                yield outer, A, B, gA, gB
-
     def surrogate(self, x: np.ndarray, aux: LogRatioAux) -> tuple[float, np.ndarray | None]:
-        x = np.asarray(x, dtype=float)
-        return _quadratic_transform(
-            x, self._induced_ratios(x, aux.outers), aux.y, aux.y_tilde, aux.const
-        )
+        _, maximize, A, B, JA, JB = self._live_rows(x)
+        B = np.where(maximize, A + B, B)
+        JB = np.where(maximize[:, None], JA + JB, JB)
+        return _quadratic_transform(aux.outers, A, B, JA, JB, aux.y, aux.y_tilde, aux.const)

@@ -37,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import DomainError, InvalidInputError
 from .solver import (
-    IterationRecord,
     IterationTrace,
     SolveOptions,
     block_ball_set,
@@ -263,6 +262,15 @@ class RadarMmProblem:
         val = _sum_crb(self.ops, self.scenario, self.split(z))
         return -val  # maximization convention
 
+    def objective_grad(self, z: np.ndarray) -> np.ndarray:
+        """Gradient of :meth:`objective`: the surrogate is a smooth
+        minorizer that touches the objective at its anchor, so the two
+        gradients agree there."""
+        _, grad = self.surrogate(z, self.update_aux(z))
+        if grad is None:
+            raise DomainError("the surrogate rejects its own anchor: a likelihood curvature is zero")
+        return grad
+
     def update_aux(self, z: np.ndarray, eps: float = 1e-12) -> RadarAux:
         waveforms = self.split(z)
         m_radars = self.scenario.m_radars
@@ -346,11 +354,7 @@ def run_algorithm2(
     problem = RadarMmProblem(scenario)
     z0 = stack_waveforms(initial_waveforms(scenario, seed=opts.seed))
     z, trace = run_mm(problem, z0, opts)
-    records = [
-        IterationRecord(r.outer_index, -r.objective, r.wall_ms, r.inner_iterations)
-        for r in trace.records
-    ]
-    return problem.split(z), IterationTrace(records=records, status=trace.status)
+    return problem.split(z), trace.negated()
 
 
 def lifted_covariance(
@@ -358,7 +362,12 @@ def lifted_covariance(
 ) -> np.ndarray:
     """Covariance with the rank-1 waveform outer products replaced by
     arbitrary PSD lift variables (consistency checks)."""
-    ops = _Operators(scenario)
+    return _lifted_covariance(_Operators(scenario), scenario, u_matrices, m)
+
+
+def _lifted_covariance(
+    ops: _Operators, scenario: RadarScenario, u_matrices: list[np.ndarray], m: int
+) -> np.ndarray:
     n = ops.f_dims[m]
     lam = scenario.sigma2[m] * np.eye(n, dtype=complex)
     for mp in range(scenario.m_radars):
@@ -377,7 +386,7 @@ def lifted_sum_crb(
     total = 0.0
     for m in range(scenario.m_radars):
         v = ops.D[m] @ waveforms[m]
-        lam = lifted_covariance(scenario, u_matrices, m)
+        lam = _lifted_covariance(ops, scenario, u_matrices, m)
         j = 2.0 * float(np.real(v.conj() @ np.linalg.solve(lam, v)))
         if j <= 0.0:
             return math.inf

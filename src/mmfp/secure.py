@@ -37,8 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .fp_core import MixedFpProblem, OuterFunction, RatioTerm, SmoothFn, affine_fn
-from .lagrangian_dual import LogRatioMmProblem, LogRatioTerm
+from .fp_core import Fractions, MixedFpProblem, OuterFunction, affine_fractions
+from .lagrangian_dual import LogRatioMmProblem
 from .solver import IterationTrace, SolveOptions, box_set, run_mm
 from .units import dbm_to_mw, nats_to_bits
 
@@ -191,33 +191,30 @@ def _weighted_sum_rate_batch(scenario: SecureScenario, p_rows: np.ndarray) -> np
 # ---------------------------------------------------------------------------
 
 
-def _fraction(
-    gains: np.ndarray, i: int, noise: float, whole_row: bool = False
-) -> tuple[SmoothFn, SmoothFn]:
-    """Transmitter ``i``'s received power ``gains[i] * p_i`` over ``noise``
-    plus the power received from the other transmitters (from all of them
-    with ``whole_row``), as affine functions of ``p``."""
-    own = np.zeros(gains.size)
-    own[i] = gains[i]
-    return affine_fn(own), affine_fn(gains if whole_row else gains - own, noise)
+def _sinr_fractions(scenario: SecureScenario, whole_row_leakage: bool) -> Fractions:
+    """L user rows, then K eavesdropper rows: row k's own received power
+    ``gains[k, k] * p_k`` over noise plus the power received from the other
+    transmitters (from all of them on the eavesdropper rows with
+    ``whole_row_leakage``)."""
+    gains = np.vstack([scenario.h2, scenario.ht2])
+    rows = np.arange(gains.shape[0])
+    cols = np.concatenate([np.arange(scenario.l_cells), np.arange(scenario.k_eavesdropped)])
+    own = np.zeros_like(gains)
+    own[rows, cols] = gains[rows, cols]
+    rest = gains - own
+    if whole_row_leakage:
+        rest[scenario.l_cells:] = scenario.ht2
+    noise = np.concatenate([scenario.sigma2, scenario.sigma2_tilde])
+    return affine_fractions(own, 0.0, rest, noise)
 
 
 def build_direct_problem(scenario: SecureScenario) -> MixedFpProblem:
     """Mixed FP with L increasing log terms (user SINRs) and K decreasing
     ones (whole-row leakage fractions)."""
-    w = scenario.w
-    terms = [
-        RatioTerm(*_fraction(scenario.h2[i], i, scenario.sigma2[i]), OuterFunction.log1p(w[i]), "max")
-        for i in range(scenario.l_cells)
-    ] + [
-        RatioTerm(
-            *_fraction(scenario.ht2[k], k, scenario.sigma2_tilde[k], whole_row=True),
-            OuterFunction.log1m(w[k]),
-            "min",
-        )
-        for k in range(scenario.k_eavesdropped)
-    ]
-    return MixedFpProblem(terms=tuple(terms), feasible=box_set(0.0, scenario.p_max))
+    outers = [OuterFunction.log1p(w) for w in scenario.w]
+    outers += [OuterFunction.log1m(w) for w in scenario.w[: scenario.k_eavesdropped]]
+    fractions = _sinr_fractions(scenario, whole_row_leakage=True)
+    return MixedFpProblem(fractions, tuple(outers), box_set(0.0, scenario.p_max))
 
 
 def run_algorithm3(
@@ -240,15 +237,13 @@ def run_algorithm3(
 def build_fast_problem(scenario: SecureScenario) -> LogRatioMmProblem:
     """Log-ratio form of the same objective for the nested decoupling: user
     SINRs on the max side, eavesdropper SINRs on the min side."""
-    w = scenario.w
-    terms = [
-        LogRatioTerm(*_fraction(scenario.h2[i], i, scenario.sigma2[i]), weight=w[i], side="max")
-        for i in range(scenario.l_cells)
-    ] + [
-        LogRatioTerm(*_fraction(scenario.ht2[k], k, scenario.sigma2_tilde[k]), weight=w[k], side="min")
-        for k in range(scenario.k_eavesdropped)
-    ]
-    return LogRatioMmProblem(terms=tuple(terms), feasible=box_set(0.0, scenario.p_max))
+    n, k = scenario.l_cells, scenario.k_eavesdropped
+    return LogRatioMmProblem(
+        _sinr_fractions(scenario, whole_row_leakage=False),
+        np.concatenate([scenario.w, scenario.w[:k]]),
+        np.arange(n + k) < n,
+        box_set(0.0, scenario.p_max),
+    )
 
 
 def run_algorithm4(

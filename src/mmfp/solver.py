@@ -33,6 +33,10 @@ from .errors import InvalidInputError, InvalidStartError, MonotonicityError
 _STEP_MIN = 1e-14
 _STEP_MAX = 1e14
 _MAX_BACKTRACKS = 80
+_ARMIJO_C = 1e-4  # sufficient-increase fraction
+_BACKTRACK_FACTOR = 0.5
+# ``eps`` of the min-side auxiliary ``sqrt(B)/(A + eps)``
+_EPS_SAFEGUARD = 1e-12
 # Length of the nonmonotone line-search reference window.
 _NONMONOTONE_WINDOW = 10
 # Abandon a subproblem after this many iterations without improving the
@@ -129,16 +133,11 @@ class SolveOptions:
     max_outer: int = 500
     inner_tol: float = 1e-7
     max_inner: int = 10000
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    eps_safeguard: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.outer_tol, self.inner_tol, self.eps_safeguard) <= 0:
+        if min(self.outer_tol, self.inner_tol) <= 0:
             raise InvalidInputError("tolerances must be positive")
-        if not (0 < self.backtrack_factor < 1 and 0 < self.armijo_c < 1):
-            raise InvalidInputError("armijo_c and backtrack_factor must lie in (0,1)")
         if self.max_outer < 1 or self.max_inner < 1:
             raise InvalidInputError("iteration limits must be at least 1")
 
@@ -169,6 +168,14 @@ class IterationTrace:
     @property
     def outer_iterations(self) -> int:
         return self.records[-1].outer_index if self.records else 0
+
+    def negated(self) -> "IterationTrace":
+        """The same run reporting ``-objective``, the minimized quantity."""
+        records = [
+            IterationRecord(r.outer_index, -r.objective, r.wall_ms, r.inner_iterations)
+            for r in self.records
+        ]
+        return IterationTrace(records=records, status=self.status)
 
 
 @dataclass(frozen=True)
@@ -247,11 +254,11 @@ def maximize_subproblem(
                 break
             if feasible.in_domain(trial):
                 ft, gt = objective(trial)
-                if np.isfinite(ft) and ft >= f_ref + opts.armijo_c * float(g @ d):
+                if np.isfinite(ft) and ft >= f_ref + _ARMIJO_C * float(g @ d):
                     x, f, g = trial, ft, gt
                     accepted = True
                     break
-            tt *= opts.backtrack_factor
+            tt *= _BACKTRACK_FACTOR
         if not accepted:
             break
         window.pop(0)
@@ -300,7 +307,7 @@ def run_mm(
 
     for outer in range(1, opts.max_outer + 1):
         tic = time.perf_counter()
-        aux = problem.update_aux(x, opts.eps_safeguard)
+        aux = problem.update_aux(x, _EPS_SAFEGUARD)
         x, info = maximize_subproblem(
             lambda z: problem.surrogate(z, aux), problem.feasible, x, opts, step0=step
         )

@@ -9,9 +9,5 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw: float) -> float:
-    return 10.0 * math.log10(mw)
-
-
 def nats_to_bits(nats: float) -> float:
     return nats / NATS_PER_BIT

@@ -34,37 +34,29 @@ def _rand_pd(rng: np.random.Generator, d: int, ridge: float = 0.5) -> np.ndarray
 
 
 def _rand_mixed_problem(rng: np.random.Generator):
-    """Small random mixed problem with quadratic numerators/denominators
-    positive on the box [0.5, 2]^dim."""
+    """Small random mixed problem with quadratic numerators and affine
+    denominators, positive on the box [0.5, 2]^dim."""
     dim = int(rng.integers(1, 4))
-    n_terms = int(rng.integers(1, 7))
-    terms = []
-    for _ in range(n_terms):
-        a_lin = rng.uniform(0.1, 1.0, dim)
-        a_quad = rng.uniform(0.0, 0.5, dim)
-        b_lin = rng.uniform(0.2, 1.0, dim)
-        b_off = rng.uniform(0.5, 2.0)
-
-        def make(a_lin=a_lin, a_quad=a_quad, b_lin=b_lin, b_off=b_off):
-            num = fp_core.SmoothFn(
-                value=lambda x: float(a_lin @ x + a_quad @ (x * x)),
-                grad=lambda x: a_lin + 2 * a_quad * x,
-            )
-            den = fp_core.SmoothFn(
-                value=lambda x: float(b_off + b_lin @ x),
-                grad=lambda x: b_lin.copy(),
-            )
-            return num, den
-
-        num, den = make()
-        side = "max" if rng.random() < 0.5 else "min"
-        if side == "max":
-            outer = fp_core.OuterFunction.log1p(float(rng.uniform(0.2, 2.0)))
+    rows = []
+    outers = []
+    for _ in range(int(rng.integers(1, 7))):
+        rows.append((
+            rng.uniform(0.1, 1.0, dim),
+            rng.uniform(0.0, 0.5, dim),
+            rng.uniform(0.2, 1.0, dim),
+            rng.uniform(0.5, 2.0),
+        ))
+        if rng.random() < 0.5:
+            outers.append(fp_core.OuterFunction.log1p(float(rng.uniform(0.2, 2.0))))
         else:
-            outer = fp_core.OuterFunction.neg_identity(float(rng.uniform(0.2, 2.0)))
-        terms.append(fp_core.RatioTerm(num, den, outer, side))
+            outers.append(fp_core.OuterFunction.neg_identity(float(rng.uniform(0.2, 2.0))))
+    a_lin, a_quad, b_lin, b_off = (np.array(c) for c in zip(*rows))
+
+    def fractions(x):
+        return a_lin @ x + a_quad @ (x * x), b_off + b_lin @ x, a_lin + 2 * a_quad * x, b_lin
+
     feasible = solver.box_set(np.full(dim, 0.5), np.full(dim, 2.0))
-    return fp_core.MixedFpProblem(terms=tuple(terms), feasible=feasible), dim
+    return fp_core.MixedFpProblem(fractions, tuple(outers), feasible), dim
 
 
 def _check_grad(fun, grad, x, rel=1e-5) -> bool:
@@ -145,11 +137,11 @@ def suite_core(seed: int = 0) -> list[CheckResult]:
     for _ in range(30):
         problem, dim = _rand_mixed_problem(rng)
         x = rng.uniform(0.6, 1.9, dim)
-        for term in problem.terms:
-            if not _check_grad(term.numerator.value, term.numerator.grad, x):
-                ok = False
-            if not _check_grad(term.denominator.value, term.denominator.grad, x):
-                ok = False
+        for i in range(len(problem.outers)):
+            for part in (0, 1):  # numerator, then denominator; Jacobian at part + 2
+                fun = lambda t: problem.fractions(t)[part][i]
+                if not _check_grad(fun, lambda t: problem.fractions(t)[part + 2][i], x):
+                    ok = False
         if not _check_grad(problem.objective, problem.objective_grad, x):
             ok = False
     out.append(CheckResult("core", "term and objective gradients match finite differences", ok))
@@ -316,32 +308,26 @@ def suite_lagrangian(seed: int = 2) -> list[CheckResult]:
     ok = True
     for _ in range(100):
         dim = int(rng.integers(1, 4))
-        terms = []
+        rows = []
         for _ in range(int(rng.integers(1, 5))):
-            a = rng.uniform(0.1, 1.0, dim)
-            b = rng.uniform(0.1, 1.0, dim)
-            off = float(rng.uniform(0.5, 2.0))
-            num = fp_core.SmoothFn(
-                value=lambda x, a=a: float(a @ x), grad=lambda x, a=a: a.copy()
-            )
-            den = fp_core.SmoothFn(
-                value=lambda x, b=b, off=off: off + float(b @ x),
-                grad=lambda x, b=b: b.copy(),
-            )
-            terms.append(
-                ld.LogRatioTerm(
-                    num, den,
-                    weight=float(rng.uniform(0.0, 2.0)),
-                    side="max" if rng.random() < 0.5 else "min",
-                )
-            )
+            rows.append((
+                rng.uniform(0.1, 1.0, dim),
+                rng.uniform(0.1, 1.0, dim),
+                float(rng.uniform(0.5, 2.0)),
+                float(rng.uniform(0.0, 2.0)),
+                bool(rng.random() < 0.5),
+            ))
+        a, b, off, weights, maximize = (np.array(c) for c in zip(*rows))
+        problem = ld.LogRatioMmProblem(
+            fp_core.affine_fractions(a, 0.0, b, off), weights, maximize, None
+        )
         x = rng.uniform(0.1, 3.0, dim)
         anchor = rng.uniform(0.1, 3.0, dim)
-        f_x = ld.log_ratio_objective(terms, x)
-        if ld.log_ratio_surrogate(terms, x, anchor) > f_x + 1e-10:
+        f_x = ld.log_ratio_objective(problem, x)
+        if ld.log_ratio_surrogate(problem, x, anchor) > f_x + 1e-10:
             ok = False
             break
-        if abs(ld.log_ratio_surrogate(terms, anchor, anchor) - ld.log_ratio_objective(terms, anchor)) > 1e-10:
+        if abs(ld.log_ratio_surrogate(problem, anchor, anchor) - ld.log_ratio_objective(problem, anchor)) > 1e-10:
             ok = False
             break
     out.append(CheckResult("lagrangian", "dual surrogate sandwich on random instances", ok))
@@ -450,7 +436,7 @@ def suite_apps(seed: int = 3) -> list[CheckResult]:
         p = rng.uniform(0.1, sc.p_max, sc.l_cells)
         ws = secure.weighted_sum_rate(sc, p)
         prob4 = secure.build_fast_problem(sc)
-        dual = lagrangian_dual.log_ratio_surrogate(prob4.terms, p, p)
+        dual = lagrangian_dual.log_ratio_surrogate(prob4, p, p)
         if abs(dual - ws) > 1e-10 * (1 + abs(ws)):
             ok = False
             break

@@ -53,7 +53,20 @@ class TestDecomposition:
 
 class TestProblemConstruction:
     def test_term_count(self):
-        assert len(build_aoi_problem(AoiScenario(k=1, mu=1.0)).terms) == 2
+        assert len(build_aoi_problem(AoiScenario(k=1, mu=1.0)).outers) == 2
+
+    def test_fractions_reproduce_the_decomposition(self):
+        # rows 2k and 2k+1 are source k's two fractions, in order
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            k = int(rng.integers(1, 8))
+            mu = float(rng.uniform(0.2, 3.0))
+            lam = rng.uniform(0.01, 1.0, k) * mu
+            A, B, _, _ = build_aoi_problem(AoiScenario(k=k, mu=mu)).fractions(lam)
+            for src in range(k):
+                first, second = avg_aoi_decomposed(src, lam, mu)
+                assert A[2 * src] / B[2 * src] == pytest.approx(first, rel=1e-12)
+                assert A[2 * src + 1] / B[2 * src + 1] == pytest.approx(second, rel=1e-12)
 
     def test_objective_is_negative_total_age(self):
         problem = build_aoi_problem(AoiScenario(k=2, mu=1.0))

@@ -11,9 +11,7 @@ from mmfp.fp_core import (
     AuxState,
     MixedFpProblem,
     OuterFunction,
-    RatioTerm,
-    SmoothFn,
-    affine_fn,
+    affine_fractions,
     inv_quad_surrogate,
     mixed_surrogate,
     opt_y,
@@ -117,53 +115,50 @@ class TestOptYTilde:
             opt_y_tilde(1.0, 1.0, -1e-3)
 
 
-def _const_fn(c: float, dim: int = 1) -> SmoothFn:
-    return SmoothFn(value=lambda x: c, grad=lambda x: np.zeros(dim))
+def _constant(A, B):
+    """Ratios ``A_i / B_i`` that do not depend on the 1-D decision."""
+    return affine_fractions(np.zeros((len(A), 1)), A, np.zeros((len(B), 1)), B)
 
 
-def _square_fn() -> SmoothFn:
-    return SmoothFn(value=lambda x: float(x[0]) ** 2, grad=lambda x: np.array([2.0 * x[0]]))
+def _square_over_one(x):
+    return np.array([x[0] ** 2]), np.ones(1), np.array([[2.0 * x[0]]]), np.zeros((1, 1))
 
 
-def _identity_box_problem(terms) -> MixedFpProblem:
+def _identity_box_problem(fractions, outers) -> MixedFpProblem:
     return MixedFpProblem(
-        terms=tuple(terms), feasible=solver.box_set(np.array([0.0]), np.array([10.0]))
+        fractions, tuple(outers), solver.box_set(np.array([0.0]), np.array([10.0]))
     )
 
 
 class TestMixedObjective:
     def test_single_max_square_ratio(self):
-        problem = _identity_box_problem(
-            [RatioTerm(_square_fn(), _const_fn(1.0), OuterFunction.identity(), "max")]
-        )
+        problem = _identity_box_problem(_square_over_one, [OuterFunction.identity()])
         assert problem.objective(np.array([3.0])) == pytest.approx(9.0)
 
     def test_single_min_ratio(self):
-        problem = _identity_box_problem(
-            [RatioTerm(_const_fn(2.0), _const_fn(4.0), OuterFunction.neg_identity(), "min")]
-        )
+        problem = _identity_box_problem(_constant([2.0], [4.0]), [OuterFunction.neg_identity()])
         assert problem.objective(np.array([1.0])) == pytest.approx(-0.5)
 
     def test_additivity_of_log_terms(self):
         problem = _identity_box_problem(
-            [
-                RatioTerm(_const_fn(1.0), _const_fn(1.0), OuterFunction.log1p(), "max"),
-                RatioTerm(_const_fn(3.0), _const_fn(1.0), OuterFunction.log1p(), "max"),
-            ]
+            _constant([1.0, 3.0], [1.0, 1.0]), [OuterFunction.log1p(), OuterFunction.log1p()]
         )
         expected = math.log(2.0) + math.log(4.0)
         assert problem.objective(np.array([1.0])) == pytest.approx(expected)
 
     def test_domain_error_names_term(self):
         problem = _identity_box_problem(
-            [
-                RatioTerm(_const_fn(1.0), _const_fn(1.0), OuterFunction.log1p(), "max"),
-                RatioTerm(_const_fn(3.0), _const_fn(1.0), OuterFunction.log1m(), "min"),
-            ]
+            _constant([1.0, 3.0], [1.0, 1.0]), [OuterFunction.log1p(), OuterFunction.log1m()]
         )
         with pytest.raises(DomainError) as err:
             problem.objective(np.array([1.0]))
         assert err.value.term_index == 1
+
+
+def _two_affine_ratios(a, b):
+    """``(a.x + 0.3)/(b.x + 1)`` under log1p and ``(b.x + 0.2)/(a.x + 1.5)``
+    under the negated identity."""
+    return affine_fractions([a, b], [0.3, 0.2], [b, a], [1.0, 1.5])
 
 
 class TestMixedSurrogate:
@@ -173,11 +168,9 @@ class TestMixedSurrogate:
             a = rng.uniform(0.2, 2.0, 2)
             b = rng.uniform(0.2, 2.0, 2)
             problem = MixedFpProblem(
-                terms=(
-                    RatioTerm(affine_fn(a, 0.5), affine_fn(b, 1.0), OuterFunction.log1p(), "max"),
-                    RatioTerm(affine_fn(a, 0.1), affine_fn(b, 2.0), OuterFunction.neg_identity(), "min"),
-                ),
-                feasible=solver.box_set(np.zeros(2), np.ones(2)),
+                affine_fractions([a, a], [0.5, 0.1], [b, b], [1.0, 2.0]),
+                (OuterFunction.log1p(), OuterFunction.neg_identity()),
+                solver.box_set(np.zeros(2), np.ones(2)),
             )
             x = rng.uniform(0.1, 1.0, 2)
             assert mixed_surrogate(problem, x, x) == pytest.approx(
@@ -186,25 +179,17 @@ class TestMixedSurrogate:
 
     def test_hand_evaluated_max_bound(self):
         # numerator x, denominator 1, plain ratio outer; anchor at 4, query at 1
-        term = RatioTerm(
-            SmoothFn(value=lambda x: float(x[0]), grad=lambda x: np.array([1.0])),
-            _const_fn(1.0),
-            OuterFunction.identity(),
-            "max",
+        problem = _identity_box_problem(
+            affine_fractions([[1.0]], [0.0], [[0.0]], [1.0]), [OuterFunction.identity()]
         )
-        problem = _identity_box_problem([term])
         value = mixed_surrogate(problem, np.array([1.0]), np.array([4.0]))
         assert value == pytest.approx(0.0, abs=1e-12)
         assert value <= problem.objective(np.array([1.0]))
 
     def test_min_side_clamp_returns_neg_inf(self):
-        term = RatioTerm(
-            SmoothFn(value=lambda x: float(x[0]), grad=lambda x: np.array([1.0])),
-            _const_fn(1.0),
-            OuterFunction.neg_identity(),
-            "min",
+        problem = _identity_box_problem(
+            affine_fractions([[1.0]], [0.0], [[0.0]], [1.0]), [OuterFunction.neg_identity()]
         )
-        problem = _identity_box_problem([term])
         value = mixed_surrogate(problem, np.array([4.0]), np.array([1.0]))
         assert value == -math.inf
         assert value <= problem.objective(np.array([4.0]))
@@ -233,11 +218,27 @@ class TestOuterFunction:
         assert not OuterFunction.log1m().increasing
         assert not OuterFunction.neg_identity().increasing
 
-    def test_side_pairing_enforced(self):
-        with pytest.raises(InvalidInputError):
-            RatioTerm(_const_fn(1.0), _const_fn(1.0), OuterFunction.log1m(), "max")
-        with pytest.raises(InvalidInputError):
-            RatioTerm(_const_fn(1.0), _const_fn(1.0), OuterFunction.log1p(), "min")
+    def test_side_follows_outer_monotonicity(self):
+        # increasing outers get a max-side y, decreasing ones a min-side
+        # y_tilde, each in ratio order, whatever the interleaving
+        A = [1.0, 1.0, 9.0, 2.0, 1.0]
+        B = [4.0, 4.0, 1.0, 8.0, 0.5]
+        problem = _identity_box_problem(
+            _constant(A, B),
+            [
+                OuterFunction.log1m(),
+                OuterFunction.identity(),
+                OuterFunction.neg_identity(),
+                OuterFunction.neg_half_inverse(),
+                OuterFunction.log1p(),
+            ],
+        )
+        aux = problem.update_aux(np.array([1.0]), eps=0.0)
+        assert aux.y.tolist() == [opt_y(1.0, 4.0), opt_y(2.0, 8.0), opt_y(1.0, 0.5)]
+        assert aux.y_tilde.tolist() == [opt_y_tilde(1.0, 4.0, 0.0), opt_y_tilde(9.0, 1.0, 0.0)]
+        x = np.array([1.0])
+        expected = sum(o.evaluate(a / b) for o, a, b in zip(problem.outers, A, B))
+        assert problem.surrogate(x, aux)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -264,11 +265,9 @@ def test_term_gradients_match_finite_differences():
         a = rng.uniform(0.2, 2.0, 3)
         b = rng.uniform(0.2, 2.0, 3)
         problem = MixedFpProblem(
-            terms=(
-                RatioTerm(affine_fn(a, 0.3), affine_fn(b, 1.0), OuterFunction.log1p(), "max"),
-                RatioTerm(affine_fn(b, 0.2), affine_fn(a, 1.5), OuterFunction.neg_identity(), "min"),
-            ),
-            feasible=solver.box_set(np.zeros(3), np.ones(3)),
+            _two_affine_ratios(a, b),
+            (OuterFunction.log1p(), OuterFunction.neg_identity()),
+            solver.box_set(np.zeros(3), np.ones(3)),
         )
         x = rng.uniform(0.2, 0.9, 3)
         g = problem.objective_grad(x)
@@ -281,11 +280,9 @@ def test_surrogate_gradient_matches_finite_differences():
     a = rng.uniform(0.2, 2.0, 3)
     b = rng.uniform(0.2, 2.0, 3)
     problem = MixedFpProblem(
-        terms=(
-            RatioTerm(affine_fn(a, 0.3), affine_fn(b, 1.0), OuterFunction.log1p(), "max"),
-            RatioTerm(affine_fn(b, 0.2), affine_fn(a, 1.5), OuterFunction.neg_identity(), "min"),
-        ),
-        feasible=solver.box_set(np.zeros(3), np.ones(3)),
+        _two_affine_ratios(a, b),
+        (OuterFunction.log1p(), OuterFunction.neg_identity()),
+        solver.box_set(np.zeros(3), np.ones(3)),
     )
     anchor = rng.uniform(0.2, 0.9, 3)
     aux = problem.update_aux(anchor)
@@ -297,13 +294,77 @@ def test_surrogate_gradient_matches_finite_differences():
 
 def test_aux_state_matches_closed_forms():
     problem = MixedFpProblem(
-        terms=(
-            RatioTerm(_const_fn(4.0), _const_fn(2.0), OuterFunction.identity(), "max"),
-            RatioTerm(_const_fn(1.0), _const_fn(4.0), OuterFunction.neg_identity(), "min"),
-        ),
-        feasible=solver.box_set(np.array([0.0]), np.array([1.0])),
+        _constant([4.0, 1.0], [2.0, 4.0]),
+        (OuterFunction.identity(), OuterFunction.neg_identity()),
+        solver.box_set(np.array([0.0]), np.array([1.0])),
     )
     aux = problem.update_aux(np.array([0.5]), eps=0.0)
     assert isinstance(aux, AuxState)
     assert aux.y == pytest.approx([1.0])
     assert aux.y_tilde == pytest.approx([2.0])
+
+
+_MAX_KINDS = ("identity", "log1p", "neg_half_inverse")
+_MIN_KINDS = ("neg_identity", "log1m")
+
+
+def _random_quadratic_problem(rng):
+    """Random ratios ``(a.x + q.x**2 + a0) / (b.x + b0)`` on ``[0.5, 2]^dim``
+    under outers of both sides, about a third of them with zero weight."""
+    dim = int(rng.integers(1, 4))
+    n = int(rng.integers(1, 8))
+    a = rng.uniform(0.0, 1.0, (n, dim))
+    q = rng.uniform(0.0, 0.5, (n, dim))
+    a0 = rng.uniform(0.0, 0.5, n)
+    b = rng.uniform(0.1, 1.0, (n, dim))
+    b0 = rng.uniform(0.5, 2.0, n)
+
+    def fractions(x):
+        return a @ x + q @ (x * x) + a0, b @ x + b0, a + 2 * q * x, b
+
+    outers = []
+    for _ in range(n):
+        w = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.1, 2.0))
+        kinds = _MAX_KINDS if rng.random() < 0.5 else _MIN_KINDS
+        outers.append(OuterFunction(kinds[int(rng.integers(len(kinds)))], w))
+    return MixedFpProblem(fractions, tuple(outers), solver.box_set(0.5, 2.0)), dim
+
+
+def _scalar_reference(problem, x, anchor):
+    """The transform term by term from the scalar spec: each outer applied
+    to ``quad_surrogate`` (max side) or ``inv_quad_surrogate`` (min side)."""
+    A, B, _, _ = problem.fractions(x)
+    A0, B0, _, _ = problem.fractions(anchor)
+    total = 0.0
+    for outer, a, b, a0, b0 in zip(problem.outers, A, B, A0, B0):
+        if outer.increasing:
+            r = quad_surrogate(a, b, opt_y(a0, b0))
+        else:
+            r = inv_quad_surrogate(a, b, opt_y_tilde(a0, b0, 0.0))
+        if r == math.inf:
+            total += outer.limit_at_infinity()
+            continue
+        try:
+            total += outer.evaluate(r)
+        except DomainError:
+            return -math.inf
+    return total
+
+
+def test_array_transform_matches_scalar_reference():
+    rng = np.random.default_rng(13)
+    n_finite = 0
+    for _ in range(500):
+        problem, dim = _random_quadratic_problem(rng)
+        anchor = rng.uniform(0.5, 2.0, dim)
+        # half the queries near the anchor, half anywhere in the box
+        scale = 0.1 if rng.random() < 0.5 else 1.5
+        x = np.clip(anchor + rng.uniform(-scale, scale, dim), 0.5, 2.0)
+        got, _ = problem.surrogate(x, problem.update_aux(anchor, 0.0))
+        want = _scalar_reference(problem, x, anchor)
+        if want == -math.inf:
+            assert got == -math.inf
+            continue
+        n_finite += 1
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert n_finite >= 250

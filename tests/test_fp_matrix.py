@@ -234,20 +234,8 @@ class TestMatrixMixedSurrogate:
                 )
             ]
             core_problem = fp_core.MixedFpProblem(
-                terms=(
-                    fp_core.RatioTerm(
-                        fp_core.SmoothFn(
-                            value=lambda x, a0=a0, a1=a1: a0 + a1 * float(x[0]),
-                            grad=lambda x, a1=a1: np.array([a1]),
-                        ),
-                        fp_core.SmoothFn(
-                            value=lambda x, b0=b0, b1=b1: b0 + b1 * float(x[0]),
-                            grad=lambda x, b1=b1: np.array([b1]),
-                        ),
-                        fp_core.OuterFunction.neg_identity(1.0),
-                        "min",
-                    ),
-                ),
+                fp_core.affine_fractions([[a1]], [a0], [[b1]], [b0]),
+                (fp_core.OuterFunction.neg_identity(1.0),),
                 feasible=None,
             )
             x = np.array([rng.uniform(0.1, 2.0)])

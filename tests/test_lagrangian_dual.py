@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from mmfp import solver
 from mmfp.errors import DomainError, InvalidInputError
-from mmfp.fp_core import SmoothFn, affine_fn
+from mmfp.fp_core import affine_fractions
 from mmfp.lagrangian_dual import (
     LogRatioMmProblem,
-    LogRatioTerm,
     log_ratio_objective,
     log_ratio_surrogate,
     opt_gamma,
@@ -107,20 +106,23 @@ def test_stationarity_of_closed_forms_by_finite_differences():
         assert abs(d_minus) <= 1e-8
 
 
-def _random_terms(rng, dim, n_terms):
-    terms = []
+def _log_ratio_problem(rows, feasible=None):
+    """``rows`` holds ``(a, a0, b, b0, weight, maximize)`` per log-ratio
+    ``+/- weight * ln(1 + (a.x + a0)/(b.x + b0))``."""
+    a, a0, b, b0, weights, maximize = (np.array(c) for c in zip(*rows))
+    return LogRatioMmProblem(affine_fractions(a, a0, b, b0), weights, maximize, feasible)
+
+
+def _random_problem(rng, dim, n_terms, feasible=None):
+    rows = []
     for _ in range(n_terms):
         a = rng.uniform(0.1, 1.0, dim)
         b = rng.uniform(0.1, 1.0, dim)
-        terms.append(
-            LogRatioTerm(
-                affine_fn(a, 0.2),
-                affine_fn(b, float(rng.uniform(0.5, 2.0))),
-                weight=float(rng.uniform(0.0, 2.0)),
-                side="max" if rng.random() < 0.5 else "min",
-            )
-        )
-    return terms
+        rows.append((
+            a, 0.2, b, float(rng.uniform(0.5, 2.0)),
+            float(rng.uniform(0.0, 2.0)), bool(rng.random() < 0.5),
+        ))
+    return _log_ratio_problem(rows, feasible)
 
 
 class TestLogRatioSurrogate:
@@ -128,21 +130,16 @@ class TestLogRatioSurrogate:
         rng = np.random.default_rng(1)
         for _ in range(30):
             dim = int(rng.integers(1, 4))
-            terms = _random_terms(rng, dim, int(rng.integers(1, 5)))
+            problem = _random_problem(rng, dim, int(rng.integers(1, 5)))
             x = rng.uniform(0.1, 3.0, dim)
-            assert log_ratio_surrogate(terms, x, x) == pytest.approx(
-                log_ratio_objective(terms, x), abs=1e-10
+            assert log_ratio_surrogate(problem, x, x) == pytest.approx(
+                log_ratio_objective(problem, x), abs=1e-10
             )
 
     def test_hand_evaluated_single_max_term(self):
         # anchor ratio 1, query ratio 3: ln2 - 1 + 2*(3/4) = ln2 + 0.5 <= ln4
-        term = LogRatioTerm(
-            SmoothFn(value=lambda x: float(x[0]), grad=lambda x: np.array([1.0])),
-            SmoothFn(value=lambda x: 1.0, grad=lambda x: np.zeros(1)),
-            weight=1.0,
-            side="max",
-        )
-        value = log_ratio_surrogate([term], np.array([3.0]), np.array([1.0]))
+        problem = _log_ratio_problem([([1.0], 0.0, [0.0], 1.0, 1.0, True)])
+        value = log_ratio_surrogate(problem, np.array([3.0]), np.array([1.0]))
         assert value == pytest.approx(math.log(2.0) + 0.5)
         assert value <= math.log(4.0)
 
@@ -150,27 +147,23 @@ class TestLogRatioSurrogate:
         rng = np.random.default_rng(2)
         for _ in range(100):
             dim = int(rng.integers(1, 4))
-            terms = [
-                LogRatioTerm(
-                    affine_fn(rng.uniform(0.1, 1.0, dim), 0.2),
-                    affine_fn(rng.uniform(0.1, 1.0, dim), 1.0),
-                    weight=float(rng.uniform(0.1, 2.0)),
-                    side="min",
-                )
+            problem = _log_ratio_problem([
+                (rng.uniform(0.1, 1.0, dim), 0.2, rng.uniform(0.1, 1.0, dim), 1.0,
+                 float(rng.uniform(0.1, 2.0)), False)
                 for _ in range(int(rng.integers(1, 4)))
-            ]
+            ])
             x = rng.uniform(0.1, 3.0, dim)
             anchor = rng.uniform(0.1, 3.0, dim)
-            assert log_ratio_surrogate(terms, x, anchor) <= log_ratio_objective(terms, x) + 1e-10
+            assert log_ratio_surrogate(problem, x, anchor) <= log_ratio_objective(problem, x) + 1e-10
 
     def test_bound_random_mixed(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             dim = int(rng.integers(1, 4))
-            terms = _random_terms(rng, dim, int(rng.integers(1, 5)))
+            problem = _random_problem(rng, dim, int(rng.integers(1, 5)))
             x = rng.uniform(0.1, 3.0, dim)
             anchor = rng.uniform(0.1, 3.0, dim)
-            assert log_ratio_surrogate(terms, x, anchor) <= log_ratio_objective(terms, x) + 1e-10
+            assert log_ratio_surrogate(problem, x, anchor) <= log_ratio_objective(problem, x) + 1e-10
 
     def test_zeta_depends_on_x_only_through_fractions(self):
         # with the auxiliary frozen, subtracting the fraction term leaves a
@@ -194,36 +187,29 @@ def test_nested_sandwich_on_random_instances():
     rng = np.random.default_rng(7)
     for _ in range(200):
         dim = int(rng.integers(1, 4))
-        terms = _random_terms(rng, dim, int(rng.integers(1, 5)))
-        problem = LogRatioMmProblem(
-            terms=tuple(terms), feasible=solver.box_set(np.zeros(dim), np.full(dim, 3.0))
+        problem = _random_problem(
+            rng, dim, int(rng.integers(1, 5)), solver.box_set(np.zeros(dim), np.full(dim, 3.0))
         )
         anchor = rng.uniform(0.1, 3.0, dim)
         aux = problem.update_aux(anchor, eps=0.0)
         x = rng.uniform(0.1, 3.0, dim)
         inner, _ = problem.surrogate(x, aux)
-        dual = log_ratio_surrogate(terms, x, anchor)
+        dual = log_ratio_surrogate(problem, x, anchor)
         assert inner <= dual + 1e-10
-        assert dual <= log_ratio_objective(terms, x) + 1e-10
-        true = log_ratio_objective(terms, anchor)
+        assert dual <= log_ratio_objective(problem, x) + 1e-10
+        true = log_ratio_objective(problem, anchor)
         assert problem.surrogate(anchor, aux)[0] == pytest.approx(true, abs=1e-10)
-        assert log_ratio_surrogate(terms, anchor, anchor) == pytest.approx(true, abs=1e-10)
+        assert log_ratio_surrogate(problem, anchor, anchor) == pytest.approx(true, abs=1e-10)
 
 
 class TestLogRatioMmProblem:
     def _problem(self, rng, dim=2):
-        terms = []
-        for side in ("max", "max", "min"):
+        rows = []
+        for maximize in (True, True, False):
             a = rng.uniform(0.2, 1.0, dim)
             b = rng.uniform(0.2, 1.0, dim)
-            terms.append(
-                LogRatioTerm(affine_fn(a, 0.3), affine_fn(b, 1.0),
-                             weight=float(rng.uniform(0.2, 1.5)), side=side)
-            )
-        return LogRatioMmProblem(
-            terms=tuple(terms),
-            feasible=solver.box_set(np.zeros(dim), np.ones(dim)),
-        )
+            rows.append((a, 0.3, b, 1.0, float(rng.uniform(0.2, 1.5)), maximize))
+        return _log_ratio_problem(rows, solver.box_set(np.zeros(dim), np.ones(dim)))
 
     def test_surrogate_tight_and_bounded(self):
         rng = np.random.default_rng(4)
@@ -256,24 +242,21 @@ class TestLogRatioMmProblem:
         assert np.all(np.diff(vals) >= -1e-9 * (1 + np.abs(vals[:-1])))
 
     def test_zero_weight_terms_are_dropped(self):
-        dim = 1
-        dead = LogRatioTerm(
-            affine_fn([1.0], 0.0), affine_fn([1.0], 1.0), weight=0.0, side="min"
-        )
-        live = LogRatioTerm(
-            affine_fn([1.0], 0.5), affine_fn([0.5], 1.0), weight=1.0, side="max"
-        )
-        problem = LogRatioMmProblem(
-            terms=(dead, live), feasible=solver.box_set(np.zeros(dim), np.ones(dim))
-        )
-        x = np.array([0.0])  # dead term's ratio is 0/1; with weight 0 it must not blow up
+        dead = ([1.0], 0.0, [1.0], 1.0, 0.0, False)
+        live = ([1.0], 0.5, [0.5], 1.0, 1.0, True)
+        problem = _log_ratio_problem([dead, live], solver.box_set(np.zeros(1), np.ones(1)))
+        x = np.array([0.0])  # dead row's ratio is 0/1; with weight 0 it must not blow up
         aux = problem.update_aux(x, eps=1e-12)
         value, _ = problem.surrogate(x, aux)
         assert np.isfinite(value)
+        assert aux.gammas.gamma.size == 1 and aux.gammas.gamma_tilde.size == 0
 
 
 def test_weight_validation():
+    fractions = affine_fractions([[1.0]], [0.0], [[1.0]], [0.0])
     with pytest.raises(InvalidInputError):
-        LogRatioTerm(affine_fn([1.0]), affine_fn([1.0]), weight=-0.5, side="max")
+        LogRatioMmProblem(fractions, [-0.5], [True], None)
     with pytest.raises(InvalidInputError):
-        LogRatioTerm(affine_fn([1.0]), affine_fn([1.0]), weight=1.0, side="between")
+        LogRatioMmProblem(fractions, [1.0], ["between"], None)
+    with pytest.raises(InvalidInputError):
+        LogRatioMmProblem(fractions, [1.0, 1.0], [True], None)

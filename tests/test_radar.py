@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mmfp import solver
-from mmfp.errors import InvalidInputError
+from mmfp import solver, verify
+from mmfp.errors import DomainError, InvalidInputError
 from mmfp.radar import (
     RadarMmProblem,
     RadarScenario,
@@ -227,6 +227,14 @@ class TestAuxAndSubproblem:
         _, g = problem.surrogate(z, aux)
         g_fd = solver.central_diff_grad(lambda t: problem.surrogate(t, aux)[0], z)
         assert np.all(np.abs(g - g_fd) <= 1e-5 * (1 + np.abs(g_fd)))
+        # at its own anchor the surrogate's gradient is the objective's
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            problem = RadarMmProblem(verify._rand_radar_scenario(rng))
+            z = problem.feasible.project(rng.standard_normal(problem.ops.total_real_dim))
+            g_fd = solver.central_diff_grad(problem.objective, z)
+            g = problem.objective_grad(z)
+            assert np.max(np.abs(g - g_fd)) <= 1e-6 * np.max(np.abs(g_fd))
 
     def test_rejects_nonpositive_bracket(self):
         sc = two_radar_scenario()
@@ -236,6 +244,8 @@ class TestAuxAndSubproblem:
         aux = problem.update_aux(z)
         value, grad = problem.surrogate(np.zeros_like(z), aux)
         assert value == -math.inf and grad is None
+        with pytest.raises(DomainError):
+            problem.objective_grad(np.zeros_like(z))
 
 
 class TestAlgorithm2:

@@ -132,7 +132,7 @@ class TestDirectMethod:
     def test_no_eavesdroppers_is_pure_max_fp(self):
         sc = single_link()
         problem = build_direct_problem(sc)
-        assert all(t.side == "max" for t in problem.terms)
+        assert all(outer.increasing for outer in problem.outers)
 
     def test_single_link_no_eaves_goes_to_cap(self):
         sc = single_link(p_max=4.0)
@@ -172,14 +172,14 @@ class TestFastMethod:
         for _ in range(200):
             sc = random_scenario(rng)
             p = rng.uniform(0.1, sc.p_max, sc.l_cells)
-            terms = build_fast_problem(sc).terms
+            problem = build_fast_problem(sc)
             ws = weighted_sum_rate(sc, p)
-            assert log_ratio_surrogate(terms, p, p) == pytest.approx(ws, abs=1e-12 * (1 + abs(ws)))
+            assert log_ratio_surrogate(problem, p, p) == pytest.approx(ws, abs=1e-12 * (1 + abs(ws)))
 
     def test_zero_power_zero_objective(self):
         sc = two_link_benchmark()
         p = np.zeros(2)
-        assert log_ratio_surrogate(build_fast_problem(sc).terms, p, p) == pytest.approx(0.0)
+        assert log_ratio_surrogate(build_fast_problem(sc), p, p) == pytest.approx(0.0)
 
     def test_full_surrogate_chain(self):
         sc = two_link_benchmark()
@@ -187,7 +187,7 @@ class TestFastMethod:
         problem = build_fast_problem(sc)
         aux = problem.update_aux(p, eps=1e-12)
         full, _ = problem.surrogate(p, aux)
-        assert full == pytest.approx(log_ratio_surrogate(problem.terms, p, p), abs=1e-10)
+        assert full == pytest.approx(log_ratio_surrogate(problem, p, p), abs=1e-10)
         assert full == pytest.approx(weighted_sum_rate(sc, p), abs=1e-10)
 
     def test_subproblem_gradient_matches_finite_differences(self):

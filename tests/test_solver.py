@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mmfp import fp_core, solver
 from mmfp.errors import InvalidInputError, InvalidStartError, MonotonicityError
-from mmfp.fp_core import MixedFpProblem, OuterFunction, RatioTerm, SmoothFn
+from mmfp.fp_core import MixedFpProblem, OuterFunction, affine_fractions
 from mmfp.solver import (
     FeasibleSet,
     IterationRecord,
@@ -149,23 +148,42 @@ class TestMaximizeSubproblem:
         assert fn(x)[0] >= fn(x0)[0]
 
 
-def _ratio_problem(num_fn, den_fn, outer, side, lo, hi):
+def _ratio_problem(num, den, outer, lo, hi):
+    """One ratio ``num(t)/den(t)`` of ``t = x[0]``; ``num`` and ``den``
+    return a value and a derivative."""
+
+    def fractions(x):
+        (a, da), (b, db) = num(float(x[0])), den(float(x[0]))
+        return np.array([a]), np.array([b]), np.array([[da]]), np.array([[db]])
+
     return MixedFpProblem(
-        terms=(RatioTerm(num_fn, den_fn, outer, side),),
-        feasible=box_set(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)),
+        fractions,
+        (outer,),
+        box_set(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)),
+    )
+
+
+def _unit(t):
+    return 1.0, 0.0
+
+
+def _shifted_square(t):
+    return (t - 2.0) ** 2 + 1.0, 2.0 * (t - 2.0)
+
+
+def _two_affine_ratios(a, b, a0, b0):
+    """``(a.x + a0[0])/(b.x + b0[0])`` under log1p and ``(b.x + a0[1])/(a.x +
+    b0[1])`` under the negated identity, on the unit box."""
+    return MixedFpProblem(
+        affine_fractions([a, b], a0, [b, a], b0),
+        (OuterFunction.log1p(), OuterFunction.neg_identity()),
+        box_set(np.zeros(2), np.ones(2)),
     )
 
 
 class TestRunMm:
     def test_single_max_ratio_hits_upper_bound(self):
-        problem = _ratio_problem(
-            SmoothFn(value=lambda x: float(x[0]), grad=lambda x: np.array([1.0])),
-            SmoothFn(value=lambda x: 1.0, grad=lambda x: np.zeros(1)),
-            OuterFunction.identity(),
-            "max",
-            [0.0],
-            [1.0],
-        )
+        problem = _ratio_problem(lambda t: (t, 1.0), _unit, OuterFunction.identity(), [0.0], [1.0])
         x, trace = run_mm(problem, np.array([0.1]))
         assert x[0] == pytest.approx(1.0, abs=1e-8)
         assert trace.records[-1].objective == pytest.approx(1.0, abs=1e-8)
@@ -173,15 +191,7 @@ class TestRunMm:
 
     def test_single_min_ratio_interior_optimum(self):
         problem = _ratio_problem(
-            SmoothFn(
-                value=lambda x: (float(x[0]) - 2.0) ** 2 + 1.0,
-                grad=lambda x: np.array([2.0 * (x[0] - 2.0)]),
-            ),
-            SmoothFn(value=lambda x: 1.0, grad=lambda x: np.zeros(1)),
-            OuterFunction.neg_identity(),
-            "min",
-            [0.0],
-            [5.0],
+            _shifted_square, _unit, OuterFunction.neg_identity(), [0.0], [5.0]
         )
         x, _ = run_mm(problem, np.array([4.5]))
         assert x[0] == pytest.approx(2.0, abs=1e-5)
@@ -189,23 +199,7 @@ class TestRunMm:
     def test_mixed_toy_matches_grid_oracle(self):
         a = np.array([0.8, 0.3])
         b = np.array([0.2, 0.9])
-        problem = MixedFpProblem(
-            terms=(
-                RatioTerm(
-                    fp_core.affine_fn(a, 0.5),
-                    fp_core.affine_fn(b, 1.0),
-                    OuterFunction.log1p(),
-                    "max",
-                ),
-                RatioTerm(
-                    fp_core.affine_fn(b, 0.4),
-                    fp_core.affine_fn(a, 1.2),
-                    OuterFunction.neg_identity(),
-                    "min",
-                ),
-            ),
-            feasible=box_set(np.zeros(2), np.ones(2)),
-        )
+        problem = _two_affine_ratios(a, b, [0.5, 0.4], [1.0, 1.2])
         x0 = np.full(2, 0.5)
         x, trace = run_mm(problem, x0)
         assert trace.records[-1].objective >= problem.objective(x0) - 1e-12
@@ -217,12 +211,7 @@ class TestRunMm:
 
     def test_trace_is_monotone(self):
         problem = _ratio_problem(
-            SmoothFn(value=lambda x: float(x[0]) ** 2, grad=lambda x: np.array([2 * x[0]])),
-            SmoothFn(value=lambda x: 1.0 + float(x[0]), grad=lambda x: np.ones(1)),
-            OuterFunction.log1p(),
-            "max",
-            [0.0],
-            [4.0],
+            lambda t: (t * t, 2.0 * t), lambda t: (1.0 + t, 1.0), OuterFunction.log1p(), [0.0], [4.0]
         )
         _, trace = run_mm(problem, np.array([0.5]))
         vals = trace.objectives
@@ -233,27 +222,11 @@ class TestRunMm:
         # and the subproblem can only improve it
         a = np.array([0.6, 0.2])
         b = np.array([0.3, 0.8])
-        problem = MixedFpProblem(
-            terms=(
-                RatioTerm(
-                    fp_core.affine_fn(a, 0.4),
-                    fp_core.affine_fn(b, 1.0),
-                    OuterFunction.log1p(),
-                    "max",
-                ),
-                RatioTerm(
-                    fp_core.affine_fn(b, 0.3),
-                    fp_core.affine_fn(a, 1.1),
-                    OuterFunction.neg_identity(),
-                    "min",
-                ),
-            ),
-            feasible=box_set(np.zeros(2), np.ones(2)),
-        )
+        problem = _two_affine_ratios(a, b, [0.4, 0.3], [1.0, 1.1])
         x = np.full(2, 0.5)
         opts = SolveOptions()
         for _ in range(5):
-            aux = problem.update_aux(x, opts.eps_safeguard)
+            aux = problem.update_aux(x)
             incoming, _ = problem.surrogate(x, aux)
             assert incoming == pytest.approx(problem.objective(x), abs=1e-9)
             x, _ = maximize_subproblem(
@@ -286,40 +259,17 @@ class TestRunMm:
 class TestStationarityResidual:
     def test_interior_maximum(self):
         problem = _ratio_problem(
-            SmoothFn(
-                value=lambda x: (float(x[0]) - 2.0) ** 2 + 1.0,
-                grad=lambda x: np.array([2.0 * (x[0] - 2.0)]),
-            ),
-            SmoothFn(value=lambda x: 1.0, grad=lambda x: np.zeros(1)),
-            OuterFunction.neg_identity(),
-            "min",
-            [0.0],
-            [5.0],
+            _shifted_square, _unit, OuterFunction.neg_identity(), [0.0], [5.0]
         )
         assert stationarity_residual(problem, np.array([2.0])) <= 1e-6
 
     def test_boundary_optimum_with_inward_gradient(self):
-        problem = _ratio_problem(
-            SmoothFn(value=lambda x: float(x[0]), grad=lambda x: np.array([1.0])),
-            SmoothFn(value=lambda x: 1.0, grad=lambda x: np.zeros(1)),
-            OuterFunction.identity(),
-            "max",
-            [0.0],
-            [1.0],
-        )
+        problem = _ratio_problem(lambda t: (t, 1.0), _unit, OuterFunction.identity(), [0.0], [1.0])
         assert stationarity_residual(problem, np.array([1.0])) <= 1e-6
 
     def test_non_stationary_point_detected(self):
         problem = _ratio_problem(
-            SmoothFn(
-                value=lambda x: (float(x[0]) - 2.0) ** 2 + 1.0,
-                grad=lambda x: np.array([2.0 * (x[0] - 2.0)]),
-            ),
-            SmoothFn(value=lambda x: 1.0, grad=lambda x: np.zeros(1)),
-            OuterFunction.neg_identity(),
-            "min",
-            [0.0],
-            [5.0],
+            _shifted_square, _unit, OuterFunction.neg_identity(), [0.0], [5.0]
         )
         assert stationarity_residual(problem, np.array([0.5])) > 0.01
 
@@ -353,6 +303,8 @@ def test_solve_options_validation():
     with pytest.raises(InvalidInputError):
         SolveOptions(outer_tol=0.0)
     with pytest.raises(InvalidInputError):
-        SolveOptions(backtrack_factor=1.5)
+        SolveOptions(inner_tol=-1.0)
+    with pytest.raises(InvalidInputError):
+        SolveOptions(max_inner=0)
     with pytest.raises(InvalidInputError):
         SolveOptions(max_outer=0)
