@@ -50,47 +50,18 @@ class AoiScenario:
 
 
 def _loads(rates: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Own loads ``rho`` and accumulated earlier loads ``rhat`` along the
+    last axis of a rate vector or a (batch, K) rate array."""
     rho = np.asarray(rates, dtype=float) / mu
-    rho_hat = np.concatenate(([0.0], np.cumsum(rho[:-1])))
+    earlier = np.cumsum(rho[..., :-1], axis=-1)
+    rho_hat = np.concatenate((np.zeros(rho.shape[:-1] + (1,)), earlier), axis=-1)
     return rho, rho_hat
 
 
-def avg_aoi(source: int, rates, mu: float) -> float:
-    """Average age of ``source`` (0-based) at the given rate vector.
-
-    Returns ``+inf`` when the source's own rate is zero.
-    """
-    rho, rho_hat = _loads(np.asarray(rates, dtype=float), mu)
-    r = rho[source]
-    if r <= 0:
-        return math.inf
-    h = rho_hat[source]
-    num = 1 + r + 3 * h + 3 * h * r + 3 * h * h + h * h * r + h**3
-    return num / (mu * r * (1 + h))
-
-
-def avg_aoi_decomposed(source: int, rates, mu: float) -> tuple[float, float]:
-    """The two-fraction split of :func:`avg_aoi`; the parts sum to it exactly."""
-    rho, rho_hat = _loads(np.asarray(rates, dtype=float), mu)
-    r = rho[source]
-    h = rho_hat[source]
-    first = (h * h + 3 * h + 1) / (mu * (1 + h))
-    second = math.inf if r <= 0 else (h + 1) ** 2 / (mu * r)
-    return first, second
-
-
-def sum_aoi(rates, mu: float) -> float:
-    """Total average age across all sources."""
-    rates = np.asarray(rates, dtype=float)
-    return float(sum(avg_aoi(k, rates, mu) for k in range(rates.size)))
-
-
-def _sum_aoi_batch(rate_rows: np.ndarray, mu: float) -> np.ndarray:
-    """Vectorized :func:`sum_aoi` over rows of a (batch, K) rate array."""
-    rho = rate_rows / mu
-    rho_hat = np.concatenate(
-        [np.zeros((rho.shape[0], 1)), np.cumsum(rho[:, :-1], axis=1)], axis=1
-    )
+def _ages(rate_rows: np.ndarray, mu: float) -> np.ndarray:
+    """Average age of every source, row by row of a (batch, K) rate array;
+    ``+inf`` where a source's own rate is zero."""
+    rho, rho_hat = _loads(rate_rows, mu)
     num = (
         1
         + rho
@@ -101,10 +72,35 @@ def _sum_aoi_batch(rate_rows: np.ndarray, mu: float) -> np.ndarray:
         + rho_hat**3
     )
     with np.errstate(divide="ignore"):
-        per_source = np.where(
-            rho > 0, num / (mu * np.maximum(rho, 1e-300) * (1 + rho_hat)), np.inf
-        )
-    return per_source.sum(axis=1)
+        return np.where(rho > 0, num / (mu * np.maximum(rho, 1e-300) * (1 + rho_hat)), np.inf)
+
+
+def _sum_aoi_batch(rate_rows: np.ndarray, mu: float) -> np.ndarray:
+    """Total average age of each row of a (batch, K) rate array."""
+    return _ages(rate_rows, mu).sum(axis=1)
+
+
+def avg_aoi(source: int, rates, mu: float) -> float:
+    """Average age of ``source`` (0-based) at the given rate vector.
+
+    Returns ``+inf`` when the source's own rate is zero.
+    """
+    return float(_ages(np.asarray(rates, dtype=float)[None], mu)[0, source])
+
+
+def avg_aoi_decomposed(source: int, rates, mu: float) -> tuple[float, float]:
+    """The two-fraction split of :func:`avg_aoi`; the parts sum to it exactly."""
+    rho, rho_hat = _loads(rates, mu)
+    r = rho[source]
+    h = rho_hat[source]
+    first = (h * h + 3 * h + 1) / (mu * (1 + h))
+    second = math.inf if r <= 0 else (h + 1) ** 2 / (mu * r)
+    return first, second
+
+
+def sum_aoi(rates, mu: float) -> float:
+    """Total average age across all sources."""
+    return float(_sum_aoi_batch(np.asarray(rates, dtype=float)[None], mu)[0])
 
 
 def build_aoi_problem(scenario: AoiScenario) -> MixedFpProblem:
@@ -156,12 +152,10 @@ def baseline_max_rate(scenario: AoiScenario) -> tuple[np.ndarray, float]:
     return rates, sum_aoi(rates, scenario.mu)
 
 
-def baseline_equal_rate(
-    scenario: AoiScenario, grid_step_rel: float = 1e-4
-) -> tuple[np.ndarray, float]:
+def baseline_equal_rate(scenario: AoiScenario) -> tuple[np.ndarray, float]:
     """Best common rate: dense 1-D grid scan plus golden-section refinement."""
     mu = scenario.mu
-    n = int(round(1.0 / grid_step_rel))
+    n = 10_000  # grid step mu / n
     lam = mu * np.arange(1, n + 1) / n
     values = _sum_aoi_batch(np.repeat(lam[:, None], scenario.k, axis=1), mu)
     i_best = int(np.argmin(values))
@@ -192,11 +186,7 @@ def baseline_equal_rate(
     return np.full(scenario.k, best), f(best)
 
 
-def oracle_grid(
-    scenario: AoiScenario,
-    coarse_step: float | None = None,
-    refine_rounds: int = 3,
-) -> tuple[np.ndarray, float]:
+def oracle_grid(scenario: AoiScenario, refine_rounds: int = 3) -> tuple[np.ndarray, float]:
     """Exhaustive grid search over the rate box, then local refinement.
 
     Cost grows exponentially in ``K``; refuses ``K > 3``.
@@ -204,7 +194,7 @@ def oracle_grid(
     if scenario.k > 3:
         raise InvalidInputError("exhaustive search is limited to K <= 3")
     mu = scenario.mu
-    step = coarse_step if coarse_step is not None else 0.02 * mu
+    step = 0.02 * mu
     axes = [np.arange(step, mu + step / 2, step) for _ in range(scenario.k)]
     grids = np.meshgrid(*axes, indexing="ij")
     batch = np.stack([g.ravel() for g in grids], axis=1)

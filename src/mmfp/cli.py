@@ -18,7 +18,9 @@ import csv
 import math
 import os
 import sys
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -29,37 +31,8 @@ from .units import dbm_to_mw, nats_to_bits
 
 SEED_ENV_VAR = "MMFP_SEED"
 
-_SOLVER_KEYS = {
-    "outer_tol",
-    "max_outer",
-    "inner_tol",
-    "max_inner",
-}
-
-_SCENARIO_KEYS = {
-    "aoi": {"k": True, "mu": True},
-    "radar": {
-        "l_samples": True,
-        "n_tx": True,
-        "n_rx": True,
-        "theta_pi": True,
-        "beta": False,
-        "sigma2_dbm": False,
-        "p_dbm": True,
-    },
-    "secure": {
-        "h2": True,
-        "ht2": True,
-        "sigma2_dbm": True,
-        "sigma2_tilde_dbm": True,
-        "p_dbm": True,
-        "w": False,
-    },
-}
-_SCENARIO_KEYS["secure-tradeoff"] = dict(_SCENARIO_KEYS["secure"], etas=False)
-
-_SWEEP_AXES = {"aoi": "k", "radar": "p_dbm", "secure": "eta", "secure-tradeoff": "eta"}
-
+# the seed is a top-level key
+_SOLVER_KEYS = {f.name for f in fields(solver.SolveOptions)} - {"seed"}
 
 def load_config(path: str | Path) -> dict:
     try:
@@ -92,14 +65,14 @@ def validate_config(cfg: dict, for_sweep: bool = False) -> dict:
     """Strict validation; returns the config unchanged on success."""
     _reject_unknown(cfg, {"experiment", "seed", "scenario", "solver", "oracle", "sweep"}, "")
     experiment = _require(cfg, "experiment", "")
-    if experiment not in _SCENARIO_KEYS:
+    if experiment not in _EXPERIMENTS:
         raise ConfigError(
-            f"unknown experiment {experiment!r}; expected one of {sorted(_SCENARIO_KEYS)}"
+            f"unknown experiment {experiment!r}; expected one of {sorted(_EXPERIMENTS)}"
         )
     scenario = _require(cfg, "scenario", "")
     if not isinstance(scenario, dict):
         raise ConfigError("'scenario' must be a mapping")
-    schema = _SCENARIO_KEYS[experiment]
+    schema = _EXPERIMENTS[experiment].keys
     _reject_unknown(scenario, set(schema), "scenario.")
     for key, required in schema.items():
         if required:
@@ -114,7 +87,7 @@ def validate_config(cfg: dict, for_sweep: bool = False) -> dict:
         sweep = _require(cfg, "sweep", "")
         if not isinstance(sweep, dict):
             raise ConfigError("'sweep' must be a mapping")
-        axis = _SWEEP_AXES[experiment]
+        axis = _EXPERIMENTS[experiment].axis
         _reject_unknown(sweep, {axis}, "sweep.")
         values = _require(sweep, axis, "sweep.")
         if not isinstance(values, list) or not values:
@@ -210,23 +183,25 @@ def _write_summary(path: Path, rows: list[tuple[str, object]]) -> None:
     _write_csv(path, ["key", "value"], [[k, v] for k, v in rows])
 
 
-def _run_aoi(cfg: dict, out: Path) -> None:
-    scenario = _build_aoi(cfg["scenario"])
-    opts = _solve_options(cfg)
+def _solve_aoi(scenario: aoi.AoiScenario, opts: solver.SolveOptions):
     rates, trace = aoi.run_algorithm1(scenario, opts)
-    _write_trace(out / "trace.csv", trace)
-    problem = aoi.build_aoi_problem(scenario)
-    resid = solver.stationarity_residual(problem, rates)
     _, equal_val = aoi.baseline_equal_rate(scenario)
     _, max_val = aoi.baseline_max_rate(scenario)
+    return rates, trace, float(equal_val), float(max_val)
+
+
+def _run_aoi(cfg: dict, scenario: aoi.AoiScenario, opts: solver.SolveOptions, out: Path) -> None:
+    rates, trace, equal_val, max_val = _solve_aoi(scenario, opts)
+    _write_trace(out / "trace.csv", trace)
+    resid = solver.stationarity_residual(aoi.build_aoi_problem(scenario), rates)
     rows = [
         ("experiment", "aoi"),
         ("final_sum_aoi", float(trace.records[-1].objective)),
         ("outer_iterations", trace.outer_iterations),
         ("status", trace.status),
         ("stationarity_residual", float(resid)),
-        ("baseline_equal_rate_sum_aoi", float(equal_val)),
-        ("baseline_max_rate_sum_aoi", float(max_val)),
+        ("baseline_equal_rate_sum_aoi", equal_val),
+        ("baseline_max_rate_sum_aoi", max_val),
     ]
     if cfg.get("oracle", False) and scenario.k <= 3:
         _, oracle_val = aoi.oracle_grid(scenario)
@@ -236,22 +211,35 @@ def _run_aoi(cfg: dict, out: Path) -> None:
     _write_summary(out / "summary.csv", rows)
 
 
-def _run_radar(cfg: dict, out: Path) -> None:
-    scenario = _build_radar(cfg["scenario"])
-    opts = _solve_options(cfg)
+def _aoi_row(scenario: aoi.AoiScenario, k, opts: solver.SolveOptions) -> list:
+    _, trace, equal_val, max_val = _solve_aoi(scenario, opts)
+    alg = float(trace.records[-1].objective)
+    return [
+        scenario.k, float(scenario.mu), alg, equal_val, max_val,
+        float(1 - alg / equal_val), float(1 - alg / max_val), trace.outer_iterations,
+    ]
+
+
+def _solve_radar(scenario: radar.RadarScenario, opts: solver.SolveOptions):
+    """Waveforms, trace, the initial and final bound sums with the relative
+    reduction, and the stationarity residual."""
     waveforms, trace = radar.run_algorithm2(scenario, opts)
-    _write_trace(out / "trace.csv", trace)
     problem = radar.RadarMmProblem(scenario)
     resid = solver.stationarity_residual(problem, radar.stack_waveforms(waveforms))
-    values = trace.objectives
+    first, last = trace.objectives[0], trace.objectives[-1]
+    bounds = [float(first), float(last), float(1.0 - last / first)]
+    return waveforms, trace, bounds, float(resid)
+
+
+def _run_radar(cfg: dict, scenario: radar.RadarScenario, opts: solver.SolveOptions, out: Path) -> None:
+    waveforms, trace, bounds, resid = _solve_radar(scenario, opts)
+    _write_trace(out / "trace.csv", trace)
     rows = [
         ("experiment", "radar"),
-        ("initial_sum_crb", float(values[0])),
-        ("final_sum_crb", float(values[-1])),
-        ("reduction", float(1.0 - values[-1] / values[0])),
+        *zip(("initial_sum_crb", "final_sum_crb", "reduction"), bounds),
         ("outer_iterations", trace.outer_iterations),
         ("status", trace.status),
-        ("stationarity_residual", float(resid)),
+        ("stationarity_residual", resid),
     ]
     rows += [
         (f"power_{m}", float(np.real(np.vdot(s, s)))) for m, s in enumerate(waveforms)
@@ -259,9 +247,12 @@ def _run_radar(cfg: dict, out: Path) -> None:
     _write_summary(out / "summary.csv", rows)
 
 
-def _run_secure(cfg: dict, out: Path) -> None:
-    scenario = _build_secure(cfg["scenario"])
-    opts = _solve_options(cfg)
+def _radar_row(scenario: radar.RadarScenario, p_dbm, opts: solver.SolveOptions) -> list:
+    _, trace, bounds, resid = _solve_radar(scenario, opts)
+    return [float(p_dbm), *bounds, trace.outer_iterations, resid]
+
+
+def _run_secure(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOptions, out: Path) -> None:
     p3, tr3 = secure.run_algorithm3(scenario, opts)
     p4, tr4 = secure.run_algorithm4(scenario, opts)
     _write_trace(out / "trace_direct.csv", tr3)
@@ -302,27 +293,22 @@ _FRONTIER_HEADER = [
 ]
 
 
-def _frontier_rows(points: list[secure.TradeoffPoint]) -> list[list]:
-    return [
-        [
-            float(p.eta),
-            float(p.fast_secure), float(p.fast_open),
-            float(p.direct_secure), float(p.direct_open),
-            float(p.baseline_secure), float(p.baseline_open),
-            float(p.fast_objective_nats), float(p.direct_objective_nats),
-            float(p.baseline_objective_nats),
-        ]
-        for p in points
-    ]
+def _frontier_row(p: secure.TradeoffPoint) -> list:
+    return [float(v) for v in astuple(p)]
 
 
-def _run_tradeoff(cfg: dict, out: Path) -> None:
-    scenario = _build_secure(cfg["scenario"])
+def _tradeoff_row(scenario: secure.SecureScenario, eta, opts: solver.SolveOptions) -> list:
+    """One frontier point; the tradeoff keeps its own solver budgets, so
+    ``opts`` is unused."""
+    return _frontier_row(secure.tradeoff_sweep(scenario, [float(eta)])[0])
+
+
+def _run_tradeoff(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOptions, out: Path) -> None:
     etas = cfg["scenario"].get("etas")
     if etas is None:
         etas = np.logspace(-3, 2, 26).tolist()
     points = secure.tradeoff_sweep(scenario, [float(e) for e in etas])
-    _write_csv(out / "frontier.csv", _FRONTIER_HEADER, _frontier_rows(points))
+    _write_csv(out / "frontier.csv", _FRONTIER_HEADER, [_frontier_row(p) for p in points])
     opens = [p.fast_open for p in points]
     secures = [p.fast_secure for p in points]
     rows = [
@@ -353,89 +339,86 @@ def _run_tradeoff(cfg: dict, out: Path) -> None:
     _write_summary(out / "summary.csv", rows)
 
 
-def _sweep_aoi(cfg: dict, out: Path) -> None:
-    rows = []
-    for k in cfg["sweep"]["k"]:
-        point = dict(cfg, scenario=dict(cfg["scenario"], k=int(k)))
-        scenario = _build_aoi(point["scenario"])
-        opts = _solve_options(point)
-        _, trace = aoi.run_algorithm1(scenario, opts)
-        alg = float(trace.records[-1].objective)
-        _, equal_val = aoi.baseline_equal_rate(scenario)
-        _, max_val = aoi.baseline_max_rate(scenario)
-        rows.append(
-            [
-                int(k), float(scenario.mu), alg, float(equal_val), float(max_val),
-                float(1 - alg / equal_val), float(1 - alg / max_val),
-                trace.outer_iterations,
-            ]
-        )
-    _write_csv(
-        out / "sweep.csv",
+@dataclass(frozen=True)
+class _Experiment:
+    """What ``run``, ``sweep`` and :func:`validate_config` know of one
+    experiment: its scenario keys (key -> required), the builder of its
+    model scenario, the ``run`` writer, the sweep axis, and the
+    ``sweep.csv`` header with the row of one sweep point."""
+
+    keys: dict[str, bool]
+    build: Callable[[dict], object]
+    run: Callable[[dict, object, solver.SolveOptions, Path], None]
+    axis: str
+    header: list[str]
+    row: Callable[[object, object, solver.SolveOptions], list]
+
+
+_SECURE_KEYS = {
+    "h2": True,
+    "ht2": True,
+    "sigma2_dbm": True,
+    "sigma2_tilde_dbm": True,
+    "p_dbm": True,
+    "w": False,
+}
+
+_EXPERIMENTS = {
+    "aoi": _Experiment(
+        {"k": True, "mu": True}, _build_aoi, _run_aoi, "k",
         ["k", "mu", "alg_sum_aoi", "equal_rate_sum_aoi", "max_rate_sum_aoi",
          "reduction_vs_equal", "reduction_vs_max", "outer_iterations"],
-        rows,
-    )
-
-
-def _sweep_radar(cfg: dict, out: Path) -> None:
-    rows = []
-    for p_dbm in cfg["sweep"]["p_dbm"]:
-        point = dict(cfg, scenario=dict(cfg["scenario"], p_dbm=float(p_dbm)))
-        scenario = _build_radar(point["scenario"])
-        opts = _solve_options(point)
-        waveforms, trace = radar.run_algorithm2(scenario, opts)
-        problem = radar.RadarMmProblem(scenario)
-        resid = solver.stationarity_residual(problem, radar.stack_waveforms(waveforms))
-        values = trace.objectives
-        rows.append(
-            [
-                float(p_dbm), float(values[0]), float(values[-1]),
-                float(1.0 - values[-1] / values[0]), trace.outer_iterations, float(resid),
-            ]
-        )
-    _write_csv(
-        out / "sweep.csv",
+        _aoi_row,
+    ),
+    "radar": _Experiment(
+        {
+            "l_samples": True,
+            "n_tx": True,
+            "n_rx": True,
+            "theta_pi": True,
+            "beta": False,
+            "sigma2_dbm": False,
+            "p_dbm": True,
+        },
+        _build_radar, _run_radar, "p_dbm",
         ["p_dbm", "initial_sum_crb", "final_sum_crb", "reduction",
          "outer_iterations", "stationarity_residual"],
-        rows,
-    )
+        _radar_row,
+    ),
+    # a sweep of either secure experiment is the tradeoff along eta
+    "secure": _Experiment(
+        _SECURE_KEYS, _build_secure, _run_secure, "eta", _FRONTIER_HEADER, _tradeoff_row
+    ),
+    "secure-tradeoff": _Experiment(
+        dict(_SECURE_KEYS, etas=False), _build_secure, _run_tradeoff, "eta",
+        _FRONTIER_HEADER, _tradeoff_row,
+    ),
+}
 
 
-def _sweep_secure(cfg: dict, out: Path) -> None:
-    scenario = _build_secure(cfg["scenario"])
-    etas = [float(e) for e in cfg["sweep"]["eta"]]
-    points = secure.tradeoff_sweep(scenario, etas)
-    _write_csv(out / "sweep.csv", _FRONTIER_HEADER, _frontier_rows(points))
+def _start(args, for_sweep: bool):
+    """Validated config, its experiment, the solver options and the output
+    directory, shared by ``run`` and ``sweep``."""
+    cfg = validate_config(load_config(args.config), for_sweep=for_sweep)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, _EXPERIMENTS[cfg["experiment"]], _solve_options(cfg), out
 
 
 def _cmd_run(args) -> int:
-    cfg = validate_config(load_config(args.config))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    experiment = cfg["experiment"]
-    if experiment == "aoi":
-        _run_aoi(cfg, out)
-    elif experiment == "radar":
-        _run_radar(cfg, out)
-    elif experiment == "secure":
-        _run_secure(cfg, out)
-    else:
-        _run_tradeoff(cfg, out)
+    cfg, exp, opts, out = _start(args, for_sweep=False)
+    exp.run(cfg, exp.build(cfg["scenario"]), opts, out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg = validate_config(load_config(args.config), for_sweep=True)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    experiment = cfg["experiment"]
-    if experiment == "aoi":
-        _sweep_aoi(cfg, out)
-    elif experiment == "radar":
-        _sweep_radar(cfg, out)
-    else:
-        _sweep_secure(cfg, out)
+    cfg, exp, opts, out = _start(args, for_sweep=True)
+    rows = []
+    for value in cfg["sweep"][exp.axis]:
+        # eta is no scenario key: the row applies it to the scenario's weights
+        point = dict(cfg["scenario"], **{exp.axis: value}) if exp.axis in exp.keys else cfg["scenario"]
+        rows.append(exp.row(exp.build(point), value, opts))
+    _write_csv(out / "sweep.csv", exp.header, rows)
     return 0
 
 
@@ -446,8 +429,6 @@ def _cmd_verify(args) -> int:
         print(f"{'PASS' if r.passed else 'FAIL'}  [{r.suite}] {r.name}")
         if not r.passed:
             failed += 1
-            if r.detail:
-                print(f"      {r.detail}")
     print(f"{len(results) - failed}/{len(results)} invariants hold")
     return 0 if failed == 0 else 3
 

@@ -208,22 +208,15 @@ class MatrixRatioTerm:
     """One matrix ratio with numerator/denominator maps and an outer function.
 
     ``numerator(x)`` must be Hermitian PSD, ``denominator(x)`` Hermitian PD,
-    both d x d. ``ell`` fixes the square-root width (defaults to d).
+    both d x d. ``ell`` fixes the square-root width (defaults to d). An
+    increasing outer puts the ratio on the max side, a decreasing one on the
+    min side.
     """
 
     numerator: Callable[[np.ndarray], np.ndarray]
     denominator: Callable[[np.ndarray], np.ndarray]
     outer: MatrixOuter
-    side: str
     ell: int | None = None
-
-    def __post_init__(self):
-        if self.side not in ("max", "min"):
-            raise InvalidInputError(f"side must be 'max' or 'min', got {self.side!r}")
-        if self.side == "max" and not self.outer.increasing:
-            raise InvalidInputError("max-side term needs an increasing outer")
-        if self.side == "min" and self.outer.increasing:
-            raise InvalidInputError("min-side term needs a decreasing outer")
 
 
 def is_strictly_pd(M: np.ndarray) -> bool:
@@ -258,7 +251,7 @@ def matrix_mixed_surrogate(
         B_hat = term.denominator(anchor)
         A_x = term.numerator(x)
         B_x = term.denominator(x)
-        if term.side == "max":
+        if term.outer.increasing:
             Y = opt_y(psd_sqrt(A_hat, term.ell), B_hat)
             bracket = q_plus(psd_sqrt(A_x, term.ell), B_x, Y)
             try:

@@ -184,15 +184,25 @@ def unstack_waveforms(z: np.ndarray, dims: list[int]) -> list[np.ndarray]:
 
 
 def _covariance(
-    ops: _Operators, scenario: RadarScenario, waveforms: list[np.ndarray], m: int
+    ops: _Operators,
+    scenario: RadarScenario,
+    waveforms: list[np.ndarray],
+    m: int,
+    u_matrices: list[np.ndarray] | None = None,
 ) -> np.ndarray:
+    """``K_m`` of the waveforms, or with the PSD lift variables
+    ``u_matrices`` in place of the waveforms' rank-1 outer products."""
     n = ops.f_dims[m]
     K = scenario.sigma2[m] * np.eye(n, dtype=complex)
     for mp in range(scenario.m_radars):
         if mp == m:
             continue
-        u = ops.T[m][mp] @ waveforms[mp]
-        K += np.outer(u, u.conj())
+        t = ops.T[m][mp]
+        if u_matrices is None:
+            u = t @ waveforms[mp]
+            K += np.outer(u, u.conj())
+        else:
+            K += t @ u_matrices[mp] @ t.conj().T
     return K
 
 
@@ -208,12 +218,16 @@ def fisher_information(
 
 
 def _fisher(
-    ops: _Operators, scenario: RadarScenario, waveforms: list[np.ndarray], m: int
+    ops: _Operators,
+    scenario: RadarScenario,
+    waveforms: list[np.ndarray],
+    m: int,
+    u_matrices: list[np.ndarray] | None = None,
 ) -> float:
     v = ops.D[m] @ waveforms[m]
     if np.linalg.norm(v) == 0.0:
         return 0.0
-    K = _covariance(ops, scenario, waveforms, m)
+    K = _covariance(ops, scenario, waveforms, m, u_matrices)
     return 2.0 * float(np.real(v.conj() @ np.linalg.solve(K, v)))
 
 
@@ -223,10 +237,15 @@ def sum_crb(scenario: RadarScenario, waveforms: list[np.ndarray]) -> float:
     return _sum_crb(ops, scenario, waveforms)
 
 
-def _sum_crb(ops: _Operators, scenario: RadarScenario, waveforms: list[np.ndarray]) -> float:
+def _sum_crb(
+    ops: _Operators,
+    scenario: RadarScenario,
+    waveforms: list[np.ndarray],
+    u_matrices: list[np.ndarray] | None = None,
+) -> float:
     total = 0.0
     for m in range(scenario.m_radars):
-        j = _fisher(ops, scenario, waveforms, m)
+        j = _fisher(ops, scenario, waveforms, m, u_matrices)
         if j <= 0.0:
             return math.inf
         total += 1.0 / j
@@ -362,33 +381,11 @@ def lifted_covariance(
 ) -> np.ndarray:
     """Covariance with the rank-1 waveform outer products replaced by
     arbitrary PSD lift variables (consistency checks)."""
-    return _lifted_covariance(_Operators(scenario), scenario, u_matrices, m)
-
-
-def _lifted_covariance(
-    ops: _Operators, scenario: RadarScenario, u_matrices: list[np.ndarray], m: int
-) -> np.ndarray:
-    n = ops.f_dims[m]
-    lam = scenario.sigma2[m] * np.eye(n, dtype=complex)
-    for mp in range(scenario.m_radars):
-        if mp == m:
-            continue
-        t = ops.T[m][mp]
-        lam += t @ u_matrices[mp] @ t.conj().T
-    return lam
+    return _covariance(_Operators(scenario), scenario, [], m, u_matrices)
 
 
 def lifted_sum_crb(
     scenario: RadarScenario, waveforms: list[np.ndarray], u_matrices: list[np.ndarray]
 ) -> float:
     """Bound sum evaluated with the lifted covariance variables."""
-    ops = _Operators(scenario)
-    total = 0.0
-    for m in range(scenario.m_radars):
-        v = ops.D[m] @ waveforms[m]
-        lam = _lifted_covariance(ops, scenario, u_matrices, m)
-        j = 2.0 * float(np.real(v.conj() @ np.linalg.solve(lam, v)))
-        if j <= 0.0:
-            return math.inf
-        total += 1.0 / j
-    return total
+    return _sum_crb(_Operators(scenario), scenario, waveforms, u_matrices)

@@ -128,26 +128,35 @@ def five_link_benchmark(eta: float = 1.0) -> SecureScenario:
 # ---------------------------------------------------------------------------
 
 
-def _sinr(scenario: SecureScenario, p: np.ndarray, i: int) -> float:
-    row = scenario.h2[i]
-    interference = float(row @ p) - row[i] * p[i]
-    return row[i] * p[i] / (interference + scenario.sigma2[i])
+def _sinrs(scenario: SecureScenario, p_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """User SINRs (batch, L) and eavesdropper SINRs (batch, K) for each row
+    of a (batch, L) power array."""
+    received = p_rows @ scenario.h2.T  # (batch, L): total power seen at user i
+    own = p_rows * np.diag(scenario.h2)
+    kk = np.arange(scenario.k_eavesdropped)
+    received_t = p_rows @ scenario.ht2.T
+    own_t = p_rows[:, kk] * scenario.ht2[kk, kk]
+    sinr = own / (received - own + scenario.sigma2)
+    return sinr, own_t / (received_t - own_t + scenario.sigma2_tilde)
 
 
-def _eaves_sinr(scenario: SecureScenario, p: np.ndarray, k: int) -> float:
-    row = scenario.ht2[k]
-    interference = float(row @ p) - row[k] * p[k]
-    return row[k] * p[k] / (interference + scenario.sigma2_tilde[k])
+def _rates(scenario: SecureScenario, p_rows: np.ndarray) -> np.ndarray:
+    """Per-cell rates in nats, row by row of a (batch, L) power array."""
+    sinr, eaves = _sinrs(scenario, p_rows)
+    rates = np.log1p(sinr)
+    rates[:, : scenario.k_eavesdropped] -= np.log1p(eaves)
+    return rates
+
+
+def _weighted_sum_rate_batch(scenario: SecureScenario, p_rows: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`weighted_sum_rate` over rows of a (batch, L) array."""
+    return _rates(scenario, p_rows) @ scenario.w
 
 
 def secret_rate(scenario: SecureScenario, p, i: int) -> float:
     """Cell i's rate in nats; negative values are possible for
     eavesdropped cells."""
-    p = np.asarray(p, dtype=float)
-    rate = math.log1p(_sinr(scenario, p, i))
-    if i < scenario.k_eavesdropped:
-        rate -= math.log1p(_eaves_sinr(scenario, p, i))
-    return rate
+    return float(_rates(scenario, np.asarray(p, dtype=float)[None])[0, i])
 
 
 def secret_rate_via_leakage(scenario: SecureScenario, p, i: int) -> float:
@@ -155,7 +164,7 @@ def secret_rate_via_leakage(scenario: SecureScenario, p, i: int) -> float:
     ``ln(1 - ht2[kk] p_k / (sum_all_j + noise))`` (identity used by the
     min-side transform)."""
     p = np.asarray(p, dtype=float)
-    rate = math.log1p(_sinr(scenario, p, i))
+    rate = math.log1p(_sinrs(scenario, p[None])[0][0, i])
     if i < scenario.k_eavesdropped:
         row = scenario.ht2[i]
         total = float(row @ p) + scenario.sigma2_tilde[i]
@@ -165,25 +174,7 @@ def secret_rate_via_leakage(scenario: SecureScenario, p, i: int) -> float:
 
 def weighted_sum_rate(scenario: SecureScenario, p) -> float:
     """Objective of both algorithms, in nats."""
-    p = np.asarray(p, dtype=float)
-    return float(
-        sum(scenario.w[i] * secret_rate(scenario, p, i) for i in range(scenario.l_cells))
-    )
-
-
-def _weighted_sum_rate_batch(scenario: SecureScenario, p_rows: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`weighted_sum_rate` over rows of a (batch, L) array."""
-    received = p_rows @ scenario.h2.T  # (batch, L): total power seen at user i
-    own = p_rows * np.diag(scenario.h2)
-    sinr = own / (received - own + scenario.sigma2)
-    rates = np.log1p(sinr)
-    if scenario.k_eavesdropped:
-        kk = np.arange(scenario.k_eavesdropped)
-        received_t = p_rows @ scenario.ht2.T
-        own_t = p_rows[:, kk] * scenario.ht2[kk, kk]
-        eaves = own_t / (received_t - own_t + scenario.sigma2_tilde)
-        rates[:, kk] -= np.log1p(eaves)
-    return rates @ scenario.w
+    return float(_weighted_sum_rate_batch(scenario, np.asarray(p, dtype=float)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +256,7 @@ def run_algorithm4(
 # ---------------------------------------------------------------------------
 
 
-def baseline_max_power_linear_search(
-    scenario: SecureScenario, grid_points: int = 2001
-) -> tuple[np.ndarray, float]:
+def baseline_max_power_linear_search(scenario: SecureScenario) -> tuple[np.ndarray, float]:
     """Best of the peak-power one-dimensional scans.
 
     For two cells: fix one power at the cap and scan the other. For more
@@ -275,7 +264,7 @@ def baseline_max_power_linear_search(
     fix one level at the cap and scan the other.
     """
     p_cap = scenario.p_max
-    grid = np.linspace(0.0, p_cap, grid_points)
+    grid = np.linspace(0.0, p_cap, 2001)
     n = scenario.l_cells
     candidates = np.empty((0, n))
     if n == 1:
@@ -288,7 +277,7 @@ def baseline_max_power_linear_search(
         k = max(scenario.k_eavesdropped, 1)
         rows = []
         for rho_fixed in (True, False):
-            block = np.empty((grid_points, n))
+            block = np.empty((grid.size, n))
             if rho_fixed:
                 block[:, :k] = p_cap
                 block[:, k:] = grid[:, None]
@@ -334,23 +323,23 @@ def oracle_grid_2d(
 @dataclass(frozen=True)
 class TradeoffPoint:
     """One weight setting of the secure-vs-open rate tradeoff (rates in
-    bits)."""
+    bits); the fields are in the order of the frontier CSV columns."""
 
     eta: float
     fast_secure: float  # sum rate of eavesdropped cells, fast method
     fast_open: float  # sum rate of the remaining cells, fast method
     direct_secure: float
     direct_open: float
-    fast_objective_nats: float
-    direct_objective_nats: float
     baseline_secure: float
     baseline_open: float
+    fast_objective_nats: float
+    direct_objective_nats: float
     baseline_objective_nats: float
 
 
 def _rate_split(scenario: SecureScenario, p: np.ndarray) -> tuple[float, float]:
     k = scenario.k_eavesdropped
-    rates = [secret_rate(scenario, p, i) for i in range(scenario.l_cells)]
+    rates = _rates(scenario, p[None])[0].tolist()
     return nats_to_bits(sum(rates[:k])), nats_to_bits(sum(rates[k:]))
 
 
@@ -392,14 +381,11 @@ _SWEEP_OPTS = SolveOptions(outer_tol=1e-9, max_outer=150, max_inner=1500)
 _POLISH_OPTS = SolveOptions(outer_tol=1e-11, max_outer=3000, max_inner=10000)
 
 
-def _solve_best(
-    scenario: SecureScenario, runner, opts: SolveOptions | None
-) -> np.ndarray:
-    opts = opts or _SWEEP_OPTS
+def _solve_best(scenario: SecureScenario, runner) -> np.ndarray:
     best_p = None
     best_val = -math.inf
     for p0 in sweep_start_points(scenario):
-        p, _ = runner(scenario, opts, p0=p0)
+        p, _ = runner(scenario, _SWEEP_OPTS, p0=p0)
         val = weighted_sum_rate(scenario, p)
         if val > best_val:
             best_p, best_val = p, val
@@ -407,11 +393,7 @@ def _solve_best(
     return polished if weighted_sum_rate(scenario, polished) >= best_val else best_p
 
 
-def tradeoff_sweep(
-    scenario: SecureScenario,
-    etas,
-    opts: SolveOptions | None = None,
-) -> list[TradeoffPoint]:
+def tradeoff_sweep(scenario: SecureScenario, etas) -> list[TradeoffPoint]:
     """Sweep the open-cell weight ``eta``, solving with both methods (best
     over the shared start set of :func:`sweep_start_points`) and the
     peak-power scan baseline at each point. Points are independent of each
@@ -421,9 +403,9 @@ def tradeoff_sweep(
         w = scenario.w.copy()
         w[scenario.k_eavesdropped:] = eta
         sc = scenario.with_weights(w)
-        p_fast = _solve_best(sc, run_algorithm4, opts)
+        p_fast = _solve_best(sc, run_algorithm4)
         fast_secure, fast_open = _rate_split(sc, p_fast)
-        p_dir = _solve_best(sc, run_algorithm3, opts)
+        p_dir = _solve_best(sc, run_algorithm3)
         direct_secure, direct_open = _rate_split(sc, p_dir)
         p_base, base_obj = baseline_max_power_linear_search(sc)
         base_secure, base_open = _rate_split(sc, p_base)

@@ -344,14 +344,12 @@ def iterations_to_relative_convergence(trace: IterationTrace, tol: float) -> int
     return int(trace.records[-1].outer_index)
 
 
-def central_diff_grad(
-    fun: Callable[[np.ndarray], float], x: np.ndarray, rel_step: float = 1e-6
-) -> np.ndarray:
+def central_diff_grad(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient with per-coordinate relative step."""
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)
     for i in range(x.size):
-        h = rel_step * (1.0 + abs(x[i]))
+        h = 1e-6 * (1.0 + abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
@@ -361,15 +359,8 @@ def central_diff_grad(
 
 
 def stationarity_residual(problem, x: np.ndarray) -> float:
-    """First-order optimality measure ``||x - project(x + grad f(x))||``.
-
-    Uses the problem's analytic objective gradient when it exposes one,
-    otherwise central finite differences of the objective.
-    """
+    """First-order optimality measure ``||x - project(x + grad f(x))||``
+    from the problem's analytic objective gradient."""
     x = np.asarray(x, dtype=float)
-    grad_fn = getattr(problem, "objective_grad", None)
-    if grad_fn is not None:
-        g = grad_fn(x)
-    else:
-        g = central_diff_grad(problem.objective, x)
+    g = problem.objective_grad(x)
     return float(np.linalg.norm(x - problem.feasible.project(x + g)))

@@ -28,6 +28,43 @@ AOI_SMALL = {
     "solver": {"max_outer": 60},
 }
 
+RADAR_SMALL = {
+    "experiment": "radar",
+    "seed": 0,
+    "scenario": {
+        "l_samples": 1,
+        "n_tx": [2],
+        "n_rx": [2],
+        "theta_pi": [0.15],
+        "p_dbm": 10.0,
+    },
+}
+
+SECURE_SMALL = {
+    "experiment": "secure",
+    "seed": 0,
+    "scenario": {
+        "h2": [[1.0]],
+        "ht2": [],
+        "sigma2_dbm": 0.0,
+        "sigma2_tilde_dbm": 0.0,
+        "p_dbm": 3.0,
+    },
+}
+
+# two interfering cells, both eavesdropped
+TRADEOFF_SMALL = {
+    "experiment": "secure-tradeoff",
+    "seed": 0,
+    "scenario": {
+        "h2": [[1.0, 0.1], [0.09, 0.87]],
+        "ht2": [[0.5, 0.11], [0.13, 0.39]],
+        "sigma2_dbm": -10.0,
+        "sigma2_tilde_dbm": 0.0,
+        "p_dbm": 10.0,
+    },
+}
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.yaml")))
@@ -86,51 +123,50 @@ class TestRunCommand:
         )
         assert code == 2
 
-    def test_determinism_of_objective_column(self, tmp_path):
-        path = write_config(tmp_path, AOI_SMALL)
+    @pytest.mark.parametrize(
+        "body, traces",
+        [
+            (AOI_SMALL, ["trace.csv"]),
+            (RADAR_SMALL, ["trace.csv"]),
+            (SECURE_SMALL, ["trace_direct.csv", "trace_fast.csv"]),
+        ],
+        ids=["aoi", "radar", "secure"],
+    )
+    def test_determinism_of_objective_column(self, tmp_path, body, traces):
+        path = write_config(tmp_path, body)
         cols = []
         for name in ("a", "b"):
             out = tmp_path / name
             assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
-            rows = read_csv(out / "trace.csv")[1:]
-            cols.append([r[1] for r in rows])  # objective column, exact strings
+            # objective columns, exact strings
+            cols.append([[r[1] for r in read_csv(out / t)[1:]] for t in traces])
         assert cols[0] == cols[1]
 
     def test_secure_run_writes_both_traces(self, tmp_path):
-        body = {
-            "experiment": "secure",
-            "seed": 0,
-            "scenario": {
-                "h2": [[1.0]],
-                "ht2": [],
-                "sigma2_dbm": 0.0,
-                "sigma2_tilde_dbm": 0.0,
-                "p_dbm": 3.0,
-            },
-        }
-        path = write_config(tmp_path, body)
+        path = write_config(tmp_path, SECURE_SMALL)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "trace_direct.csv").exists()
         assert (out / "trace_fast.csv").exists()
 
     def test_radar_run_small(self, tmp_path):
-        body = {
-            "experiment": "radar",
-            "seed": 0,
-            "scenario": {
-                "l_samples": 1,
-                "n_tx": [2],
-                "n_rx": [2],
-                "theta_pi": [0.15],
-                "p_dbm": 10.0,
-            },
-        }
-        path = write_config(tmp_path, body)
+        path = write_config(tmp_path, RADAR_SMALL)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
         summary = dict(read_csv(out / "summary.csv")[1:])
         assert float(summary["final_sum_crb"]) <= float(summary["initial_sum_crb"])
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("body", [AOI_SMALL, TRADEOFF_SMALL], ids=["aoi", "tradeoff"])
+    def test_bad_solver_options_exit_2(self, tmp_path, capsys, body, command):
+        # the tradeoff keeps its own solver budgets but still checks the section
+        body = dict(body, solver={"max_outer": -1})
+        if command == "sweep":
+            body["sweep"] = {"k": [2]} if body["experiment"] == "aoi" else {"eta": [1.0]}
+        path = write_config(tmp_path, body)
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "bad solver options" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -145,6 +181,35 @@ class TestSweepCommand:
         for row in rows[1:]:
             assert float(row[2]) <= float(row[3]) + 1e-9  # alg <= equal-rate
             assert float(row[2]) <= float(row[4]) + 1e-9  # alg <= max-rate
+
+    def test_radar_sweep_rows_match_run(self, tmp_path):
+        path = write_config(tmp_path, dict(RADAR_SMALL, sweep={"p_dbm": [5.0, 10.0]}))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        rows = read_csv(out / "sweep.csv")
+        assert rows[0] == ["p_dbm", "initial_sum_crb", "final_sum_crb", "reduction",
+                           "outer_iterations", "stationarity_residual"]
+        assert [float(r[0]) for r in rows[1:]] == [5.0, 10.0]
+        for row in rows[1:]:
+            assert float(row[2]) <= float(row[1])
+        # the 10 dBm point reports what `mmfp run` reports for that scenario
+        path = write_config(tmp_path, RADAR_SMALL)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        summary = dict(read_csv(tmp_path / "run" / "summary.csv")[1:])
+        assert rows[2][1:] == [summary[k] for k in rows[0][1:]]
+
+    def test_secure_sweeps_write_the_tradeoff_frontier(self, tmp_path):
+        body = dict(TRADEOFF_SMALL, scenario=dict(TRADEOFF_SMALL["scenario"], etas=[0.5]))
+        path = write_config(tmp_path, body)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        frontier = read_csv(tmp_path / "run" / "frontier.csv")
+        assert len(frontier) == 2 and float(frontier[1][0]) == 0.5
+        for experiment in ("secure-tradeoff", "secure"):
+            body = dict(TRADEOFF_SMALL, experiment=experiment, sweep={"eta": [0.5]})
+            path = write_config(tmp_path, body)
+            out = tmp_path / experiment
+            assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+            assert read_csv(out / "sweep.csv") == frontier
 
     def test_sweep_without_axis_exits_2(self, tmp_path):
         path = write_config(tmp_path, AOI_SMALL)

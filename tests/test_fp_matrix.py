@@ -194,10 +194,24 @@ class TestMatrixOuter:
         with pytest.raises(DomainError):
             MatrixOuter("logdet", 1.0).evaluate(X)
 
-    def test_side_pairing(self):
-        with pytest.raises(InvalidInputError):
-            MatrixRatioTerm(lambda x: np.eye(1), lambda x: np.eye(1),
-                            MatrixOuter("trace"), side="min")
+    def test_side_follows_outer_monotonicity(self):
+        # a decreasing outer is bracketed by q_minus, an increasing one by q_plus
+        rng = np.random.default_rng(10)
+        a0, a1 = rand_pd(rng, 2, 1.0), rand_pd(rng, 2, 0.0)
+        b0, b1 = rand_pd(rng, 2, 1.0), rand_pd(rng, 2, 0.0)
+        num = lambda x: a0 + float(x[0]) * a1
+        den = lambda x: b0 + float(x[0]) * b1
+        x, anchor = np.array([1.2]), np.array([0.6])
+        y_tilde = opt_y_tilde(psd_sqrt(den(anchor)), num(anchor))
+        q_min = q_minus(psd_sqrt(den(x)), num(x), y_tilde)
+        y = opt_y(psd_sqrt(num(anchor)), den(anchor))
+        q_max = q_plus(psd_sqrt(num(x)), den(x), y)
+        for kind, expected in (
+            ("neg_trace", -float(np.real(np.trace(np.linalg.inv(q_min))))),
+            ("trace", float(np.real(np.trace(q_max)))),
+        ):
+            term = MatrixRatioTerm(num, den, MatrixOuter(kind))
+            assert matrix_mixed_surrogate([term], x, anchor) == pytest.approx(expected, rel=1e-12)
 
 
 class TestMatrixMixedSurrogate:
@@ -209,7 +223,6 @@ class TestMatrixMixedSurrogate:
             numerator=lambda x: a0 + float(x[0]) * a1,
             denominator=lambda x: b0 + float(x[0]) * b1,
             outer=outer,
-            side=side,
         )
 
     def test_tight_at_anchor(self):
@@ -230,7 +243,6 @@ class TestMatrixMixedSurrogate:
                     numerator=lambda x, a0=a0, a1=a1: np.array([[a0 + a1 * float(x[0])]]),
                     denominator=lambda x, b0=b0, b1=b1: np.array([[b0 + b1 * float(x[0])]]),
                     outer=MatrixOuter("neg_trace", 1.0),
-                    side="min",
                 )
             ]
             core_problem = fp_core.MixedFpProblem(
@@ -260,7 +272,6 @@ class TestMatrixMixedSurrogate:
             numerator=lambda x: np.eye(d) * (1.0 + 50.0 * float(x[0])),
             denominator=lambda x: np.eye(d),
             outer=MatrixOuter("neg_trace"),
-            side="min",
         )
         value = matrix_mixed_surrogate([term], np.array([1.0]), np.array([0.0]))
         assert value == -math.inf

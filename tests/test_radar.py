@@ -218,6 +218,33 @@ class TestAuxAndSubproblem:
         value, _ = problem.surrogate(stack_waveforms(waveforms), aux)
         assert value == pytest.approx(-sum_crb(sc, waveforms), rel=1e-10)
 
+    def test_bracket_away_from_anchor_equals_matrix_q_plus(self):
+        # the hand-coded bracket is the width-1 matrix max-side bracket
+        # Re q_plus(D_m s_m, K_m(s), Y_m(anchor)) at any waveforms s
+        from mmfp import fp_matrix
+
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(200):
+            sc = verify._rand_radar_scenario(rng)
+            problem = RadarMmProblem(sc)
+            anchor, z = (
+                problem.feasible.project(rng.standard_normal(problem.ops.total_real_dim))
+                for _ in range(2)
+            )
+            aux = problem.update_aux(anchor)
+            waveforms = problem.split(z)
+            q = problem._brackets(waveforms, aux)
+            for m in range(sc.m_radars):
+                v = np.kron(np.eye(sc.l_samples), response_derivative(sc, m)) @ waveforms[m]
+                k_mat = covariance(sc, waveforms, m)
+                y = aux.Y[m][:, None]
+                ref = fp_matrix.q_plus(v[:, None], k_mat, y)[0, 0].real
+                scale = 2 * abs(np.vdot(y, v)) + np.vdot(y, k_mat @ y).real
+                assert abs(q[m] - ref) <= 1e-12 * scale
+                checked += 1
+        assert checked >= 200
+
     def test_subproblem_gradient_matches_finite_differences(self):
         sc = two_radar_scenario()
         problem = RadarMmProblem(sc)

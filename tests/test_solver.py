@@ -273,15 +273,6 @@ class TestStationarityResidual:
         )
         assert stationarity_residual(problem, np.array([0.5])) > 0.01
 
-    def test_finite_difference_fallback(self):
-        class NoGrad:
-            feasible = box_set(np.zeros(1), np.full(1, 5.0))
-
-            def objective(self, x):
-                return -((float(x[0]) - 2.0) ** 2)
-
-        assert stationarity_residual(NoGrad(), np.array([2.0])) <= 1e-6
-
 
 def test_central_diff_grad_on_polynomial():
     fn = lambda x: float(x[0] ** 3 + 2 * x[1] ** 2)
