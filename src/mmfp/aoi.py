@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .fp_core import MixedFpProblem, OuterFunction
-from .solver import IterationTrace, SolveOptions, box_set, run_mm
+from .solver import IterationTrace, SolveOptions, box_set, grid_argmax, run_mm
 
 # Rates at or below this fraction of mu are outside the open domain: the
 # average age diverges as lambda_k -> 0.
@@ -187,33 +187,23 @@ def baseline_equal_rate(scenario: AoiScenario) -> tuple[np.ndarray, float]:
 
 
 def oracle_grid(scenario: AoiScenario, refine_rounds: int = 3) -> tuple[np.ndarray, float]:
-    """Exhaustive grid search over the rate box, then local refinement.
+    """Exhaustive grid search over the rate box, then local refinement; each
+    grid is scanned in fixed-size blocks (:func:`~mmfp.solver.grid_argmax`).
 
     Cost grows exponentially in ``K``; refuses ``K > 3``.
     """
     if scenario.k > 3:
         raise InvalidInputError("exhaustive search is limited to K <= 3")
     mu = scenario.mu
+
+    def neg_age(rate_rows: np.ndarray) -> np.ndarray:
+        return -_sum_aoi_batch(rate_rows, mu)
+
     step = 0.02 * mu
-    axes = [np.arange(step, mu + step / 2, step) for _ in range(scenario.k)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    batch = np.stack([g.ravel() for g in grids], axis=1)
-    values = _sum_aoi_batch(batch, mu)
-    best = batch[int(np.argmin(values))]
-    best_val = float(values.min())
-
+    best, best_neg = grid_argmax([np.arange(step, mu + step / 2, step)] * scenario.k, neg_age)
     for _ in range(refine_rounds):
-        new_step = step / 10.0
-        axes = [
-            np.clip(best[d] + new_step * np.arange(-10, 11), 1e-9 * mu, mu)
-            for d in range(scenario.k)
-        ]
-        grids = np.meshgrid(*axes, indexing="ij")
-        batch = np.stack([g.ravel() for g in grids], axis=1)
-        values = _sum_aoi_batch(batch, mu)
-        if values.min() < best_val:
-            best = batch[int(np.argmin(values))]
-            best_val = float(values.min())
-        step = new_step
-
-    return best, best_val
+        step /= 10.0
+        rates, neg = grid_argmax([np.clip(b + step * np.arange(-10, 11), 1e-9 * mu, mu) for b in best], neg_age)
+        if neg > best_neg:
+            best, best_neg = rates, neg
+    return best, -best_neg

@@ -114,7 +114,7 @@ def _solve_options(cfg: dict) -> solver.SolveOptions:
 def _build_aoi(scenario: dict) -> aoi.AoiScenario:
     try:
         return aoi.AoiScenario(k=int(scenario["k"]), mu=float(scenario["mu"]))
-    except InvalidInputError as exc:
+    except (TypeError, ValueError) as exc:  # ill-typed or invalid; InvalidInputError is a ValueError
         raise ConfigError(f"bad scenario: {exc}") from exc
 
 
@@ -127,25 +127,25 @@ def _per_radar(value, m: int, name: str) -> tuple[float, ...]:
 
 
 def _build_radar(scenario: dict) -> radar.RadarScenario:
-    n_tx = tuple(int(v) for v in scenario["n_tx"])
-    n_rx = tuple(int(v) for v in scenario["n_rx"])
-    m = len(n_tx)
-    theta = tuple(math.pi * float(v) for v in scenario["theta_pi"])
-    beta_cfg = scenario.get("beta", 1.0)
-    if isinstance(beta_cfg, (int, float)):
-        beta = tuple(tuple(complex(beta_cfg) for _ in range(m)) for _ in range(m))
-    else:
-        beta = tuple(tuple(complex(v) for v in row) for row in beta_cfg)
-    sigma2 = tuple(
-        dbm_to_mw(v) for v in _per_radar(scenario.get("sigma2_dbm", 0.0), m, "sigma2_dbm")
-    )
-    power = tuple(dbm_to_mw(v) for v in _per_radar(scenario["p_dbm"], m, "p_dbm"))
     try:
+        n_tx = tuple(int(v) for v in scenario["n_tx"])
+        n_rx = tuple(int(v) for v in scenario["n_rx"])
+        m = len(n_tx)
+        theta = tuple(math.pi * float(v) for v in scenario["theta_pi"])
+        beta_cfg = scenario.get("beta", 1.0)
+        if isinstance(beta_cfg, (int, float)):
+            beta = tuple(tuple(complex(beta_cfg) for _ in range(m)) for _ in range(m))
+        else:
+            beta = tuple(tuple(complex(v) for v in row) for row in beta_cfg)
+        sigma2 = tuple(
+            dbm_to_mw(v) for v in _per_radar(scenario.get("sigma2_dbm", 0.0), m, "sigma2_dbm")
+        )
+        power = tuple(dbm_to_mw(v) for v in _per_radar(scenario["p_dbm"], m, "p_dbm"))
         return radar.RadarScenario(
             n_tx=n_tx, n_rx=n_rx, theta=theta, beta=beta,
             sigma2=sigma2, power=power, l_samples=int(scenario["l_samples"]),
         )
-    except InvalidInputError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
 
 
@@ -159,7 +159,7 @@ def _build_secure(scenario: dict) -> secure.SecureScenario:
             p_max=dbm_to_mw(float(scenario["p_dbm"])),
             w=np.asarray(scenario.get("w", 1.0), dtype=float),
         )
-    except (InvalidInputError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
 
 

@@ -311,21 +311,28 @@ class RadarMmProblem:
         ]
         return RadarAux(Y=Y, affine=affine, cross=cross, noise=noise)
 
-    def _brackets(self, waveforms: list[np.ndarray], aux: RadarAux) -> np.ndarray:
+    def _cross_dots(self, waveforms: list[np.ndarray], aux: RadarAux) -> list[list]:
+        """``dots[m][m'] = cross[m][m']^H s_m'`` (``None`` on the diagonal)."""
+        radars = range(self.scenario.m_radars)
+        return [[np.vdot(aux.cross[m][mp], waveforms[mp]) if mp != m else None for mp in radars] for m in radars]
+
+    def _brackets(self, waveforms: list[np.ndarray], aux: RadarAux, dots=None) -> np.ndarray:
         m_radars = self.scenario.m_radars
+        if dots is None:
+            dots = self._cross_dots(waveforms, aux)
         q = np.empty(m_radars)
         for m in range(m_radars):
             val = 2.0 * float(np.real(np.vdot(aux.affine[m], waveforms[m]))) - aux.noise[m]
             for mp in range(m_radars):
-                if mp == m:
-                    continue
-                val -= abs(np.vdot(aux.cross[m][mp], waveforms[mp])) ** 2
+                if mp != m:
+                    val -= abs(dots[m][mp]) ** 2
             q[m] = val
         return q
 
     def surrogate(self, z: np.ndarray, aux: RadarAux) -> tuple[float, np.ndarray | None]:
         waveforms = self.split(z)
-        q = self._brackets(waveforms, aux)
+        dots = self._cross_dots(waveforms, aux)
+        q = self._brackets(waveforms, aux, dots)
         if np.any(q <= 0.0):
             return -math.inf, None
         value = float(np.sum(-0.5 / q))
@@ -334,16 +341,9 @@ class RadarMmProblem:
         grad_c = [weights[m] * aux.affine[m] for m in range(m_radars)]
         for m in range(m_radars):
             for mp in range(m_radars):
-                if mp == m:
-                    continue
-                a = aux.cross[m][mp]
-                grad_c[mp] = grad_c[mp] - weights[m] * a * np.vdot(a, waveforms[mp])
-        grad = np.empty_like(np.asarray(z, dtype=float))
-        for m, (lo, hi) in enumerate(self.ops.blocks):
-            d = self.ops.s_dims[m]
-            grad[lo : lo + d] = 2.0 * np.real(grad_c[m])
-            grad[lo + d : hi] = 2.0 * np.imag(grad_c[m])
-        return value, grad
+                if mp != m:
+                    grad_c[mp] -= weights[m] * aux.cross[m][mp] * dots[m][mp]
+        return value, 2.0 * stack_waveforms(grad_c)
 
 
 def initial_waveforms(scenario: RadarScenario, seed: int = 0) -> list[np.ndarray]:

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .fp_core import Fractions, MixedFpProblem, OuterFunction, affine_fractions
 from .lagrangian_dual import LogRatioMmProblem
-from .solver import IterationTrace, SolveOptions, box_set, run_mm
+from .solver import IterationTrace, SolveOptions, box_set, grid_argmax, run_mm
 from .units import dbm_to_mw, nats_to_bits
 
 
@@ -60,12 +60,12 @@ class SecureScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "h2", np.asarray(self.h2, dtype=float))
+        if self.h2.ndim != 2 or self.h2.shape[0] != self.h2.shape[1]:
+            raise InvalidInputError("h2 must be square")
         object.__setattr__(self, "ht2", np.asarray(self.ht2, dtype=float).reshape(-1, self.h2.shape[0]))
         object.__setattr__(self, "sigma2", np.broadcast_to(np.asarray(self.sigma2, dtype=float), (self.h2.shape[0],)).copy())
         object.__setattr__(self, "sigma2_tilde", np.broadcast_to(np.asarray(self.sigma2_tilde, dtype=float), (self.ht2.shape[0],)).copy())
         object.__setattr__(self, "w", np.broadcast_to(np.asarray(self.w, dtype=float), (self.h2.shape[0],)).copy())
-        if self.h2.shape[0] != self.h2.shape[1]:
-            raise InvalidInputError("h2 must be square")
         if self.ht2.shape[0] > self.h2.shape[0]:
             raise InvalidInputError("cannot have more eavesdroppers than cells")
         if np.any(self.h2 < 0) or np.any(self.ht2 < 0):
@@ -294,20 +294,17 @@ def baseline_max_power_linear_search(scenario: SecureScenario) -> tuple[np.ndarr
 def oracle_grid_2d(
     scenario: SecureScenario, step: float | None = None
 ) -> tuple[np.ndarray, float]:
-    """Exhaustive two-cell grid search plus one local refinement."""
+    """Exhaustive two-cell grid search plus one local refinement, each
+    scanned in fixed-size blocks (:func:`~mmfp.solver.grid_argmax`)."""
     if scenario.l_cells != 2:
         raise InvalidInputError("exhaustive search is implemented for L = 2 only")
     p_cap = scenario.p_max
     step = step if step is not None else p_cap / 1000.0
 
     def scan(center: np.ndarray, half_width: float, local_step: float):
-        ax0 = np.clip(center[0] + np.arange(-half_width, half_width + local_step / 2, local_step), 0.0, p_cap)
-        ax1 = np.clip(center[1] + np.arange(-half_width, half_width + local_step / 2, local_step), 0.0, p_cap)
-        g0, g1 = np.meshgrid(np.unique(ax0), np.unique(ax1), indexing="ij")
-        batch = np.column_stack([g0.ravel(), g1.ravel()])
-        values = _weighted_sum_rate_batch(scenario, batch)
-        best = int(np.argmax(values))
-        return batch[best], float(values[best])
+        offsets = np.arange(-half_width, half_width + local_step / 2, local_step)
+        axes = [np.unique(np.clip(c + offsets, 0.0, p_cap)) for c in center]
+        return grid_argmax(axes, lambda rows: _weighted_sum_rate_batch(scenario, rows))
 
     center = np.array([p_cap / 2, p_cap / 2])
     best_p, best_v = scan(center, p_cap / 2, step)

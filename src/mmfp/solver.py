@@ -20,6 +20,7 @@ ever evaluates a logarithm or reciprocal outside its domain.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
@@ -115,11 +116,15 @@ def block_ball_set(
     """
     if len(blocks) != len(radii_sq):
         raise InvalidInputError("blocks and radii_sq length mismatch")
+    if any(r2 <= 0 for r2 in radii_sq):
+        raise InvalidInputError("radius_sq must be positive")
 
     def proj(x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=float).copy()
         for (a, b), r2 in zip(blocks, radii_sq):
-            out[a:b] = project_ball(out[a:b], r2)
+            nrm_sq = float(np.real(np.vdot(out[a:b], out[a:b])))
+            if nrm_sq > r2:  # project_ball's scaling, in place
+                out[a:b] *= np.sqrt(r2 / nrm_sq)
         return out
 
     return FeasibleSet(project=proj, in_domain=in_domain or _always_true)
@@ -342,6 +347,28 @@ def iterations_to_relative_convergence(trace: IterationTrace, tol: float) -> int
         if abs(vals[i] - vals[i - 1]) <= tol * max(abs(vals[i]), abs(vals[i - 1]), 1e-300):
             return int(trace.records[i].outer_index)
     return int(trace.records[-1].outer_index)
+
+
+_GRID_BLOCK_ROWS = 4096  # rows per grid_argmax block: its temporaries stay in cache
+
+
+def grid_argmax(axes: list[np.ndarray], values: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, float]:
+    """First maximizer of ``values`` (one value per row of a (rows,
+    len(axes)) batch) over the row-major grid of ``axes``, and its value:
+    the row ``np.argmax`` picks over the full ``meshgrid`` batch. The grid
+    is scanned in blocks of about ``_GRID_BLOCK_ROWS`` rows, a chunk of the
+    leading axis times the grid of the others, so memory stays bounded."""
+    lead, *rest = axes
+    chunk = max(1, _GRID_BLOCK_ROWS // math.prod(map(len, rest)))
+    found = []
+    for start in range(0, len(lead), chunk):
+        grids = np.meshgrid(lead[start : start + chunk], *rest, indexing="ij")
+        block = np.stack([g.ravel() for g in grids], axis=1)
+        v = values(block)
+        i = int(np.argmax(v))
+        found.append((v[i], block[i].copy()))
+    value, point = found[int(np.argmax([f[0] for f in found]))]  # first block holding the maximum
+    return point, float(value)
 
 
 def central_diff_grad(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mmfp import solver
 from mmfp.aoi import (
     AoiScenario,
+    _sum_aoi_batch,
     avg_aoi,
     avg_aoi_decomposed,
     baseline_equal_rate,
@@ -143,6 +145,35 @@ class TestOracle:
         _, v2 = oracle_grid(scenario, refine_rounds=4)
         assert v2 <= v1 + 1e-12
         assert abs(v1 - v2) <= 1e-5 * v1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_a_full_grid_scan_bitwise(self, k):
+        def scan(axes, mu):
+            batch = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+            values = _sum_aoi_batch(batch, mu)
+            return batch[int(np.argmin(values))], float(values.min())
+
+        for mu in (1.0, 0.37):
+            step = 0.02 * mu
+            want, want_val = scan([np.arange(step, mu + step / 2, step)] * k, mu)
+            for _ in range(3):
+                step /= 10.0
+                rates, val = scan([np.clip(b + step * np.arange(-10, 11), 1e-9 * mu, mu) for b in want], mu)
+                if val < want_val:
+                    want, want_val = rates, val
+            got, got_val = oracle_grid(AoiScenario(k=k, mu=mu))
+            assert got.tobytes() == want.tobytes()
+            assert got_val == want_val
+
+    def test_scans_in_bounded_memory(self):
+        # one full-grid batch of the 50^3 coarse scan peaks near 21 MB
+        tracemalloc.start()
+        try:
+            oracle_grid(AoiScenario(k=3, mu=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_refuses_large_source_counts(self):
         with pytest.raises(InvalidInputError):

@@ -168,6 +168,27 @@ class TestRunCommand:
         assert code == 2
         assert "bad solver options" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "body, key, value",
+        [
+            (AOI_SMALL, "k", "abc"),
+            (RADAR_SMALL, "n_tx", 2),
+            (RADAR_SMALL, "beta", [["abc"]]),
+            (dict(TRADEOFF_SMALL, experiment="secure"), "h2", 2),
+        ],
+        ids=["aoi-k-string", "radar-n_tx-number", "radar-beta-string", "secure-h2-number"],
+    )
+    def test_ill_typed_scenario_value_exits_2(self, tmp_path, capsys, body, key, value, command):
+        body = dict(body, scenario=dict(body["scenario"], **{key: value}))
+        if command == "sweep":
+            axis = {"aoi": "k", "radar": "p_dbm"}.get(body["experiment"], "eta")
+            body["sweep"] = {axis: [body["scenario"].get(axis, 1.0)]}
+        path = write_config(tmp_path, body)
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: bad scenario" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_aoi_sweep_rows(self, tmp_path):

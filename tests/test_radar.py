@@ -245,6 +245,30 @@ class TestAuxAndSubproblem:
                 checked += 1
         assert checked >= 200
 
+    def test_surrogate_equals_the_two_pass_formula_bitwise(self):
+        # each cross inner product is computed once and reused by the
+        # brackets and the gradient; the answer must not move by one bit
+        rng = np.random.default_rng(6)
+        for sc in [benchmark_scenario()] * 5 + [verify._rand_radar_scenario(rng) for _ in range(100)]:
+            problem = RadarMmProblem(sc)
+            dim = problem.ops.total_real_dim
+            anchor = problem.feasible.project(rng.standard_normal(dim))
+            z = problem.feasible.project(anchor + 0.1 * rng.standard_normal(dim))
+            aux = problem.update_aux(anchor)
+            waveforms = problem.split(z)
+            q = problem._brackets(waveforms, aux)
+            value, grad = problem.surrogate(z, aux)
+            weights = 0.5 / (q * q)
+            grad_c = [weights[m] * aux.affine[m] for m in range(sc.m_radars)]
+            for m in range(sc.m_radars):
+                for mp in range(sc.m_radars):
+                    if mp != m:
+                        a = aux.cross[m][mp]
+                        grad_c[mp] = grad_c[mp] - weights[m] * a * np.vdot(a, waveforms[mp])
+            want = np.concatenate([np.concatenate([2.0 * c.real, 2.0 * c.imag]) for c in grad_c])
+            assert value == float(np.sum(-0.5 / q))
+            assert grad.tobytes() == want.tobytes()
+
     def test_subproblem_gradient_matches_finite_differences(self):
         sc = two_radar_scenario()
         problem = RadarMmProblem(sc)

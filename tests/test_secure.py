@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from mmfp.errors import InvalidInputError
 from mmfp.lagrangian_dual import log_ratio_surrogate
 from mmfp.secure import (
     SecureScenario,
+    _weighted_sum_rate_batch,
     baseline_max_power_linear_search,
     build_direct_problem,
     build_fast_problem,
@@ -261,6 +263,45 @@ class TestBaselineAndOracle:
         _, v1 = oracle_grid_2d(sc, step=sc.p_max / 500)
         _, v2 = oracle_grid_2d(sc)
         assert abs(v1 - v2) <= 1e-5
+
+
+    def test_oracle_matches_a_full_grid_scan_bitwise(self):
+        def full_grid_oracle(sc, step):
+            def scan(center, half_width, local_step):
+                offsets = np.arange(-half_width, half_width + local_step / 2, local_step)
+                g0, g1 = np.meshgrid(
+                    *(np.unique(np.clip(c + offsets, 0.0, sc.p_max)) for c in center), indexing="ij"
+                )
+                batch = np.column_stack([g0.ravel(), g1.ravel()])
+                values = _weighted_sum_rate_batch(sc, batch)
+                return batch[int(np.argmax(values))], float(values.max())
+
+            best_p, best_v = scan(np.full(2, sc.p_max / 2), sc.p_max / 2, step)
+            ref_p, ref_v = scan(best_p, step, step / 10.0)
+            return (ref_p, ref_v) if ref_v > best_v else (best_p, best_v)
+
+        rng = np.random.default_rng(11)
+        cases = [(two_link_benchmark(), None)]
+        for _ in range(4):
+            sc = random_scenario(rng)
+            while sc.l_cells != 2:
+                sc = random_scenario(rng)
+            cases.append((sc, sc.p_max / float(rng.integers(50, 300))))
+        for sc, step in cases:
+            p, v = oracle_grid_2d(sc, step)
+            want_p, want_v = full_grid_oracle(sc, step if step is not None else sc.p_max / 1000.0)
+            assert p.tobytes() == want_p.tobytes()
+            assert v == want_v
+
+    def test_oracle_scans_in_bounded_memory(self):
+        # one full-grid batch of the 1001 x 1001 scan peaks near 140 MB
+        tracemalloc.start()
+        try:
+            oracle_grid_2d(two_link_benchmark())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestTradeoffSweep:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mmfp import solver
 from mmfp.errors import InvalidInputError, InvalidStartError, MonotonicityError
 from mmfp.fp_core import MixedFpProblem, OuterFunction, affine_fractions
 from mmfp.solver import (
@@ -10,8 +11,10 @@ from mmfp.solver import (
     IterationRecord,
     IterationTrace,
     SolveOptions,
+    block_ball_set,
     box_set,
     central_diff_grad,
+    grid_argmax,
     iterations_to_relative_convergence,
     maximize_subproblem,
     project_ball,
@@ -66,6 +69,22 @@ class TestProjections:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    def test_block_ball_set_validates_once_and_matches_project_ball(self):
+        with pytest.raises(InvalidInputError):
+            block_ball_set([(0, 2), (2, 3)], [1.0, 0.0])
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            sizes = rng.integers(1, 5, size=int(rng.integers(1, 4)))
+            stops = np.cumsum(sizes)
+            blocks = [(int(b - n), int(b)) for n, b in zip(sizes, stops)]
+            radii_sq = [float(r) for r in rng.uniform(0.1, 4.0, len(blocks))]
+            x = rng.standard_normal(int(stops[-1])) * rng.uniform(0.1, 3.0)
+            x_before = x.copy()
+            got = block_ball_set(blocks, radii_sq).project(x)
+            want = np.concatenate([project_ball(x[a:b], r2) for (a, b), r2 in zip(blocks, radii_sq)])
+            assert got.tobytes() == want.tobytes()
+            assert x.tobytes() == x_before.tobytes()  # scaled in place, but in a copy
+
     def test_projection_idempotent(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -74,6 +93,42 @@ class TestProjections:
             assert np.allclose(project_box(p1, -1.0, 1.0), p1, atol=1e-12)
             b1 = project_ball(x, 2.0)
             assert np.allclose(project_ball(b1, 2.0), b1, atol=1e-12)
+
+
+def _full_grid_argmax(axes, values):
+    batch = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    v = values(batch)
+    i = int(np.argmax(v))
+    return batch[i], float(v[i])
+
+
+class TestGridArgmax:
+    @pytest.mark.parametrize("block_rows", [1, 5, 7, 64, 4096])
+    def test_matches_argmax_over_the_full_grid(self, monkeypatch, block_rows):
+        # blocks from one row to the whole grid, most of them dividing no
+        # grid evenly, and ties from rounding the values to a few levels
+        monkeypatch.setattr(solver, "_GRID_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(block_rows)
+        for _ in range(60):
+            dims = int(rng.integers(1, 4))
+            axes = [rng.uniform(-1.0, 1.0, int(rng.integers(1, 12))) for _ in range(dims)]
+            w = rng.standard_normal(dims)
+            levels = int(rng.integers(1, 6))
+
+            def values(rows):
+                return np.round(levels * np.sin(rows @ w)) / levels
+
+            point, value = grid_argmax(axes, values)
+            want_point, want_value = _full_grid_argmax(axes, values)
+            assert point.tobytes() == want_point.tobytes()
+            assert value == want_value
+
+    def test_first_of_tied_maxima_wins(self, monkeypatch):
+        monkeypatch.setattr(solver, "_GRID_BLOCK_ROWS", 3)
+        point, value = grid_argmax([np.arange(4.0), np.arange(5.0)], lambda rows: np.zeros(len(rows)))
+        assert point.tolist() == [0.0, 0.0] and value == 0.0
+        point, _ = grid_argmax([np.arange(4.0), np.arange(5.0)], lambda rows: (rows[:, 0] >= 2).astype(float))
+        assert point.tolist() == [2.0, 0.0]
 
 
 def _quadratic(center: np.ndarray):
