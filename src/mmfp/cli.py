@@ -99,7 +99,10 @@ def _seed_of(cfg: dict) -> int:
     if "seed" in cfg:
         return int(cfg["seed"])
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError as exc:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
 
 
 def _solve_options(cfg: dict) -> solver.SolveOptions:
@@ -297,17 +300,26 @@ def _frontier_row(p: secure.TradeoffPoint) -> list:
     return [float(v) for v in astuple(p)]
 
 
+def _etas(values) -> list[float]:
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"bad eta values: expected a nonempty list of numbers, got {values!r}")
+    try:
+        return [float(e) for e in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad eta values: {exc}") from exc
+
+
 def _tradeoff_row(scenario: secure.SecureScenario, eta, opts: solver.SolveOptions) -> list:
     """One frontier point; the tradeoff keeps its own solver budgets, so
     ``opts`` is unused."""
-    return _frontier_row(secure.tradeoff_sweep(scenario, [float(eta)])[0])
+    return _frontier_row(secure.tradeoff_sweep(scenario, _etas([eta]))[0])
 
 
 def _run_tradeoff(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOptions, out: Path) -> None:
     etas = cfg["scenario"].get("etas")
     if etas is None:
         etas = np.logspace(-3, 2, 26).tolist()
-    points = secure.tradeoff_sweep(scenario, [float(e) for e in etas])
+    points = secure.tradeoff_sweep(scenario, _etas(etas))
     _write_csv(out / "frontier.csv", _FRONTIER_HEADER, [_frontier_row(p) for p in points])
     opens = [p.fast_open for p in points]
     secures = [p.fast_secure for p in points]

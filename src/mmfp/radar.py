@@ -311,28 +311,23 @@ class RadarMmProblem:
         ]
         return RadarAux(Y=Y, affine=affine, cross=cross, noise=noise)
 
-    def _cross_dots(self, waveforms: list[np.ndarray], aux: RadarAux) -> list[list]:
-        """``dots[m][m'] = cross[m][m']^H s_m'`` (``None`` on the diagonal)."""
+    def _brackets(self, waveforms: list[np.ndarray], aux: RadarAux) -> tuple[np.ndarray, list[list]]:
+        """Per-radar brackets ``q_m`` and the cross dots they use,
+        ``dots[m][m'] = cross[m][m']^H s_m'`` (``None`` on the diagonal)."""
         radars = range(self.scenario.m_radars)
-        return [[np.vdot(aux.cross[m][mp], waveforms[mp]) if mp != m else None for mp in radars] for m in radars]
-
-    def _brackets(self, waveforms: list[np.ndarray], aux: RadarAux, dots=None) -> np.ndarray:
-        m_radars = self.scenario.m_radars
-        if dots is None:
-            dots = self._cross_dots(waveforms, aux)
-        q = np.empty(m_radars)
-        for m in range(m_radars):
+        dots = [[np.vdot(aux.cross[m][mp], waveforms[mp]) if mp != m else None for mp in radars] for m in radars]
+        q = np.empty(len(radars))
+        for m in radars:
             val = 2.0 * float(np.real(np.vdot(aux.affine[m], waveforms[m]))) - aux.noise[m]
-            for mp in range(m_radars):
+            for mp in radars:
                 if mp != m:
                     val -= abs(dots[m][mp]) ** 2
             q[m] = val
-        return q
+        return q, dots
 
     def surrogate(self, z: np.ndarray, aux: RadarAux) -> tuple[float, np.ndarray | None]:
         waveforms = self.split(z)
-        dots = self._cross_dots(waveforms, aux)
-        q = self._brackets(waveforms, aux, dots)
+        q, dots = self._brackets(waveforms, aux)
         if np.any(q <= 0.0):
             return -math.inf, None
         value = float(np.sum(-0.5 / q))

@@ -140,7 +140,7 @@ def test_criterion_5_radar_reduction():
     scenario = radar.benchmark_scenario(30.0)
     waveforms, trace = radar.run_algorithm2(scenario)
     values = trace.objectives
-    monotone = bool(np.all(np.diff(values) <= 1e-9 * (1 + np.abs(values[:-1]))))
+    monotone = verify.monotone(values, -1.0)
     reduction_ok = values[-1] <= 0.4 * values[0]
     problem = radar.RadarMmProblem(scenario)
     z = radar.stack_waveforms(waveforms)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmfp import solver
+from mmfp import verify
 from mmfp.aoi import (
     AoiScenario,
     _sum_aoi_batch,
@@ -44,13 +44,7 @@ class TestDecomposition:
     def test_parts_sum_to_whole(self):
         rng = np.random.default_rng(0)
         for _ in range(2000):
-            k = int(rng.integers(1, 8))
-            mu = float(rng.uniform(0.2, 3.0))
-            lam = rng.uniform(0.01, 1.0, k) * mu
-            src = int(rng.integers(0, k))
-            whole = avg_aoi(src, lam, mu)
-            parts = avg_aoi_decomposed(src, lam, mu)
-            assert whole == pytest.approx(parts[0] + parts[1], abs=1e-12 * (1 + whole))
+            assert verify.age_split(*verify.random_age_case(rng))
 
 
 class TestProblemConstruction:
@@ -79,9 +73,7 @@ class TestProblemConstruction:
         rng = np.random.default_rng(1)
         for _ in range(10):
             lam = rng.uniform(0.1, 1.4, 3)
-            g = problem.objective_grad(lam)
-            g_fd = solver.central_diff_grad(problem.objective, lam)
-            assert np.all(np.abs(g - g_fd) <= 1e-5 * (1 + np.abs(g_fd)))
+            assert verify.fraction_gradients(problem, lam)
 
     def test_domain_excludes_zero_rates(self):
         problem = build_aoi_problem(AoiScenario(k=2, mu=1.0))
@@ -104,8 +96,7 @@ class TestAlgorithm1:
 
     def test_trace_is_nonincreasing(self):
         _, trace = run_algorithm1(AoiScenario(k=4, mu=1.0))
-        vals = trace.objectives
-        assert np.all(np.diff(vals) <= 1e-9 * (1 + np.abs(vals[:-1])))
+        assert verify.monotone(trace.objectives, -1.0)
 
 
 class TestBaselines:
@@ -181,8 +172,7 @@ class TestOracle:
 
 
 def test_total_age_is_order_sensitive():
-    lam = np.array([0.3, 0.9, 0.6])
-    assert abs(sum_aoi(lam, 1.0) - sum_aoi(lam[::-1], 1.0)) > 1e-6
+    assert verify.total_age_order_sensitive(np.array([0.3, 0.9, 0.6]))
 
 
 def test_scenario_validation():

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from mmfp import cli
+from mmfp import cli, verify
 from mmfp.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -189,6 +189,23 @@ class TestRunCommand:
         assert code == 2
         assert "config error: bad scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, body",
+        [
+            ("sweep", dict(TRADEOFF_SMALL, experiment="secure", sweep={"eta": ["x"]})),
+            ("run", dict(TRADEOFF_SMALL, scenario=dict(TRADEOFF_SMALL["scenario"], etas=["x"]))),
+            ("run", dict(TRADEOFF_SMALL, scenario=dict(TRADEOFF_SMALL["scenario"], etas=5))),
+            ("run", dict(TRADEOFF_SMALL, scenario=dict(TRADEOFF_SMALL["scenario"], etas="123"))),
+            ("run", dict(TRADEOFF_SMALL, scenario=dict(TRADEOFF_SMALL["scenario"], etas=[]))),
+        ],
+        ids=["sweep-eta-string", "run-etas-string", "run-etas-number", "run-etas-text", "run-etas-empty"],
+    )
+    def test_ill_typed_eta_exits_2(self, tmp_path, capsys, command, body):
+        path = write_config(tmp_path, body)
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: bad eta values" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_aoi_sweep_rows(self, tmp_path):
@@ -238,9 +255,12 @@ class TestSweepCommand:
 
 
 def test_verify_command_runs_a_suite(capsys):
-    assert cli.main(["verify", "--suite", "lagrangian"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    for suite in ("lagrangian", "core", "matrix"):
+        assert cli.main(["verify", "--suite", suite]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out and "FAIL" not in out
+        for check in verify.CHECKS:
+            assert (f"[{suite}] {check.name}" in out) == (check.suite == suite)
 
 
 def test_env_var_seed_used_when_config_omits_it(tmp_path, monkeypatch):
@@ -250,3 +270,10 @@ def test_env_var_seed_used_when_config_omits_it(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV_VAR)
     assert cli._seed_of(body) == 0
     assert cli._seed_of(dict(body, seed=3)) == 3
+
+
+def test_bad_env_var_seed_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+    path = write_config(tmp_path, {key: AOI_SMALL[key] for key in ("experiment", "scenario")})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {cli.SEED_ENV_VAR} must be an integer" in capsys.readouterr().err

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from mmfp import fp_core, fp_matrix
+from mmfp import fp_core, fp_matrix, verify
 from mmfp.errors import DomainError, IllConditionedError, InvalidInputError, NotPsdError
 from mmfp.fp_matrix import (
     MatrixOuter,
     MatrixRatioTerm,
     cyclic_check,
-    hermitize,
     is_strictly_pd,
-    matrix_mixed_objective,
     matrix_mixed_surrogate,
     matrix_ratio,
     opt_y,
@@ -20,11 +18,7 @@ from mmfp.fp_matrix import (
     q_minus,
     q_plus,
 )
-
-
-def rand_pd(rng, d, ridge=0.5):
-    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return hermitize(A @ A.conj().T + ridge * np.eye(d))
+from mmfp.verify import random_pd
 
 
 class TestMatrixRatio:
@@ -39,7 +33,7 @@ class TestMatrixRatio:
 
     def test_identity_numerator_gives_inverse(self):
         rng = np.random.default_rng(1)
-        B = rand_pd(rng, 2)
+        B = random_pd(rng, 2)
         assert np.allclose(matrix_ratio(np.eye(2), B), np.linalg.inv(B), atol=1e-12)
 
     def test_singular_denominator_rejected(self):
@@ -52,8 +46,8 @@ class TestBrackets:
     def test_q_plus_tight_at_optimum(self):
         rng = np.random.default_rng(2)
         for d in (1, 2, 3):
-            A = rand_pd(rng, d)
-            B = rand_pd(rng, d)
+            A = random_pd(rng, d)
+            B = random_pd(rng, d)
             As = psd_sqrt(A)
             ratio = matrix_ratio(As, B)
             assert np.allclose(q_plus(As, B, opt_y(As, B)), ratio, atol=1e-10)
@@ -70,8 +64,8 @@ class TestBrackets:
 
     def test_q_minus_tight_at_optimum(self):
         rng = np.random.default_rng(3)
-        A = rand_pd(rng, 2)
-        B = rand_pd(rng, 2)
+        A = random_pd(rng, 2)
+        B = random_pd(rng, 2)
         Bs = psd_sqrt(B)
         assert np.allclose(
             q_minus(Bs, A, opt_y_tilde(Bs, A)), matrix_ratio(Bs, A), atol=1e-10
@@ -88,11 +82,10 @@ class TestBrackets:
         rng = np.random.default_rng(4)
         for _ in range(100):
             d = int(rng.integers(1, 4))
-            A = rand_pd(rng, d)
-            B = rand_pd(rng, d)
+            A = random_pd(rng, d)
+            B = random_pd(rng, d)
             Y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            gap = matrix_ratio(psd_sqrt(A), B) - q_plus(psd_sqrt(A), B, Y)
-            assert np.linalg.eigvalsh(hermitize(gap)).min() >= -1e-10
+            assert verify.bracket_below_ratio(A, B, Y)
 
 
 class TestAuxiliaries:
@@ -134,7 +127,7 @@ class TestPsdSqrt:
     def test_reconstruction_random(self):
         rng = np.random.default_rng(5)
         for d in (1, 2, 3, 5):
-            M = rand_pd(rng, d)
+            M = random_pd(rng, d)
             F = psd_sqrt(M)
             assert np.linalg.norm(F @ F.conj().T - M) <= 1e-10 * np.linalg.norm(M)
 
@@ -170,9 +163,9 @@ class TestCyclicProperty:
         rng = np.random.default_rng(6)
         for _ in range(200):
             d = int(rng.integers(1, 4))
-            As = psd_sqrt(rand_pd(rng, d))
-            Bs = psd_sqrt(rand_pd(rng, d))
-            assert cyclic_check(kind, As, Bs)
+            As = psd_sqrt(random_pd(rng, d))
+            Bs = psd_sqrt(random_pd(rng, d))
+            assert verify.spectral_identity(As, Bs, kinds=(kind,))
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidInputError):
@@ -197,8 +190,8 @@ class TestMatrixOuter:
     def test_side_follows_outer_monotonicity(self):
         # a decreasing outer is bracketed by q_minus, an increasing one by q_plus
         rng = np.random.default_rng(10)
-        a0, a1 = rand_pd(rng, 2, 1.0), rand_pd(rng, 2, 0.0)
-        b0, b1 = rand_pd(rng, 2, 1.0), rand_pd(rng, 2, 0.0)
+        a0, a1 = random_pd(rng, 2, 1.0), random_pd(rng, 2, 0.0)
+        b0, b1 = random_pd(rng, 2, 1.0), random_pd(rng, 2, 0.0)
         num = lambda x: a0 + float(x[0]) * a1
         den = lambda x: b0 + float(x[0]) * b1
         x, anchor = np.array([1.2]), np.array([0.6])
@@ -216,8 +209,8 @@ class TestMatrixOuter:
 
 class TestMatrixMixedSurrogate:
     def _term(self, rng, d, side):
-        a0, a1 = rand_pd(rng, d, 1.0), rand_pd(rng, d, 0.0)
-        b0, b1 = rand_pd(rng, d, 1.0), rand_pd(rng, d, 0.0)
+        a0, a1 = random_pd(rng, d, 1.0), random_pd(rng, d, 0.0)
+        b0, b1 = random_pd(rng, d, 1.0), random_pd(rng, d, 0.0)
         outer = MatrixOuter("logdet") if side == "max" else MatrixOuter("neg_trace")
         return MatrixRatioTerm(
             numerator=lambda x: a0 + float(x[0]) * a1,
@@ -229,9 +222,7 @@ class TestMatrixMixedSurrogate:
         rng = np.random.default_rng(7)
         terms = [self._term(rng, 2, "max"), self._term(rng, 2, "min")]
         x = np.array([0.8])
-        assert matrix_mixed_surrogate(terms, x, x) == pytest.approx(
-            matrix_mixed_objective(terms, x), abs=1e-9
-        )
+        assert verify.matrix_sandwich(terms, x, x)
 
     def test_scalar_reduction_matches_core(self):
         rng = np.random.default_rng(8)
@@ -261,9 +252,7 @@ class TestMatrixMixedSurrogate:
         term = self._term(rng, 2, "min")
         x = np.array([1.4])
         anchor = np.array([0.3])
-        assert matrix_mixed_surrogate([term], x, anchor) <= matrix_mixed_objective(
-            [term], x
-        ) + 1e-10
+        assert verify.matrix_sandwich([term], x, anchor)
 
     def test_rejects_non_pd_min_bracket(self):
         # force a wildly stale anchor so the min bracket loses definiteness

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmfp import solver
+from mmfp import solver, verify
 from mmfp.errors import DomainError, InvalidInputError
 from mmfp.fp_core import affine_fractions
 from mmfp.lagrangian_dual import (
@@ -113,28 +113,13 @@ def _log_ratio_problem(rows, feasible=None):
     return LogRatioMmProblem(affine_fractions(a, a0, b, b0), weights, maximize, feasible)
 
 
-def _random_problem(rng, dim, n_terms, feasible=None):
-    rows = []
-    for _ in range(n_terms):
-        a = rng.uniform(0.1, 1.0, dim)
-        b = rng.uniform(0.1, 1.0, dim)
-        rows.append((
-            a, 0.2, b, float(rng.uniform(0.5, 2.0)),
-            float(rng.uniform(0.0, 2.0)), bool(rng.random() < 0.5),
-        ))
-    return _log_ratio_problem(rows, feasible)
-
-
 class TestLogRatioSurrogate:
     def test_tight_at_anchor(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
-            dim = int(rng.integers(1, 4))
-            problem = _random_problem(rng, dim, int(rng.integers(1, 5)))
+            problem, dim = verify.random_log_ratio_problem(rng, offset=0.2)
             x = rng.uniform(0.1, 3.0, dim)
-            assert log_ratio_surrogate(problem, x, x) == pytest.approx(
-                log_ratio_objective(problem, x), abs=1e-10
-            )
+            assert verify.dual_sandwich(problem, x, x)
 
     def test_hand_evaluated_single_max_term(self):
         # anchor ratio 1, query ratio 3: ln2 - 1 + 2*(3/4) = ln2 + 0.5 <= ln4
@@ -154,16 +139,15 @@ class TestLogRatioSurrogate:
             ])
             x = rng.uniform(0.1, 3.0, dim)
             anchor = rng.uniform(0.1, 3.0, dim)
-            assert log_ratio_surrogate(problem, x, anchor) <= log_ratio_objective(problem, x) + 1e-10
+            assert verify.dual_sandwich(problem, x, anchor)
 
     def test_bound_random_mixed(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            dim = int(rng.integers(1, 4))
-            problem = _random_problem(rng, dim, int(rng.integers(1, 5)))
+            problem, dim = verify.random_log_ratio_problem(rng, offset=0.2)
             x = rng.uniform(0.1, 3.0, dim)
             anchor = rng.uniform(0.1, 3.0, dim)
-            assert log_ratio_surrogate(problem, x, anchor) <= log_ratio_objective(problem, x) + 1e-10
+            assert verify.dual_sandwich(problem, x, anchor)
 
     def test_zeta_depends_on_x_only_through_fractions(self):
         # with the auxiliary frozen, subtracting the fraction term leaves a
@@ -186,20 +170,15 @@ def test_nested_sandwich_on_random_instances():
     # all three equal at the anchor
     rng = np.random.default_rng(7)
     for _ in range(200):
-        dim = int(rng.integers(1, 4))
-        problem = _random_problem(
-            rng, dim, int(rng.integers(1, 5)), solver.box_set(np.zeros(dim), np.full(dim, 3.0))
-        )
+        problem, dim = verify.random_log_ratio_problem(rng, offset=0.2, feasible=solver.box_set(0.0, 3.0))
         anchor = rng.uniform(0.1, 3.0, dim)
         aux = problem.update_aux(anchor, eps=0.0)
         x = rng.uniform(0.1, 3.0, dim)
         inner, _ = problem.surrogate(x, aux)
-        dual = log_ratio_surrogate(problem, x, anchor)
-        assert inner <= dual + 1e-10
-        assert dual <= log_ratio_objective(problem, x) + 1e-10
+        assert inner <= log_ratio_surrogate(problem, x, anchor) + 1e-10
+        assert verify.dual_sandwich(problem, x, anchor)
         true = log_ratio_objective(problem, anchor)
         assert problem.surrogate(anchor, aux)[0] == pytest.approx(true, abs=1e-10)
-        assert log_ratio_surrogate(problem, anchor, anchor) == pytest.approx(true, abs=1e-10)
 
 
 class TestLogRatioMmProblem:
@@ -226,20 +205,16 @@ class TestLogRatioMmProblem:
         rng = np.random.default_rng(5)
         problem = self._problem(rng)
         x = rng.uniform(0.2, 0.9, 2)
-        g = problem.objective_grad(x)
-        g_fd = solver.central_diff_grad(problem.objective, x)
-        assert np.all(np.abs(g - g_fd) <= 1e-5 * (1 + np.abs(g_fd)))
+        assert verify.gradient_matches(problem.objective, problem.objective_grad(x), x)
         aux = problem.update_aux(rng.uniform(0.2, 0.9, 2), eps=1e-12)
         _, gs = problem.surrogate(x, aux)
-        gs_fd = solver.central_diff_grad(lambda z: problem.surrogate(z, aux)[0], x)
-        assert np.all(np.abs(gs - gs_fd) <= 1e-5 * (1 + np.abs(gs_fd)))
+        assert verify.gradient_matches(lambda z: problem.surrogate(z, aux)[0], gs, x)
 
     def test_mm_run_is_monotone(self):
         rng = np.random.default_rng(6)
         problem = self._problem(rng)
         _, trace = solver.run_mm(problem, np.full(2, 0.5))
-        vals = trace.objectives
-        assert np.all(np.diff(vals) >= -1e-9 * (1 + np.abs(vals[:-1])))
+        assert verify.monotone(trace.objectives)
 
     def test_zero_weight_terms_are_dropped(self):
         dead = ([1.0], 0.0, [1.0], 1.0, 0.0, False)

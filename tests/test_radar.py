@@ -12,7 +12,6 @@ from mmfp.radar import (
     fisher_information,
     initial_waveforms,
     lifted_covariance,
-    lifted_sum_crb,
     response_derivative,
     response_matrix,
     run_algorithm2,
@@ -68,9 +67,7 @@ class TestSteering:
         for _ in range(10):
             n = int(rng.integers(1, 6))
             theta = float(rng.uniform(-1.2, 1.2))
-            h = 1e-6
-            fd = (steering_vector(n, theta + h) - steering_vector(n, theta - h)) / (2 * h)
-            assert np.allclose(steering_derivative(n, theta), fd, rtol=1e-5, atol=1e-8)
+            assert verify.steering_derivative_matches(n, theta)
 
 
 class TestResponse:
@@ -103,15 +100,8 @@ class TestResponse:
 
     def test_derivative_matches_finite_difference(self):
         sc = two_radar_scenario()
-        h = 1e-6
         for m in range(2):
-            theta_p = tuple(t + h if i == m else t for i, t in enumerate(sc.theta))
-            theta_m = tuple(t - h if i == m else t for i, t in enumerate(sc.theta))
-            sc_p = RadarScenario(sc.n_tx, sc.n_rx, theta_p, sc.beta, sc.sigma2, sc.power, sc.l_samples)
-            sc_m = RadarScenario(sc.n_tx, sc.n_rx, theta_m, sc.beta, sc.sigma2, sc.power, sc.l_samples)
-            fd = (response_matrix(sc_p, m, m) - response_matrix(sc_m, m, m)) / (2 * h)
-            got = response_derivative(sc, m)
-            assert np.all(np.abs(got - fd) <= 1e-5 * (1 + np.abs(fd)))
+            assert verify.response_derivative_matches(sc, m)
 
 
 def covariance(sc, waveforms, m):
@@ -210,11 +200,9 @@ class TestAuxAndSubproblem:
             (rng.standard_normal(sc.waveform_length(m)) + 1j * rng.standard_normal(sc.waveform_length(m)))
             for m in range(2)
         ]
+        assert verify.bracket_is_half_curvature(sc, waveforms)
         problem = RadarMmProblem(sc)
         aux = problem.update_aux(stack_waveforms(waveforms))
-        q = problem._brackets(waveforms, aux)
-        js = np.array([fisher_information(sc, waveforms, m) for m in range(2)])
-        assert np.allclose(q, js / 2, rtol=1e-10)
         value, _ = problem.surrogate(stack_waveforms(waveforms), aux)
         assert value == pytest.approx(-sum_crb(sc, waveforms), rel=1e-10)
 
@@ -226,7 +214,7 @@ class TestAuxAndSubproblem:
         rng = np.random.default_rng(5)
         checked = 0
         for _ in range(200):
-            sc = verify._rand_radar_scenario(rng)
+            sc = verify.random_radar_scenario(rng)
             problem = RadarMmProblem(sc)
             anchor, z = (
                 problem.feasible.project(rng.standard_normal(problem.ops.total_real_dim))
@@ -234,7 +222,7 @@ class TestAuxAndSubproblem:
             )
             aux = problem.update_aux(anchor)
             waveforms = problem.split(z)
-            q = problem._brackets(waveforms, aux)
+            q, _ = problem._brackets(waveforms, aux)
             for m in range(sc.m_radars):
                 v = np.kron(np.eye(sc.l_samples), response_derivative(sc, m)) @ waveforms[m]
                 k_mat = covariance(sc, waveforms, m)
@@ -249,14 +237,14 @@ class TestAuxAndSubproblem:
         # each cross inner product is computed once and reused by the
         # brackets and the gradient; the answer must not move by one bit
         rng = np.random.default_rng(6)
-        for sc in [benchmark_scenario()] * 5 + [verify._rand_radar_scenario(rng) for _ in range(100)]:
+        for sc in [benchmark_scenario()] * 5 + [verify.random_radar_scenario(rng) for _ in range(100)]:
             problem = RadarMmProblem(sc)
             dim = problem.ops.total_real_dim
             anchor = problem.feasible.project(rng.standard_normal(dim))
             z = problem.feasible.project(anchor + 0.1 * rng.standard_normal(dim))
             aux = problem.update_aux(anchor)
             waveforms = problem.split(z)
-            q = problem._brackets(waveforms, aux)
+            q, _ = problem._brackets(waveforms, aux)
             value, grad = problem.surrogate(z, aux)
             weights = 0.5 / (q * q)
             grad_c = [weights[m] * aux.affine[m] for m in range(sc.m_radars)]
@@ -276,12 +264,11 @@ class TestAuxAndSubproblem:
         z = problem.feasible.project(rng.standard_normal(problem.ops.total_real_dim))
         aux = problem.update_aux(z)
         _, g = problem.surrogate(z, aux)
-        g_fd = solver.central_diff_grad(lambda t: problem.surrogate(t, aux)[0], z)
-        assert np.all(np.abs(g - g_fd) <= 1e-5 * (1 + np.abs(g_fd)))
+        assert verify.gradient_matches(lambda t: problem.surrogate(t, aux)[0], g, z)
         # at its own anchor the surrogate's gradient is the objective's
         rng = np.random.default_rng(11)
         for _ in range(30):
-            problem = RadarMmProblem(verify._rand_radar_scenario(rng))
+            problem = RadarMmProblem(verify.random_radar_scenario(rng))
             z = problem.feasible.project(rng.standard_normal(problem.ops.total_real_dim))
             g_fd = solver.central_diff_grad(problem.objective, z)
             g = problem.objective_grad(z)
@@ -316,24 +303,14 @@ class TestAlgorithm2:
     def test_trace_monotone_and_powers_saturate(self):
         sc = two_radar_scenario()
         waveforms, trace = run_algorithm2(sc)
-        vals = trace.objectives
-        assert np.all(np.diff(vals) <= 1e-9 * (1 + np.abs(vals[:-1])))
+        assert verify.monotone(trace.objectives, -1.0)
         for m, s in enumerate(waveforms):
             assert np.real(np.vdot(s, s)) <= sc.power[m] + 1e-9
 
     def test_lift_consistency_at_solution(self):
         sc = two_radar_scenario()
         waveforms, _ = run_algorithm2(sc)
-        lifted = lifted_sum_crb(sc, waveforms, [np.outer(s, s.conj()) for s in waveforms])
-        assert lifted == pytest.approx(sum_crb(sc, waveforms), rel=1e-10)
-        for s in waveforms:
-            n = s.size
-            block = np.zeros((n + 1, n + 1), dtype=complex)
-            block[:n, :n] = np.outer(s, s.conj())
-            block[:n, n] = s
-            block[n, :n] = s.conj()
-            block[n, n] = 1.0
-            assert np.linalg.eigvalsh(block).min() >= -1e-9
+        assert verify.lift_reproduces_objective(sc, waveforms)
 
 
 class TestStackHelpers:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmfp import solver
+from mmfp import solver, verify
 from mmfp.errors import InvalidInputError
 from mmfp.lagrangian_dual import log_ratio_surrogate
 from mmfp.secure import (
@@ -17,7 +17,6 @@ from mmfp.secure import (
     run_algorithm3,
     run_algorithm4,
     secret_rate,
-    secret_rate_via_leakage,
     sweep_start_points,
     tradeoff_sweep,
     two_link_benchmark,
@@ -38,23 +37,6 @@ def single_link(k_eaves=0, h=1.0, ht=0.5, sigma2=1.0, sigma2_tilde=1.0, p_max=1.
     )
 
 
-def random_scenario(rng):
-    n = int(rng.integers(1, 6))
-    k = int(rng.integers(0, n + 1))
-    h2 = rng.uniform(0.01, 0.3, (n, n))
-    np.fill_diagonal(h2, rng.uniform(0.5, 1.5, n))
-    ht2 = rng.uniform(0.01, 0.3, (k, n))
-    for j in range(k):
-        ht2[j, j] = rng.uniform(0.1, 0.8)
-    return SecureScenario(
-        h2=h2, ht2=ht2,
-        sigma2=rng.uniform(0.05, 1.0, n),
-        sigma2_tilde=rng.uniform(0.5, 2.0, k) if k else np.zeros(0),
-        p_max=float(rng.uniform(2.0, 20.0)),
-        w=rng.uniform(0.1, 2.0, n),
-    )
-
-
 class TestRates:
     def test_unit_snr_single_link(self):
         sc = single_link()
@@ -71,12 +53,7 @@ class TestRates:
     def test_leakage_rewrite_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(2000):
-            sc = random_scenario(rng)
-            p = rng.uniform(0.0, sc.p_max, sc.l_cells)
-            i = int(rng.integers(0, sc.l_cells))
-            a = secret_rate(sc, p, i)
-            b = secret_rate_via_leakage(sc, p, i)
-            assert a == pytest.approx(b, abs=1e-12 * (1 + abs(a)))
+            assert verify.leakage_rewrite(*verify.random_leakage_case(rng))
 
     def test_zero_weights_give_zero_objective(self):
         sc = two_link_benchmark().with_weights([0.0, 0.0])
@@ -100,7 +77,7 @@ class TestDirectMethod:
         # keeps the log term finite
         rng = np.random.default_rng(1)
         for _ in range(200):
-            sc = random_scenario(rng)
+            sc = verify.random_secure_scenario(rng)
             if sc.k_eavesdropped == 0:
                 continue
             p = rng.uniform(0.1, sc.p_max, sc.l_cells)
@@ -128,8 +105,7 @@ class TestDirectMethod:
         p = np.array([3.3, 7.6])
         value, g = problem.surrogate(p, aux)
         assert np.isfinite(value)
-        g_fd = solver.central_diff_grad(lambda x: problem.surrogate(x, aux)[0], p)
-        assert np.all(np.abs(g - g_fd) <= 1e-5 * (1 + np.abs(g_fd)))
+        assert verify.gradient_matches(lambda x: problem.surrogate(x, aux)[0], g, p)
 
     def test_no_eavesdroppers_is_pure_max_fp(self):
         sc = single_link()
@@ -164,7 +140,7 @@ class TestFastMethod:
     def test_gamma_tilde_below_one(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            sc = random_scenario(rng)
+            sc = verify.random_secure_scenario(rng)
             p = rng.uniform(0.0, sc.p_max, sc.l_cells)
             gs = build_fast_problem(sc).update_aux(p).gammas
             assert np.all(gs.gamma_tilde >= 0.0) and np.all(gs.gamma_tilde < 1.0)
@@ -172,11 +148,9 @@ class TestFastMethod:
     def test_objective_fr_tight_at_optimal_gammas(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            sc = random_scenario(rng)
+            sc = verify.random_secure_scenario(rng)
             p = rng.uniform(0.1, sc.p_max, sc.l_cells)
-            problem = build_fast_problem(sc)
-            ws = weighted_sum_rate(sc, p)
-            assert log_ratio_surrogate(problem, p, p) == pytest.approx(ws, abs=1e-12 * (1 + abs(ws)))
+            assert verify.secure_surrogates_tight(sc, p)
 
     def test_zero_power_zero_objective(self):
         sc = two_link_benchmark()
@@ -199,8 +173,7 @@ class TestFastMethod:
         aux = problem.update_aux(rng.uniform(1.0, 9.0, 2), eps=1e-12)
         p = rng.uniform(1.0, 9.0, 2)
         _, g = problem.surrogate(p, aux)
-        g_fd = solver.central_diff_grad(lambda x: problem.surrogate(x, aux)[0], p)
-        assert np.all(np.abs(g - g_fd) <= 1e-5 * (1 + np.abs(g_fd)))
+        assert verify.gradient_matches(lambda x: problem.surrogate(x, aux)[0], g, p)
 
 
 class TestAlgorithmsOnBenchmark:
@@ -224,8 +197,7 @@ class TestAlgorithmsOnBenchmark:
         sc = two_link_benchmark()
         for runner in (run_algorithm3, run_algorithm4):
             _, trace = runner(sc)
-            vals = trace.objectives
-            assert np.all(np.diff(vals) >= -1e-9 * (1 + np.abs(vals[:-1])))
+            assert verify.monotone(trace.objectives)
 
 
 class TestBaselineAndOracle:
@@ -283,9 +255,9 @@ class TestBaselineAndOracle:
         rng = np.random.default_rng(11)
         cases = [(two_link_benchmark(), None)]
         for _ in range(4):
-            sc = random_scenario(rng)
+            sc = verify.random_secure_scenario(rng)
             while sc.l_cells != 2:
-                sc = random_scenario(rng)
+                sc = verify.random_secure_scenario(rng)
             cases.append((sc, sc.p_max / float(rng.integers(50, 300))))
         for sc, step in cases:
             p, v = oracle_grid_2d(sc, step)
@@ -332,7 +304,7 @@ def test_both_problems_have_the_weighted_sum_rate_as_objective():
     # some cells carry zero weight and some transmit at zero power
     rng = np.random.default_rng(9)
     for _ in range(200):
-        sc = random_scenario(rng)
+        sc = verify.random_secure_scenario(rng)
         sc = sc.with_weights(np.where(rng.random(sc.l_cells) < 0.3, 0.0, sc.w))
         p = rng.uniform(0.0, sc.p_max, sc.l_cells)
         p[rng.random(sc.l_cells) < 0.2] = 0.0

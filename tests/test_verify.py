@@ -1,0 +1,35 @@
+from mmfp import verify
+
+# the 24 rows of `mmfp verify`, in the order the CLI prints them
+PINNED = [
+    ("core", "max-side bound and tightness"),
+    ("core", "min-side bound and tightness"),
+    ("core", "surrogate sandwich on random mixed problems"),
+    ("core", "flipped-ratio shortcut is only a lower bound"),
+    ("core", "term and objective gradients match finite differences"),
+    ("core", "outer-function derivatives match finite differences"),
+    ("matrix", "bracket never exceeds the matrix ratio (PSD order)"),
+    ("matrix", "brackets are tight at the closed-form auxiliaries"),
+    ("matrix", "spectral identity for trace and logdet outers"),
+    ("matrix", "1x1 matrix operations reduce to the scalar ones"),
+    ("matrix", "matrix surrogate sandwich"),
+    ("lagrangian", "closed-form auxiliaries are stationary and recover the logs"),
+    ("lagrangian", "dual surrogate sandwich on random instances"),
+    ("lagrangian", "no logarithm of any input-dependent quantity remains"),
+    ("apps", "age formula equals its two-fraction split"),
+    ("apps", "total age is order-sensitive"),
+    ("apps", "secrecy rate equals its leakage rewrite"),
+    ("apps", "secure surrogates are tight at their anchors"),
+    ("apps", "radar bracket equals half the likelihood curvature"),
+    ("apps", "rank-1 lift reproduces the covariance objective"),
+    ("apps", "radar derivatives match finite differences"),
+    ("apps", "age traces are monotone nonincreasing (20 seeds)"),
+    ("apps", "secure traces are monotone nondecreasing (20 seeds)"),
+    ("apps", "radar bound traces are monotone nonincreasing (20 seeds)"),
+]
+
+
+def test_table_rows_are_pinned_in_order():
+    rows = [(check.suite, check.name) for check in verify.CHECKS]
+    assert rows == PINNED
+    assert len({name for _, name in rows}) == len(rows)
