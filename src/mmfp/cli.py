@@ -45,10 +45,6 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def dump_config(cfg: dict) -> str:
-    return yaml.safe_dump(cfg, sort_keys=True)
-
-
 def _require(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise ConfigError(f"missing required field '{where}{key}'")
@@ -81,7 +77,7 @@ def validate_config(cfg: dict, for_sweep: bool = False) -> dict:
     if not isinstance(solver_cfg, dict):
         raise ConfigError("'solver' must be a mapping")
     _reject_unknown(solver_cfg, _SOLVER_KEYS, "solver.")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
+    if "seed" in cfg and (isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int)):
         raise ConfigError("'seed' must be an integer")
     if for_sweep:
         sweep = _require(cfg, "sweep", "")
@@ -321,32 +317,10 @@ def _run_tradeoff(cfg: dict, scenario: secure.SecureScenario, opts: solver.Solve
         etas = np.logspace(-3, 2, 26).tolist()
     points = secure.tradeoff_sweep(scenario, _etas(etas))
     _write_csv(out / "frontier.csv", _FRONTIER_HEADER, [_frontier_row(p) for p in points])
-    opens = [p.fast_open for p in points]
-    secures = [p.fast_secure for p in points]
     rows = [
         ("experiment", "secure-tradeoff"),
         ("points", len(points)),
-        ("open_rates_nondecreasing", bool(np.all(np.diff(opens) >= -1e-9))),
-        ("secure_rates_nonincreasing", bool(np.all(np.diff(secures) <= 1e-9))),
-        (
-            "max_method_gap_bits",
-            float(
-                max(
-                    max(abs(p.fast_secure - p.direct_secure), abs(p.fast_open - p.direct_open))
-                    for p in points
-                )
-            ),
-        ),
-        (
-            "dominates_baseline",
-            bool(
-                all(
-                    p.fast_objective_nats >= p.baseline_objective_nats - 1e-9
-                    and p.direct_objective_nats >= p.baseline_objective_nats - 1e-9
-                    for p in points
-                )
-            ),
-        ),
+        *secure.frontier_facts(points).items(),
     ]
     _write_summary(out / "summary.csv", rows)
 

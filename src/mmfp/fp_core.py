@@ -42,6 +42,10 @@ from .solver import FeasibleSet
 # limit semantics of the positive-part clamp.
 POSITIVE_UNDERFLOW = 5e-324
 
+# ``eps`` of the min-side auxiliary ``sqrt(B)/(A + eps)``: keeps it finite
+# as ``A -> 0+``.
+Y_TILDE_SAFEGUARD = 1e-12
+
 # Absolute floor applied inside *gradients* of 2*y*sqrt(A(x)) terms; the
 # derivative is unbounded as A -> 0+ and a finite cap keeps line searches
 # numerically sane without affecting values.
@@ -82,7 +86,7 @@ def inv_quad_surrogate(A: float, B: float, y_tilde: float) -> float:
     return 1.0 / plus_part(2.0 * y_tilde * math.sqrt(B) - y_tilde * y_tilde * A)
 
 
-def opt_y_tilde(A: float, B: float, eps: float = 1e-12) -> float:
+def opt_y_tilde(A: float, B: float, eps: float = Y_TILDE_SAFEGUARD) -> float:
     """Safeguarded minimizer ``sqrt(B) / (A + eps)`` of the min-side value.
 
     ``eps > 0`` keeps the auxiliary finite as ``A -> 0+``; ``eps = 0`` is
@@ -207,15 +211,6 @@ Fractions = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 
 @dataclass(frozen=True)
-class AuxState:
-    """Closed-form auxiliaries: ``y`` per ratio under an increasing outer,
-    ``y_tilde`` per ratio under a decreasing one, each in ratio order."""
-
-    y: np.ndarray
-    y_tilde: np.ndarray
-
-
-@dataclass(frozen=True)
 class MixedFpProblem:
     """Ratio vector ``A(x)/B(x)``, one outer function per ratio, and the
     feasible set.
@@ -259,19 +254,20 @@ class MixedFpProblem:
         return JA.T @ slopes - JB.T @ (slopes * A / B)
 
     # -- auxiliary update and surrogate -----------------------------------
-    def update_aux(self, x: np.ndarray, eps: float = 1e-12) -> AuxState:
+    def update_aux(self, x: np.ndarray, eps: float = Y_TILDE_SAFEGUARD) -> np.ndarray:
+        """One closed-form auxiliary per ratio, in ratio order (see
+        :func:`_closed_form_aux`)."""
         A, B, _, _ = self.fractions(np.asarray(x, dtype=float))
-        y, y_tilde = _closed_form_aux(self.outers, A, B, eps)
-        return AuxState(y=y, y_tilde=y_tilde)
+        return _closed_form_aux(self.outers, A, B, eps)
 
-    def surrogate(self, x: np.ndarray, aux: AuxState) -> tuple[float, np.ndarray | None]:
+    def surrogate(self, x: np.ndarray, aux: np.ndarray) -> tuple[float, np.ndarray | None]:
         """Surrogate value and gradient at ``x`` for fixed auxiliaries.
 
         Returns ``(-inf, None)`` when a min-side bracket is nonpositive or
         an outer-domain constraint fails (reject-point signal).
         """
         A, B, JA, JB = self.fractions(np.asarray(x, dtype=float))
-        return _quadratic_transform(self.outers, A, B, JA, JB, aux.y, aux.y_tilde)
+        return _quadratic_transform(self.outers, A, B, JA, JB, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -279,33 +275,28 @@ class MixedFpProblem:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_aux(outers, A: np.ndarray, B: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _closed_form_aux(outers, A: np.ndarray, B: np.ndarray, eps: float) -> np.ndarray:
     """Auxiliaries that make the quadratic transform tight at the point
-    where ``A`` and ``B`` were evaluated.
-
-    A ratio under an increasing outer gets ``y = sqrt(A)/B``, one under a
-    decreasing outer ``y_tilde = sqrt(B)/(A + eps)``; each array keeps the
-    ratio order.
+    where ``A`` and ``B`` were evaluated, one per ratio in ratio order:
+    ``y = sqrt(A)/B`` under an increasing outer, ``y_tilde = sqrt(B)/(A +
+    eps)`` under a decreasing one.
     """
-    y = []
-    y_tilde = []
-    for outer, a, b in zip(outers, A.tolist(), B.tolist()):
-        if outer.increasing:
-            y.append(opt_y(a, b))
-        else:
-            y_tilde.append(opt_y_tilde(a, b, eps))
-    return np.array(y), np.array(y_tilde)
+    return np.array([
+        opt_y(a, b) if outer.increasing else opt_y_tilde(a, b, eps)
+        for outer, a, b in zip(outers, A.tolist(), B.tolist())
+    ])
 
 
 def _quadratic_transform(
-    outers, A, B, JA, JB, y: np.ndarray, y_tilde: np.ndarray, value: float = 0.0
+    outers, A, B, JA, JB, aux: np.ndarray, value: float = 0.0
 ) -> tuple[float, np.ndarray | None]:
     """``value`` plus the transformed ratios, with the gradient in ``x``.
 
     ``A``, ``B`` and their Jacobians ``JA``, ``JB`` are evaluated at ``x``;
-    the auxiliaries come from :func:`_closed_form_aux`. A ratio under an
+    ``aux`` comes from :func:`_closed_form_aux`. A ratio under an
     increasing outer contributes ``f(2*y*sqrt(A) - y**2 * B)``, one under a
-    decreasing outer ``f(1 / [2*yt*sqrt(B) - yt**2 * A]_+)``. The gradient
+    decreasing outer ``f(1 / [2*y*sqrt(B) - y**2 * A]_+)``, its ``y`` then
+    being the min-side ``y_tilde``. The gradient
     is ``JA.T @ cA + JB.T @ cB`` with one coefficient per ratio in each of
     ``cA`` and ``cB``. Returns ``(-inf, None)`` as soon as a ratio leaves
     its domain (reject signal).
@@ -313,25 +304,21 @@ def _quadratic_transform(
     n = len(outers)
     cA = [0.0] * n
     cB = [0.0] * n
-    ys = iter(y.tolist())
-    yts = iter(y_tilde.tolist())
-    for i, (outer, a, b) in enumerate(zip(outers, A.tolist(), B.tolist())):
+    for i, (outer, a, b, y) in enumerate(zip(outers, A.tolist(), B.tolist(), aux.tolist())):
         if outer.increasing:
-            y_i = next(ys)
             if a < 0:
                 return -math.inf, None
-            pair = outer._value_slope(2.0 * y_i * math.sqrt(a) - y_i * y_i * b)
+            pair = outer._value_slope(2.0 * y * math.sqrt(a) - y * y * b)
             if pair is None:
                 return -math.inf, None
-            coeff = y_i / math.sqrt(max(a, _SQRT_GRAD_FLOOR)) if y_i != 0.0 else 0.0
+            coeff = y / math.sqrt(max(a, _SQRT_GRAD_FLOOR)) if y != 0.0 else 0.0
             value += pair[0]
             cA[i] = pair[1] * coeff
-            cB[i] = -pair[1] * y_i * y_i
+            cB[i] = -pair[1] * y * y
         else:
-            yt = next(yts)
             if b < 0:
                 return -math.inf, None
-            bracket = 2.0 * yt * math.sqrt(b) - yt * yt * a
+            bracket = 2.0 * y * math.sqrt(b) - y * y * a
             if bracket <= 0.0:
                 lim = outer.limit_at_infinity()
                 if lim == -math.inf:
@@ -344,8 +331,8 @@ def _quadratic_transform(
             # d f(1/bracket) = -f' / bracket**2 * d bracket
             s = -pair[1] / (bracket * bracket)
             value += pair[0]
-            cA[i] = -s * yt * yt
-            cB[i] = s * yt / math.sqrt(max(b, POSITIVE_UNDERFLOW))
+            cA[i] = -s * y * y
+            cB[i] = s * y / math.sqrt(max(b, POSITIVE_UNDERFLOW))
     return value, JA.T @ cA + JB.T @ cB
 
 

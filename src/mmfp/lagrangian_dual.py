@@ -29,7 +29,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .fp_core import Fractions, OuterFunction, _closed_form_aux, _quadratic_transform
+from .fp_core import (
+    Y_TILDE_SAFEGUARD,
+    Fractions,
+    OuterFunction,
+    _closed_form_aux,
+    _quadratic_transform,
+)
 from .solver import FeasibleSet
 
 # Keep ln(1 - gamma_tilde) finite; the closed form can only approach 1 when
@@ -66,12 +72,6 @@ def zeta_minus(w: float, gamma_tilde: float, A: float, B: float) -> float:
     if gamma_tilde >= 1.0:
         raise DomainError("gamma_tilde must be below 1")
     return w * math.log1p(-gamma_tilde) + w * gamma_tilde - w * (1.0 - gamma_tilde) * A / B
-
-
-@dataclass(frozen=True)
-class GammaState:
-    gamma: np.ndarray  # one per live max-side ratio
-    gamma_tilde: np.ndarray  # one per live min-side ratio
 
 
 def log_ratio_objective(problem: "LogRatioMmProblem", x: np.ndarray) -> float:
@@ -112,14 +112,15 @@ def log_ratio_surrogate(problem: "LogRatioMmProblem", x: np.ndarray, anchor: np.
 
 @dataclass(frozen=True)
 class LogRatioAux:
-    """Frozen auxiliaries for one MM step: the gammas, the outer function of
-    each live row's induced ratio, the quadratic-transform auxiliaries of
-    those ratios, and the gamma-only zeta pieces."""
+    """Frozen auxiliaries for one MM step, one entry per live row in row
+    order: the dual auxiliary (``gamma`` on a max row, ``gamma_tilde`` on a
+    min row), the outer function of the row's induced ratio and that
+    ratio's quadratic-transform auxiliary; plus the gamma-only zeta
+    pieces."""
 
-    gammas: GammaState
+    gamma: np.ndarray
     outers: tuple[OuterFunction, ...]
     y: np.ndarray
-    y_tilde: np.ndarray
     const: float  # gamma-only zeta pieces, independent of x
 
 
@@ -175,34 +176,26 @@ class LogRatioMmProblem:
         s = np.where(self.maximize, self.weights, -self.weights) / (B * (A + B))
         return JA.T @ (s * B) - JB.T @ (s * A)
 
-    def update_aux(self, x: np.ndarray, eps: float = 1e-12) -> LogRatioAux:
+    def update_aux(self, x: np.ndarray, eps: float = Y_TILDE_SAFEGUARD) -> LogRatioAux:
         weights, maximize, A, B, _, _ = self._live_rows(x)
         gamma = []
-        gamma_tilde = []
         outers = []
         const = 0.0
         for w, mx, a, b in zip(weights.tolist(), maximize.tolist(), A.tolist(), B.tolist()):
             if mx:
                 g = opt_gamma(a, b)
-                gamma.append(g)
                 const += w * (math.log1p(g) - g)
                 outers.append(OuterFunction.identity(w * (1.0 + g)))
             else:
-                gt = opt_gamma_tilde(a, b)
-                gamma_tilde.append(gt)
-                const += w * (math.log1p(-gt) + gt)
-                outers.append(OuterFunction.neg_identity(w * (1.0 - gt)))
-        y, y_tilde = _closed_form_aux(outers, A, np.where(maximize, A + B, B), eps)
-        return LogRatioAux(
-            gammas=GammaState(gamma=np.array(gamma), gamma_tilde=np.array(gamma_tilde)),
-            outers=tuple(outers),
-            y=y,
-            y_tilde=y_tilde,
-            const=const,
-        )
+                g = opt_gamma_tilde(a, b)
+                const += w * (math.log1p(-g) + g)
+                outers.append(OuterFunction.neg_identity(w * (1.0 - g)))
+            gamma.append(g)
+        y = _closed_form_aux(outers, A, np.where(maximize, A + B, B), eps)
+        return LogRatioAux(gamma=np.array(gamma), outers=tuple(outers), y=y, const=const)
 
     def surrogate(self, x: np.ndarray, aux: LogRatioAux) -> tuple[float, np.ndarray | None]:
         _, maximize, A, B, JA, JB = self._live_rows(x)
         B = np.where(maximize, A + B, B)
         JB = np.where(maximize[:, None], JA + JB, JB)
-        return _quadratic_transform(aux.outers, A, B, JA, JB, aux.y, aux.y_tilde, aux.const)
+        return _quadratic_transform(aux.outers, A, B, JA, JB, aux.y, aux.const)

@@ -141,14 +141,18 @@ def _derivative_lift(scenario: RadarScenario, m: int) -> np.ndarray:
 
 
 class _Operators:
-    """Sample-space lifts ``T[m][m'] = I_L kron G_mm'`` and
-    ``D[m] = I_L kron dG_mm``, built once per scenario."""
+    """Sample-space lifts ``T[m][m'] = I_L kron G_mm'`` (``None`` on the
+    diagonal: only cross lifts enter a covariance) and ``D[m] = I_L kron
+    dG_mm``, built once per scenario."""
 
     def __init__(self, scenario: RadarScenario):
         eye_l = np.eye(scenario.l_samples)
         m_radars = scenario.m_radars
         self.T = [
-            [np.kron(eye_l, response_matrix(scenario, m, mp)) for mp in range(m_radars)]
+            [
+                np.kron(eye_l, response_matrix(scenario, m, mp)) if mp != m else None
+                for mp in range(m_radars)
+            ]
             for m in range(m_radars)
         ]
         self.D = [_derivative_lift(scenario, m) for m in range(m_radars)]
@@ -290,7 +294,7 @@ class RadarMmProblem:
             raise DomainError("the surrogate rejects its own anchor: a likelihood curvature is zero")
         return grad
 
-    def update_aux(self, z: np.ndarray, eps: float = 1e-12) -> RadarAux:
+    def update_aux(self, z: np.ndarray) -> RadarAux:
         waveforms = self.split(z)
         m_radars = self.scenario.m_radars
         Y = []

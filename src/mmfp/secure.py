@@ -421,3 +421,25 @@ def tradeoff_sweep(scenario: SecureScenario, etas) -> list[TradeoffPoint]:
             )
         )
     return points
+
+
+def frontier_facts(points: list[TradeoffPoint]) -> dict[str, bool | float]:
+    """What a frontier must show, keyed as in the tradeoff summary: the
+    fast method's open rates nondecreasing and secure rates nonincreasing
+    along the sweep (to 1e-9 bits), the largest rate gap between the two
+    methods in bits, and both methods at least matching the baseline's
+    objective (to 1e-9 nats) at every point."""
+    opens = [p.fast_open for p in points]
+    secures = [p.fast_secure for p in points]
+    return {
+        "open_rates_nondecreasing": bool(np.all(np.diff(opens) >= -1e-9)),
+        "secure_rates_nonincreasing": bool(np.all(np.diff(secures) <= 1e-9)),
+        "max_method_gap_bits": float(
+            max(max(abs(p.fast_secure - p.direct_secure), abs(p.fast_open - p.direct_open)) for p in points)
+        ),
+        "dominates_baseline": all(
+            p.fast_objective_nats >= p.baseline_objective_nats - 1e-9
+            and p.direct_objective_nats >= p.baseline_objective_nats - 1e-9
+            for p in points
+        ),
+    }

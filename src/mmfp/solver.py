@@ -36,8 +36,6 @@ _STEP_MAX = 1e14
 _MAX_BACKTRACKS = 80
 _ARMIJO_C = 1e-4  # sufficient-increase fraction
 _BACKTRACK_FACTOR = 0.5
-# ``eps`` of the min-side auxiliary ``sqrt(B)/(A + eps)``
-_EPS_SAFEGUARD = 1e-12
 # Length of the nonmonotone line-search reference window.
 _NONMONOTONE_WINDOW = 10
 # Abandon a subproblem after this many iterations without improving the
@@ -65,16 +63,6 @@ class FeasibleSet:
 
     project: Callable[[np.ndarray], np.ndarray]
     in_domain: Callable[[np.ndarray], bool] = _always_true
-
-
-def project_box(x: np.ndarray, lo, hi) -> np.ndarray:
-    """Componentwise clamp of ``x`` to ``[lo, hi]``."""
-    x = np.asarray(x, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), x.shape)
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), x.shape)
-    if np.any(lo > hi):
-        raise InvalidInputError("box lower bound exceeds upper bound")
-    return np.minimum(np.maximum(x, lo), hi)
 
 
 def project_ball(x: np.ndarray, radius_sq: float) -> np.ndarray:
@@ -141,10 +129,14 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.outer_tol, self.inner_tol) <= 0:
-            raise InvalidInputError("tolerances must be positive")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise InvalidInputError("iteration limits must be at least 1")
+        for name in ("outer_tol", "inner_tol"):
+            tol = getattr(self, name)
+            if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+                raise InvalidInputError(f"{name} must be a finite positive number, got {tol!r}")
+        for name in ("max_outer", "max_inner"):
+            limit = getattr(self, name)
+            if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
+                raise InvalidInputError(f"{name} must be an integer of at least 1, got {limit!r}")
 
 
 @dataclass(frozen=True)
@@ -202,7 +194,7 @@ class MmProblem(Protocol):
 
     def objective(self, x: np.ndarray) -> float: ...
 
-    def update_aux(self, x: np.ndarray, eps: float): ...
+    def update_aux(self, x: np.ndarray): ...
 
     def surrogate(self, x: np.ndarray, aux) -> tuple[float, np.ndarray | None]: ...
 
@@ -312,7 +304,7 @@ def run_mm(
 
     for outer in range(1, opts.max_outer + 1):
         tic = time.perf_counter()
-        aux = problem.update_aux(x, _EPS_SAFEGUARD)
+        aux = problem.update_aux(x)
         x, info = maximize_subproblem(
             lambda z: problem.surrogate(z, aux), problem.feasible, x, opts, step0=step
         )

@@ -400,7 +400,7 @@ def secure_surrogates_tight(sc, p) -> bool:
         return False
     direct = secure.build_direct_problem(sc)
     return (
-        abs(fast.surrogate(p, fast.update_aux(p, 1e-12))[0] - dual) <= 1e-10 * (1 + abs(ws))
+        abs(fast.surrogate(p, fast.update_aux(p))[0] - dual) <= 1e-10 * (1 + abs(ws))
         and abs(direct.surrogate(p, direct.update_aux(p, 0.0))[0] - ws) <= 1e-10 * (1 + abs(ws))
     )
 

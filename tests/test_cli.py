@@ -1,4 +1,5 @@
 import csv
+import math
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def write_config(tmp_path, body: dict) -> Path:
     path = tmp_path / "config.yaml"
-    path.write_text(cli.dump_config(body), encoding="utf-8")
+    path.write_text(yaml.safe_dump(body), encoding="utf-8")
     return path
 
 
@@ -71,7 +72,7 @@ class TestConfigValidation:
     def test_shipped_configs_validate_and_round_trip(self, name):
         cfg = cli.load_config(CONFIG_DIR / name)
         cli.validate_config(cfg, for_sweep="sweep" in cfg)
-        assert yaml.safe_load(cli.dump_config(cfg)) == cfg
+        assert yaml.safe_load(yaml.safe_dump(cfg)) == cfg
 
     def test_missing_field_names_the_field(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "aoi", "scenario": {"k": 3}})
@@ -160,13 +161,21 @@ class TestRunCommand:
     @pytest.mark.parametrize("body", [AOI_SMALL, TRADEOFF_SMALL], ids=["aoi", "tradeoff"])
     def test_bad_solver_options_exit_2(self, tmp_path, capsys, body, command):
         # the tradeoff keeps its own solver budgets but still checks the section
-        body = dict(body, solver={"max_outer": -1})
         if command == "sweep":
-            body["sweep"] = {"k": [2]} if body["experiment"] == "aoi" else {"eta": [1.0]}
-        path = write_config(tmp_path, body)
-        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "bad solver options" in capsys.readouterr().err
+            body = dict(body, sweep={"k": [2]} if body["experiment"] == "aoi" else {"eta": [1.0]})
+        bad = [
+            ({"solver": {"max_outer": -1}}, "bad solver options"),
+            ({"solver": {"max_outer": 2.5}}, "bad solver options"),
+            ({"solver": {"max_outer": True}}, "bad solver options"),
+            ({"solver": {"outer_tol": math.nan}}, "bad solver options"),
+            ({"solver": {"inner_tol": math.inf}}, "bad solver options"),
+            ({"seed": True}, "'seed' must be an integer"),
+        ]
+        for fields, message in bad:
+            path = write_config(tmp_path, dict(body, **fields))
+            code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+            assert code == 2, fields
+            assert message in capsys.readouterr().err, fields
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize(

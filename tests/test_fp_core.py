@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mmfp import fp_core, solver, verify
 from mmfp.errors import DomainError, InvalidInputError
 from mmfp.fp_core import (
-    AuxState,
     MixedFpProblem,
     OuterFunction,
     affine_fractions,
@@ -104,10 +103,10 @@ class TestOptYTilde:
         assert opt_y_tilde(1.0, 4.0, 0.0) == 2.0
 
     def test_safeguard_engages(self):
-        assert opt_y_tilde(0.0, 1.0, 1e-12) == pytest.approx(1e12)
+        assert opt_y_tilde(0.0, 1.0) == 1.0 / fp_core.Y_TILDE_SAFEGUARD
 
     def test_plain_value(self):
-        assert opt_y_tilde(3.0, 9.0, 1e-12) == pytest.approx(1.0)
+        assert opt_y_tilde(3.0, 9.0) == pytest.approx(1.0)
 
     def test_negative_eps_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -214,8 +213,9 @@ class TestOuterFunction:
         assert not OuterFunction.neg_identity().increasing
 
     def test_side_follows_outer_monotonicity(self):
-        # increasing outers get a max-side y, decreasing ones a min-side
-        # y_tilde, each in ratio order, whatever the interleaving
+        # one auxiliary per ratio in ratio order, whatever the interleaving:
+        # a max-side y under an increasing outer, a min-side y_tilde under a
+        # decreasing one
         A = [1.0, 1.0, 9.0, 2.0, 1.0]
         B = [4.0, 4.0, 1.0, 8.0, 0.5]
         problem = _identity_box_problem(
@@ -229,8 +229,22 @@ class TestOuterFunction:
             ],
         )
         aux = problem.update_aux(np.array([1.0]), eps=0.0)
-        assert aux.y.tolist() == [opt_y(1.0, 4.0), opt_y(2.0, 8.0), opt_y(1.0, 0.5)]
-        assert aux.y_tilde.tolist() == [opt_y_tilde(1.0, 4.0, 0.0), opt_y_tilde(9.0, 1.0, 0.0)]
+        assert aux.tolist() == [
+            opt_y_tilde(1.0, 4.0, 0.0),
+            opt_y(1.0, 4.0),
+            opt_y_tilde(9.0, 1.0, 0.0),
+            opt_y(2.0, 8.0),
+            opt_y(1.0, 0.5),
+        ]
+        safeguarded = problem.update_aux(np.array([1.0]))
+        assert safeguarded.tolist() == [
+            opt_y_tilde(1.0, 4.0),
+            opt_y(1.0, 4.0),
+            opt_y_tilde(9.0, 1.0),
+            opt_y(2.0, 8.0),
+            opt_y(1.0, 0.5),
+        ]
+        assert safeguarded[0] != aux[0]  # the safeguard is in effect
         x = np.array([1.0])
         expected = sum(o.evaluate(a / b) for o, a, b in zip(problem.outers, A, B))
         assert problem.surrogate(x, aux)[0] == pytest.approx(expected, rel=1e-12)
@@ -287,9 +301,8 @@ def test_aux_state_matches_closed_forms():
         solver.box_set(np.array([0.0]), np.array([1.0])),
     )
     aux = problem.update_aux(np.array([0.5]), eps=0.0)
-    assert isinstance(aux, AuxState)
-    assert aux.y == pytest.approx([1.0])
-    assert aux.y_tilde == pytest.approx([2.0])
+    assert isinstance(aux, np.ndarray)
+    assert aux == pytest.approx([1.0, 2.0])
 
 
 _MAX_KINDS = ("identity", "log1p", "neg_half_inverse")

@@ -194,7 +194,7 @@ class TestLogRatioMmProblem:
         rng = np.random.default_rng(4)
         problem = self._problem(rng)
         x = rng.uniform(0.2, 0.9, 2)
-        aux = problem.update_aux(x, eps=1e-12)
+        aux = problem.update_aux(x)
         value, _ = problem.surrogate(x, aux)
         assert value == pytest.approx(problem.objective(x), abs=1e-10)
         y = rng.uniform(0.2, 0.9, 2)
@@ -206,7 +206,7 @@ class TestLogRatioMmProblem:
         problem = self._problem(rng)
         x = rng.uniform(0.2, 0.9, 2)
         assert verify.gradient_matches(problem.objective, problem.objective_grad(x), x)
-        aux = problem.update_aux(rng.uniform(0.2, 0.9, 2), eps=1e-12)
+        aux = problem.update_aux(rng.uniform(0.2, 0.9, 2))
         _, gs = problem.surrogate(x, aux)
         assert verify.gradient_matches(lambda z: problem.surrogate(z, aux)[0], gs, x)
 
@@ -221,10 +221,27 @@ class TestLogRatioMmProblem:
         live = ([1.0], 0.5, [0.5], 1.0, 1.0, True)
         problem = _log_ratio_problem([dead, live], solver.box_set(np.zeros(1), np.ones(1)))
         x = np.array([0.0])  # dead row's ratio is 0/1; with weight 0 it must not blow up
-        aux = problem.update_aux(x, eps=1e-12)
+        aux = problem.update_aux(x)
         value, _ = problem.surrogate(x, aux)
         assert np.isfinite(value)
-        assert aux.gammas.gamma.size == 1 and aux.gammas.gamma_tilde.size == 0
+        assert aux.gamma.tolist() == [opt_gamma(0.5, 1.0)] and len(aux.outers) == 1
+
+    def test_gamma_follows_live_row_order(self):
+        # one gamma per positive-weight row, in row order: A/B on a max row,
+        # A/(A+B) on a min row; zero-weight rows are skipped
+        rows = [
+            ([1.0], 0.5, [0.5], 1.0, 1.0, False),
+            ([1.0], 0.0, [1.0], 1.0, 0.0, True),
+            ([2.0], 1.0, [1.0], 2.0, 0.7, True),
+            ([1.0], 0.0, [1.0], 1.0, 0.0, False),
+            ([0.5], 0.5, [1.0], 0.5, 1.3, False),
+        ]
+        problem = _log_ratio_problem(rows, solver.box_set(np.zeros(1), np.ones(1)))
+        x = np.array([0.5])
+        aux = problem.update_aux(x)
+        assert aux.gamma.tolist() == [opt_gamma_tilde(1.0, 1.25), opt_gamma(2.0, 2.5), opt_gamma_tilde(0.75, 1.0)]
+        assert [o.increasing for o in aux.outers] == [False, True, False]
+        assert aux.y.shape == aux.gamma.shape
 
 
 def test_weight_validation():

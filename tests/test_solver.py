@@ -18,7 +18,6 @@ from mmfp.solver import (
     iterations_to_relative_convergence,
     maximize_subproblem,
     project_ball,
-    project_box,
     run_mm,
     stationarity_residual,
 )
@@ -26,19 +25,19 @@ from mmfp.solver import (
 
 class TestProjections:
     def test_box_clamp(self):
-        assert np.allclose(project_box(np.array([2.0, -1.0]), 0.0, 1.0), [1.0, 0.0])
+        assert np.allclose(box_set(0.0, 1.0).project(np.array([2.0, -1.0])), [1.0, 0.0])
 
     def test_box_interior_unchanged(self):
         x = np.array([0.3, 0.7])
-        assert np.allclose(project_box(x, 0.0, 1.0), x)
+        assert np.allclose(box_set(0.0, 1.0).project(x), x)
 
     def test_box_at_lower_bound(self):
         lo = np.array([0.1, 0.2])
-        assert np.allclose(project_box(lo, lo, 1.0), lo)
+        assert np.allclose(box_set(lo, 1.0).project(lo), lo)
 
     def test_box_invalid_bounds(self):
         with pytest.raises(InvalidInputError):
-            project_box(np.zeros(2), 1.0, 0.0)
+            box_set(1.0, 0.0)
 
     def test_ball_inside_unchanged(self):
         x = np.array([3.0, 4.0])
@@ -55,7 +54,7 @@ class TestProjections:
         out = project_ball(z, 1.0)
         assert np.real(np.vdot(out, out)) == pytest.approx(1.0)
 
-    def test_box_set_validates_once_and_matches_project_box(self):
+    def test_box_set_validates_once_and_matches_np_clip(self):
         with pytest.raises(InvalidInputError):
             box_set(np.array([0.0, 2.0]), 1.0)
         rng = np.random.default_rng(8)
@@ -65,7 +64,7 @@ class TestProjections:
             hi = rng.uniform(0.5, 3.0, n)
             x = rng.standard_normal(n) * 3
             got = box_set(lo, hi).project(x)
-            want = project_box(x, lo, hi)
+            want = np.clip(x, lo, hi)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -89,8 +88,9 @@ class TestProjections:
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.standard_normal(4) * 3
-            p1 = project_box(x, -1.0, 1.0)
-            assert np.allclose(project_box(p1, -1.0, 1.0), p1, atol=1e-12)
+            box = box_set(-1.0, 1.0)
+            p1 = box.project(x)
+            assert np.allclose(box.project(p1), p1, atol=1e-12)
             b1 = project_ball(x, 2.0)
             assert np.allclose(project_ball(b1, 2.0), b1, atol=1e-12)
 
@@ -168,7 +168,7 @@ class TestMaximizeSubproblem:
 
     def test_invalid_start_raises(self):
         feasible = FeasibleSet(
-            project=lambda x: project_box(x, 0.0, 1.0),
+            project=box_set(0.0, 1.0).project,
             in_domain=lambda x: bool(np.all(x > 0.5)),
         )
         with pytest.raises(InvalidStartError):
@@ -188,7 +188,7 @@ class TestMaximizeSubproblem:
             return -((x[0] - 0.3) ** 2), np.array([-2 * (x[0] - 0.3)])
 
         feasible = FeasibleSet(
-            project=lambda x: project_box(x, 0.0, 1.0),
+            project=box_set(0.0, 1.0).project,
             in_domain=lambda x: bool(x[0] > 0.25),
         )
         x, _ = maximize_subproblem(fn, feasible, np.array([0.9]), SolveOptions())
@@ -300,7 +300,7 @@ class TestRunMm:
                 self.calls += 1
                 return float(-self.calls)  # strictly decreasing: a bug by construction
 
-            def update_aux(self, x, eps):
+            def update_aux(self, x):
                 return None
 
             def surrogate(self, x, aux):
