@@ -45,8 +45,8 @@ class AoiScenario:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidInputError("need at least one source")
-        if self.mu <= 0:
-            raise InvalidInputError("service rate must be positive")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise InvalidInputError("service rate must be positive and finite")
 
 
 def _loads(rates: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:

@@ -113,7 +113,8 @@ def _solve_options(cfg: dict) -> solver.SolveOptions:
 def _build_aoi(scenario: dict) -> aoi.AoiScenario:
     try:
         return aoi.AoiScenario(k=int(scenario["k"]), mu=float(scenario["mu"]))
-    except (TypeError, ValueError) as exc:  # ill-typed or invalid; InvalidInputError is a ValueError
+    # ill-typed, invalid (InvalidInputError is a ValueError) or too large for a float
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
 
 
@@ -140,12 +141,19 @@ def _build_radar(scenario: dict) -> radar.RadarScenario:
             dbm_to_mw(v) for v in _per_radar(scenario.get("sigma2_dbm", 0.0), m, "sigma2_dbm")
         )
         power = tuple(dbm_to_mw(v) for v in _per_radar(scenario["p_dbm"], m, "p_dbm"))
-        return radar.RadarScenario(
+        sc = radar.RadarScenario(
             n_tx=n_tx, n_rx=n_rx, theta=theta, beta=beta,
             sigma2=sigma2, power=power, l_samples=int(scenario["l_samples"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
+    for m in range(sc.m_radars):
+        if not np.any(radar.response_derivative(sc, m)):
+            raise ConfigError(
+                f"bad scenario: the angle derivative of radar {m}'s response is identically zero "
+                "(zero self-gain, or one antenna on both arrays): its bound is infinite"
+            )
+    return sc
 
 
 def _build_secure(scenario: dict) -> secure.SecureScenario:
@@ -158,7 +166,7 @@ def _build_secure(scenario: dict) -> secure.SecureScenario:
             p_max=dbm_to_mw(float(scenario["p_dbm"])),
             w=np.asarray(scenario.get("w", 1.0), dtype=float),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
 
 

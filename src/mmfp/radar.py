@@ -32,6 +32,7 @@ exactly ``-sum_m 1/J_m``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -74,6 +75,9 @@ class RadarScenario:
             raise InvalidInputError("beta must be M x M")
         if min(self.n_tx) < 1 or min(self.n_rx) < 1:
             raise InvalidInputError("antenna counts must be at least 1")
+        numbers = [*self.theta, *self.sigma2, *self.power, *(v for row in self.beta for v in row)]
+        if not all(cmath.isfinite(v) for v in numbers):
+            raise InvalidInputError("angles, gains, noise powers and power budgets must be finite")
         if min(self.sigma2) <= 0 or min(self.power) <= 0:
             raise InvalidInputError("noise powers and power budgets must be positive")
 
@@ -85,8 +89,9 @@ class RadarScenario:
         return self.l_samples * self.n_tx[m]
 
 
-def benchmark_scenario(p_dbm: float = 30.0, sigma2_mw: float = 1.0) -> RadarScenario:
-    """Five co-channel radars with unit reflection gains (experiment setup)."""
+def benchmark_scenario(p_dbm: float = 30.0) -> RadarScenario:
+    """Five co-channel radars with unit reflection gains and unit noise
+    (experiment setup)."""
     theta = (math.pi / 6, math.pi / 3, math.pi / 4, 2 * math.pi / 5, 3 * math.pi / 7)
     ones = tuple(tuple(1.0 + 0.0j for _ in range(5)) for _ in range(5))
     return RadarScenario(
@@ -94,7 +99,7 @@ def benchmark_scenario(p_dbm: float = 30.0, sigma2_mw: float = 1.0) -> RadarScen
         n_rx=(6, 4, 4, 4, 4),
         theta=theta,
         beta=ones,
-        sigma2=(sigma2_mw,) * 5,
+        sigma2=(1.0,) * 5,
         power=(dbm_to_mw(p_dbm),) * 5,
         l_samples=4,
     )
@@ -135,38 +140,6 @@ def response_derivative(scenario: RadarScenario, m: int) -> np.ndarray:
     return complex(scenario.beta[m][m]) * (np.outer(da_r, a_t) + np.outer(a_r, da_t))
 
 
-def _derivative_lift(scenario: RadarScenario, m: int) -> np.ndarray:
-    """Sample-space lift ``D_m = I_L kron dG_mm`` of the self-derivative."""
-    return np.kron(np.eye(scenario.l_samples), response_derivative(scenario, m))
-
-
-class _Operators:
-    """Sample-space lifts ``T[m][m'] = I_L kron G_mm'`` (``None`` on the
-    diagonal: only cross lifts enter a covariance) and ``D[m] = I_L kron
-    dG_mm``, built once per scenario."""
-
-    def __init__(self, scenario: RadarScenario):
-        eye_l = np.eye(scenario.l_samples)
-        m_radars = scenario.m_radars
-        self.T = [
-            [
-                np.kron(eye_l, response_matrix(scenario, m, mp)) if mp != m else None
-                for mp in range(m_radars)
-            ]
-            for m in range(m_radars)
-        ]
-        self.D = [_derivative_lift(scenario, m) for m in range(m_radars)]
-        self.s_dims = [scenario.waveform_length(m) for m in range(m_radars)]
-        self.f_dims = [scenario.l_samples * scenario.n_rx[m] for m in range(m_radars)]
-        # block layout of the stacked real decision vector [Re s_m; Im s_m]
-        self.blocks = []
-        start = 0
-        for d in self.s_dims:
-            self.blocks.append((start, start + 2 * d))
-            start += 2 * d
-        self.total_real_dim = start
-
-
 def stack_waveforms(waveforms: list[np.ndarray]) -> np.ndarray:
     """Concatenate ``[Re s_m; Im s_m]`` blocks into one real vector."""
     parts = []
@@ -187,103 +160,97 @@ def unstack_waveforms(z: np.ndarray, dims: list[int]) -> list[np.ndarray]:
     return out
 
 
-def _covariance(
-    ops: _Operators,
-    scenario: RadarScenario,
-    waveforms: list[np.ndarray],
-    m: int,
-    u_matrices: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """``K_m`` of the waveforms, or with the PSD lift variables
-    ``u_matrices`` in place of the waveforms' rank-1 outer products."""
-    n = ops.f_dims[m]
-    K = scenario.sigma2[m] * np.eye(n, dtype=complex)
-    for mp in range(scenario.m_radars):
-        if mp == m:
-            continue
-        t = ops.T[m][mp]
-        if u_matrices is None:
-            u = t @ waveforms[mp]
-            K += np.outer(u, u.conj())
-        else:
-            K += t @ u_matrices[mp] @ t.conj().T
-    return K
-
-
-def fisher_information(
-    scenario: RadarScenario, waveforms: list[np.ndarray], m: int
-) -> float:
-    """Likelihood curvature ``2 v^H K^{-1} v`` in radar m's arrival angle.
-
-    Zero when the derivative signal vanishes (the bound is then infinite).
-    """
-    ops = _Operators(scenario)
-    return _fisher(ops, scenario, waveforms, m)
-
-
-def _fisher(
-    ops: _Operators,
-    scenario: RadarScenario,
-    waveforms: list[np.ndarray],
-    m: int,
-    u_matrices: list[np.ndarray] | None = None,
-) -> float:
-    v = ops.D[m] @ waveforms[m]
-    if np.linalg.norm(v) == 0.0:
-        return 0.0
-    K = _covariance(ops, scenario, waveforms, m, u_matrices)
-    return 2.0 * float(np.real(v.conj() @ np.linalg.solve(K, v)))
-
-
-def sum_crb(scenario: RadarScenario, waveforms: list[np.ndarray]) -> float:
-    """Sum of the per-radar estimator-variance lower bounds ``1/J_m``."""
-    ops = _Operators(scenario)
-    return _sum_crb(ops, scenario, waveforms)
-
-
-def _sum_crb(
-    ops: _Operators,
-    scenario: RadarScenario,
-    waveforms: list[np.ndarray],
-    u_matrices: list[np.ndarray] | None = None,
-) -> float:
-    total = 0.0
-    for m in range(scenario.m_radars):
-        j = _fisher(ops, scenario, waveforms, m, u_matrices)
-        if j <= 0.0:
-            return math.inf
-        total += 1.0 / j
-    return total
-
-
 @dataclass(frozen=True)
 class RadarAux:
     """Frozen auxiliaries plus per-term constants for fast bracket evaluation.
 
-    ``affine[m] = D_m^H Y_m``; ``cross[m][m'] = T_mm'^H Y_m`` (m' != m);
-    ``noise[m] = sigma_m^2 ||Y_m||^2``.
+    ``affine[m] = D_m^H Y_m``; ``cross[m][m'] = T_mm'^H Y_m``, keyed like
+    ``T[m]``; ``noise[m] = sigma_m^2 ||Y_m||^2``.
     """
 
     Y: list[np.ndarray]
     affine: list[np.ndarray]
-    cross: list[list[np.ndarray | None]]
+    cross: list[dict[int, np.ndarray]]
     noise: list[float]
 
 
 class RadarMmProblem:
-    """Driver-protocol problem over the stacked real waveform coordinates."""
+    """The radar bound-sum program over the stacked real waveform
+    coordinates: its sample-space lifts, the bound and the driver protocol.
+
+    ``T[m]`` maps each other radar ``m'`` (ascending) to the cross lift
+    ``I_L kron G_mm'``; only cross lifts enter a covariance. ``D[m] = I_L
+    kron dG_mm`` is the derivative lift. Both are built once here.
+    """
 
     def __init__(self, scenario: RadarScenario):
         self.scenario = scenario
-        self.ops = _Operators(scenario)
-        self.feasible = block_ball_set(self.ops.blocks, list(scenario.power))
+        radars = range(scenario.m_radars)
+        eye_l = np.eye(scenario.l_samples)
+        self.T = [
+            {mp: np.kron(eye_l, response_matrix(scenario, m, mp)) for mp in [*radars[:m], *radars[m + 1 :]]}
+            for m in radars
+        ]
+        self.D = [np.kron(eye_l, response_derivative(scenario, m)) for m in radars]
+        self.s_dims = [scenario.waveform_length(m) for m in radars]
+        # block layout of the stacked real decision vector [Re s_m; Im s_m]
+        ends = np.cumsum([2 * d for d in self.s_dims]).tolist()
+        self.total_real_dim = ends[-1]
+        self.feasible = block_ball_set(list(zip([0, *ends[:-1]], ends)), list(scenario.power))
+
+    def covariance(self, waveforms: list[np.ndarray], m: int, lifts: list | None = None) -> np.ndarray:
+        """``K_m`` of the waveforms, or with the PSD lift variables ``lifts``
+        in place of the waveforms' rank-1 outer products."""
+        K = self.scenario.sigma2[m] * np.eye(self.D[m].shape[0], dtype=complex)
+        for mp, t in self.T[m].items():
+            if lifts is None:
+                u = t @ waveforms[mp]
+                K += np.outer(u, u.conj())
+            else:
+                K += t @ lifts[mp] @ t.conj().T
+        return K
+
+    def fisher(self, waveforms: list[np.ndarray], m: int, lifts: list | None = None) -> float:
+        """Likelihood curvature ``2 v^H K^{-1} v`` in radar m's arrival angle.
+
+        Zero when the derivative signal vanishes (the bound is then infinite).
+        """
+        v = self.D[m] @ waveforms[m]
+        if np.linalg.norm(v) == 0.0:
+            return 0.0
+        K = self.covariance(waveforms, m, lifts)
+        return 2.0 * float(np.real(v.conj() @ np.linalg.solve(K, v)))
+
+    def sum_crb(self, waveforms: list[np.ndarray], lifts: list | None = None) -> float:
+        """Sum of the per-radar estimator-variance lower bounds ``1/J_m``."""
+        total = 0.0
+        for m in range(self.scenario.m_radars):
+            j = self.fisher(waveforms, m, lifts)
+            if j <= 0.0:
+                return math.inf
+            total += 1.0 / j
+        return total
+
+    def initial_waveforms(self, seed: int = 0) -> list[np.ndarray]:
+        """Flat max-power start, perturbed only if the derivative signal is
+        degenerate there."""
+        rng = np.random.default_rng(seed)
+        waveforms = []
+        for n, d, power in zip(self.s_dims, self.D, self.scenario.power):
+            s = np.full(n, math.sqrt(power / n), dtype=complex)
+            d_scale = np.linalg.norm(d, "fro") * np.linalg.norm(s)
+            if np.linalg.norm(d @ s) <= 1e-12 * max(d_scale, 1e-300):
+                noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                s = s + 1e-3 * np.linalg.norm(s) * noise / np.linalg.norm(noise)
+                s = project_ball(s, power)
+            waveforms.append(s)
+        return waveforms
 
     def split(self, z: np.ndarray) -> list[np.ndarray]:
-        return unstack_waveforms(np.asarray(z, dtype=float), self.ops.s_dims)
+        return unstack_waveforms(np.asarray(z, dtype=float), self.s_dims)
 
     def objective(self, z: np.ndarray) -> float:
-        val = _sum_crb(self.ops, self.scenario, self.split(z))
-        return -val  # maximization convention
+        return -self.sum_crb(self.split(z))  # maximization convention
 
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
         """Gradient of :meth:`objective`: the surrogate is a smooth
@@ -296,36 +263,22 @@ class RadarMmProblem:
 
     def update_aux(self, z: np.ndarray) -> RadarAux:
         waveforms = self.split(z)
-        m_radars = self.scenario.m_radars
-        Y = []
-        for m in range(m_radars):
-            K = _covariance(self.ops, self.scenario, waveforms, m)
-            Y.append(np.linalg.solve(K, self.ops.D[m] @ waveforms[m]))
-        affine = [self.ops.D[m].conj().T @ Y[m] for m in range(m_radars)]
-        cross: list[list[np.ndarray | None]] = [
-            [
-                self.ops.T[m][mp].conj().T @ Y[m] if mp != m else None
-                for mp in range(m_radars)
-            ]
-            for m in range(m_radars)
-        ]
-        noise = [
-            self.scenario.sigma2[m] * float(np.real(np.vdot(Y[m], Y[m])))
-            for m in range(m_radars)
-        ]
+        radars = range(self.scenario.m_radars)
+        Y = [np.linalg.solve(self.covariance(waveforms, m), self.D[m] @ waveforms[m]) for m in radars]
+        affine = [self.D[m].conj().T @ Y[m] for m in radars]
+        cross = [{mp: t.conj().T @ Y[m] for mp, t in self.T[m].items()} for m in radars]
+        noise = [self.scenario.sigma2[m] * float(np.real(np.vdot(Y[m], Y[m]))) for m in radars]
         return RadarAux(Y=Y, affine=affine, cross=cross, noise=noise)
 
-    def _brackets(self, waveforms: list[np.ndarray], aux: RadarAux) -> tuple[np.ndarray, list[list]]:
+    def _brackets(self, waveforms: list[np.ndarray], aux: RadarAux) -> tuple[np.ndarray, list[dict]]:
         """Per-radar brackets ``q_m`` and the cross dots they use,
-        ``dots[m][m'] = cross[m][m']^H s_m'`` (``None`` on the diagonal)."""
-        radars = range(self.scenario.m_radars)
-        dots = [[np.vdot(aux.cross[m][mp], waveforms[mp]) if mp != m else None for mp in radars] for m in radars]
-        q = np.empty(len(radars))
-        for m in radars:
+        ``dots[m][m'] = cross[m][m']^H s_m'``, keyed like ``T[m]``."""
+        dots = [{mp: np.vdot(a, waveforms[mp]) for mp, a in cross.items()} for cross in aux.cross]
+        q = np.empty(len(dots))
+        for m, dots_m in enumerate(dots):
             val = 2.0 * float(np.real(np.vdot(aux.affine[m], waveforms[m]))) - aux.noise[m]
-            for mp in radars:
-                if mp != m:
-                    val -= abs(dots[m][mp]) ** 2
+            for d in dots_m.values():
+                val -= abs(d) ** 2
             q[m] = val
         return q, dots
 
@@ -336,31 +289,16 @@ class RadarMmProblem:
             return -math.inf, None
         value = float(np.sum(-0.5 / q))
         weights = 0.5 / (q * q)  # d(-1/(2q))/dq
-        m_radars = self.scenario.m_radars
-        grad_c = [weights[m] * aux.affine[m] for m in range(m_radars)]
-        for m in range(m_radars):
-            for mp in range(m_radars):
-                if mp != m:
-                    grad_c[mp] -= weights[m] * aux.cross[m][mp] * dots[m][mp]
+        grad_c = [weights[m] * a for m, a in enumerate(aux.affine)]
+        for m, cross in enumerate(aux.cross):
+            for mp, a in cross.items():
+                grad_c[mp] -= weights[m] * a * dots[m][mp]
         return value, 2.0 * stack_waveforms(grad_c)
 
 
-def initial_waveforms(scenario: RadarScenario, seed: int = 0) -> list[np.ndarray]:
-    """Flat max-power start, perturbed only if the derivative signal is
-    degenerate there."""
-    rng = np.random.default_rng(seed)
-    waveforms = []
-    for m in range(scenario.m_radars):
-        n = scenario.waveform_length(m)
-        s = np.full(n, math.sqrt(scenario.power[m] / n), dtype=complex)
-        d = _derivative_lift(scenario, m)
-        d_scale = np.linalg.norm(d, "fro") * np.linalg.norm(s)
-        if np.linalg.norm(d @ s) <= 1e-12 * max(d_scale, 1e-300):
-            noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            s = s + 1e-3 * np.linalg.norm(s) * noise / np.linalg.norm(noise)
-            s = project_ball(s, scenario.power[m])
-        waveforms.append(s)
-    return waveforms
+def sum_crb(scenario: RadarScenario, waveforms: list[np.ndarray]) -> float:
+    """Sum of the per-radar estimator-variance lower bounds ``1/J_m``."""
+    return RadarMmProblem(scenario).sum_crb(waveforms)
 
 
 def run_algorithm2(
@@ -370,21 +308,6 @@ def run_algorithm2(
     (positive, nonincreasing) per outer iteration."""
     opts = opts or SolveOptions()
     problem = RadarMmProblem(scenario)
-    z0 = stack_waveforms(initial_waveforms(scenario, seed=opts.seed))
+    z0 = stack_waveforms(problem.initial_waveforms(seed=opts.seed))
     z, trace = run_mm(problem, z0, opts)
     return problem.split(z), trace.negated()
-
-
-def lifted_covariance(
-    scenario: RadarScenario, u_matrices: list[np.ndarray], m: int
-) -> np.ndarray:
-    """Covariance with the rank-1 waveform outer products replaced by
-    arbitrary PSD lift variables (consistency checks)."""
-    return _covariance(_Operators(scenario), scenario, [], m, u_matrices)
-
-
-def lifted_sum_crb(
-    scenario: RadarScenario, waveforms: list[np.ndarray], u_matrices: list[np.ndarray]
-) -> float:
-    """Bound sum evaluated with the lifted covariance variables."""
-    return _sum_crb(_Operators(scenario), scenario, waveforms, u_matrices)

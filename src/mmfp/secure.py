@@ -68,6 +68,9 @@ class SecureScenario:
         object.__setattr__(self, "w", np.broadcast_to(np.asarray(self.w, dtype=float), (self.h2.shape[0],)).copy())
         if self.ht2.shape[0] > self.h2.shape[0]:
             raise InvalidInputError("cannot have more eavesdroppers than cells")
+        arrays = (self.h2, self.ht2, self.sigma2, self.sigma2_tilde, self.w)
+        if not (all(np.all(np.isfinite(a)) for a in arrays) and math.isfinite(self.p_max)):
+            raise InvalidInputError("gains, noise powers, power cap and weights must be finite")
         if np.any(self.h2 < 0) or np.any(self.ht2 < 0):
             raise InvalidInputError("channel gains must be nonnegative")
         if np.any(np.diag(self.h2) <= 0):

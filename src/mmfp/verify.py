@@ -329,20 +329,23 @@ def matrix_sandwich(terms, x, anchor) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _five_point(f, x: float, h: float) -> float:
+    """Fourth-order central difference ``f'(x)``."""
+    return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+
+
 def closed_forms_stationary(A, B, w) -> bool:
     """``opt_gamma`` and ``opt_gamma_tilde`` are stationary points of the
     zetas and recover ``+/- w ln(1 + A/B)``."""
     g = ld.opt_gamma(A, B)
     gt = ld.opt_gamma_tilde(A, B)
-    h = 1e-6 * (1 + g)
-    d_plus = (ld.zeta_plus(w, g + h, A, B) - ld.zeta_plus(w, g - h, A, B)) / (2 * h)
+    d_plus = _five_point(lambda t: ld.zeta_plus(w, t, A, B), g, 1e-4 * (1 + g))
     # step must shrink with the distance to the log singularity at 1
-    h = 1e-5 * (1 - gt)
-    d_minus = (ld.zeta_minus(w, gt + h, A, B) - ld.zeta_minus(w, gt - h, A, B)) / (2 * h)
+    d_minus = _five_point(lambda t: ld.zeta_minus(w, t, A, B), gt, 1e-4 * (1 - gt))
     log = w * math.log1p(A / B)
     tol = 1e-12 * w * (1 + A / B)
     return (
-        max(abs(d_plus), abs(d_minus)) <= 1e-8 * w
+        max(abs(d_plus), abs(d_minus)) <= 1e-8 * min(w, 1.0)
         and abs(ld.zeta_plus(w, g, A, B) - log) <= tol
         and abs(ld.zeta_minus(w, gt, A, B) + log) <= tol
     )
@@ -415,15 +418,16 @@ def bracket_is_half_curvature(sc, waveforms) -> bool:
     half its Fisher information."""
     problem = radar.RadarMmProblem(sc)
     q, _ = problem._brackets(waveforms, problem.update_aux(radar.stack_waveforms(waveforms)))
-    half = np.array([radar.fisher_information(sc, waveforms, m) for m in range(sc.m_radars)]) / 2
+    half = np.array([problem.fisher(waveforms, m) for m in range(sc.m_radars)]) / 2
     return bool(np.all(np.abs(q - half) <= 1e-10 * np.maximum(np.abs(half), 1e-12)))
 
 
 def lift_reproduces_objective(sc, waveforms) -> bool:
     """The rank-1 lifts give the same bound sum, and each ``[[s s^H, s],
     [s^H, 1]]`` block is PSD."""
-    direct = radar.sum_crb(sc, waveforms)
-    lifted = radar.lifted_sum_crb(sc, waveforms, [np.outer(s, s.conj()) for s in waveforms])
+    problem = radar.RadarMmProblem(sc)
+    direct = problem.sum_crb(waveforms)
+    lifted = problem.sum_crb(waveforms, [np.outer(s, s.conj()) for s in waveforms])
     if abs(direct - lifted) > max(1e-10 * abs(direct), 1e-12):
         return False
     blocks = (np.block([[np.outer(s, s.conj()), s[:, None]], [s.conj()[None, :], np.ones((1, 1))]]) for s in waveforms)
@@ -449,7 +453,7 @@ def response_derivative_matches(sc: radar.RadarScenario, m: int) -> bool:
 
 def _random_radar_point(rng: np.random.Generator):
     problem = radar.RadarMmProblem(random_radar_scenario(rng))
-    return problem, problem.feasible.project(rng.standard_normal(problem.ops.total_real_dim))
+    return problem, problem.feasible.project(rng.standard_normal(problem.total_real_dim))
 
 
 def _radar_derivatives(problem, z) -> bool:

@@ -66,6 +66,8 @@ TRADEOFF_SMALL = {
     },
 }
 
+SECURE_TWO_CELLS = dict(TRADEOFF_SMALL, experiment="secure")
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.yaml")))
@@ -184,9 +186,30 @@ class TestRunCommand:
             (AOI_SMALL, "k", "abc"),
             (RADAR_SMALL, "n_tx", 2),
             (RADAR_SMALL, "beta", [["abc"]]),
-            (dict(TRADEOFF_SMALL, experiment="secure"), "h2", 2),
+            (SECURE_TWO_CELLS, "h2", 2),
+            # non-finite numbers, and powers too large for a float
+            (AOI_SMALL, "mu", math.nan),
+            (AOI_SMALL, "mu", math.inf),
+            (SECURE_TWO_CELLS, "p_dbm", math.nan),
+            (SECURE_TWO_CELLS, "p_dbm", math.inf),
+            (SECURE_TWO_CELLS, "p_dbm", 4000.0),
+            (SECURE_TWO_CELLS, "h2", [[math.nan, 0.1], [0.09, 0.87]]),
+            (SECURE_TWO_CELLS, "w", [math.nan, 1.0]),
+            (RADAR_SMALL, "p_dbm", math.nan),
+            (RADAR_SMALL, "p_dbm", math.inf),
+            (RADAR_SMALL, "p_dbm", 4000.0),
+            (RADAR_SMALL, "theta_pi", [math.nan]),
+            (RADAR_SMALL, "sigma2_dbm", math.nan),
+            (RADAR_SMALL, "beta", math.nan),
         ],
-        ids=["aoi-k-string", "radar-n_tx-number", "radar-beta-string", "secure-h2-number"],
+        ids=[
+            "aoi-k-string", "radar-n_tx-number", "radar-beta-string", "secure-h2-number",
+            "aoi-mu-nan", "aoi-mu-inf",
+            "secure-p_dbm-nan", "secure-p_dbm-inf", "secure-p_dbm-4000", "secure-h2-entry-nan",
+            "secure-w-entry-nan",
+            "radar-p_dbm-nan", "radar-p_dbm-inf", "radar-p_dbm-4000", "radar-theta_pi-entry-nan",
+            "radar-sigma2_dbm-nan", "radar-beta-nan",
+        ],
     )
     def test_ill_typed_scenario_value_exits_2(self, tmp_path, capsys, body, key, value, command):
         body = dict(body, scenario=dict(body["scenario"], **{key: value}))
@@ -197,6 +220,24 @@ class TestRunCommand:
         code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config error: bad scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "fields",
+        [{"beta": 0.0}, {"beta": [[0.0, 1.0], [1.0, 1.0]]}, {"n_tx": [1, 2], "n_rx": [1, 2]}],
+        ids=["all-gains-zero", "self-gain-zero", "single-antenna-arrays"],
+    )
+    def test_zero_angle_derivative_exits_2(self, tmp_path, capsys, fields, command):
+        # radar 0's response does not move with its angle, so its bound is
+        # infinite for every waveform
+        scenario = dict(RADAR_SMALL["scenario"], n_tx=[2, 2], n_rx=[2, 2], theta_pi=[0.15, 0.3])
+        body = dict(RADAR_SMALL, scenario=dict(scenario, **fields))
+        if command == "sweep":
+            body["sweep"] = {"p_dbm": [10.0]}
+        path = write_config(tmp_path, body)
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "angle derivative of radar 0's response is identically zero" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, body",

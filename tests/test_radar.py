@@ -9,9 +9,6 @@ from mmfp.radar import (
     RadarMmProblem,
     RadarScenario,
     benchmark_scenario,
-    fisher_information,
-    initial_waveforms,
-    lifted_covariance,
     response_derivative,
     response_matrix,
     run_algorithm2,
@@ -104,26 +101,22 @@ class TestResponse:
             assert verify.response_derivative_matches(sc, m)
 
 
-def covariance(sc, waveforms, m):
-    """Interference-plus-noise covariance at radar m: the lifted covariance
-    at the rank-1 lifts of the waveforms."""
-    return lifted_covariance(sc, [np.outer(s, s.conj()) for s in waveforms], m)
-
-
-def aux_y(sc, waveforms, m):
-    return RadarMmProblem(sc).update_aux(stack_waveforms(waveforms)).Y[m]
+def rank1_lifts(waveforms):
+    """The lift variables ``s s^H`` at which the lifted covariance is the
+    interference-plus-noise covariance of the waveforms."""
+    return [np.outer(s, s.conj()) for s in waveforms]
 
 
 class TestCovariance:
     def test_single_radar_is_noise_only(self):
-        sc = tiny_scenario()
-        K = covariance(sc, [np.array([1.0 + 0j])], 0)
+        s = [np.array([1.0 + 0j])]
+        K = RadarMmProblem(tiny_scenario()).covariance(s, 0, rank1_lifts(s))
         assert np.allclose(K, np.eye(2))
 
     def test_zero_waveforms(self):
         sc = two_radar_scenario()
         waveforms = [np.zeros(sc.waveform_length(m), dtype=complex) for m in range(2)]
-        K = covariance(sc, waveforms, 0)
+        K = RadarMmProblem(sc).covariance(waveforms, 0, rank1_lifts(waveforms))
         assert np.allclose(K, sc.sigma2[0] * np.eye(K.shape[0]))
 
     def test_positive_definite_with_interference(self):
@@ -133,24 +126,24 @@ class TestCovariance:
             rng.standard_normal(sc.waveform_length(m)) + 1j * rng.standard_normal(sc.waveform_length(m))
             for m in range(2)
         ]
-        K = covariance(sc, waveforms, 1)
+        K = RadarMmProblem(sc).covariance(waveforms, 1, rank1_lifts(waveforms))
         assert np.linalg.eigvalsh(K).min() >= sc.sigma2[1] - 1e-12
 
 
 class TestFisherInformation:
     def test_hand_evaluated_two_element_array(self):
-        sc = tiny_scenario()
+        problem = RadarMmProblem(tiny_scenario())
         s = [np.array([1.0 + 0j])]
-        assert fisher_information(sc, s, 0) == pytest.approx(2 * math.pi**2)
-        assert sum_crb(sc, s) == pytest.approx(1.0 / (2 * math.pi**2))
+        assert problem.fisher(s, 0) == pytest.approx(2 * math.pi**2)
+        assert problem.sum_crb(s) == pytest.approx(1.0 / (2 * math.pi**2))
 
     def test_zero_derivative_gives_infinite_bound(self):
         # single-antenna arrays have a constant response: the angle
         # derivative is exactly zero
-        sc = tiny_scenario(n_rx=(1,))
+        problem = RadarMmProblem(tiny_scenario(n_rx=(1,)))
         s = [np.array([1.0 + 0j])]
-        assert fisher_information(sc, s, 0) == 0.0
-        assert sum_crb(sc, s) == math.inf
+        assert problem.fisher(s, 0) == 0.0
+        assert problem.sum_crb(s) == math.inf
 
     def test_endfire_bound_is_effectively_infinite(self):
         # cos(pi/2) is 6e-17 in floats, so the curvature is astronomically
@@ -160,11 +153,9 @@ class TestFisherInformation:
         assert sum_crb(sc, s) > 1e25
 
     def test_quadratic_power_scaling_without_interference(self):
-        sc = tiny_scenario(power=(100.0,))
-        s = [np.array([1.0 + 0j])]
-        scaled = [np.array([3.0 + 0j])]
-        j1 = fisher_information(sc, s, 0)
-        j2 = fisher_information(sc, scaled, 0)
+        problem = RadarMmProblem(tiny_scenario(power=(100.0,)))
+        j1 = problem.fisher([np.array([1.0 + 0j])], 0)
+        j2 = problem.fisher([np.array([3.0 + 0j])], 0)
         assert j2 == pytest.approx(9.0 * j1)
 
 
@@ -172,9 +163,9 @@ class TestAuxAndSubproblem:
     def test_aux_single_radar(self):
         sc = tiny_scenario()
         s = [np.array([1.0 + 0j])]
-        y = aux_y(sc, s, 0)
-        ops_d = np.kron(np.eye(1), response_derivative(sc, 0))
-        assert np.allclose(y, (ops_d @ s[0]) / sc.sigma2[0])
+        y = RadarMmProblem(sc).update_aux(stack_waveforms(s)).Y[0]
+        d = np.kron(np.eye(1), response_derivative(sc, 0))
+        assert np.allclose(y, (d @ s[0]) / sc.sigma2[0])
 
     def test_aux_matches_matrix_module_auxiliary(self):
         # Y = K^{-1} v is the width-1 case of the matrix auxiliary B^{-1} sqrtA
@@ -186,10 +177,12 @@ class TestAuxAndSubproblem:
             rng.standard_normal(sc.waveform_length(m)) + 1j * rng.standard_normal(sc.waveform_length(m))
             for m in range(2)
         ]
+        problem = RadarMmProblem(sc)
+        aux = problem.update_aux(stack_waveforms(waveforms))
         for m in range(2):
-            y = aux_y(sc, waveforms, m)
+            y = aux.Y[m]
             v = np.kron(np.eye(sc.l_samples), response_derivative(sc, m)) @ waveforms[m]
-            k_mat = covariance(sc, waveforms, m)
+            k_mat = problem.covariance(waveforms, m, rank1_lifts(waveforms))
             y_matrix = fp_matrix.opt_y(v[:, None], k_mat)
             assert np.allclose(y[:, None], y_matrix, atol=1e-12)
 
@@ -204,7 +197,7 @@ class TestAuxAndSubproblem:
         problem = RadarMmProblem(sc)
         aux = problem.update_aux(stack_waveforms(waveforms))
         value, _ = problem.surrogate(stack_waveforms(waveforms), aux)
-        assert value == pytest.approx(-sum_crb(sc, waveforms), rel=1e-10)
+        assert value == pytest.approx(-problem.sum_crb(waveforms), rel=1e-10)
 
     def test_bracket_away_from_anchor_equals_matrix_q_plus(self):
         # the hand-coded bracket is the width-1 matrix max-side bracket
@@ -217,7 +210,7 @@ class TestAuxAndSubproblem:
             sc = verify.random_radar_scenario(rng)
             problem = RadarMmProblem(sc)
             anchor, z = (
-                problem.feasible.project(rng.standard_normal(problem.ops.total_real_dim))
+                problem.feasible.project(rng.standard_normal(problem.total_real_dim))
                 for _ in range(2)
             )
             aux = problem.update_aux(anchor)
@@ -225,7 +218,7 @@ class TestAuxAndSubproblem:
             q, _ = problem._brackets(waveforms, aux)
             for m in range(sc.m_radars):
                 v = np.kron(np.eye(sc.l_samples), response_derivative(sc, m)) @ waveforms[m]
-                k_mat = covariance(sc, waveforms, m)
+                k_mat = problem.covariance(waveforms, m, rank1_lifts(waveforms))
                 y = aux.Y[m][:, None]
                 ref = fp_matrix.q_plus(v[:, None], k_mat, y)[0, 0].real
                 scale = 2 * abs(np.vdot(y, v)) + np.vdot(y, k_mat @ y).real
@@ -239,7 +232,7 @@ class TestAuxAndSubproblem:
         rng = np.random.default_rng(6)
         for sc in [benchmark_scenario()] * 5 + [verify.random_radar_scenario(rng) for _ in range(100)]:
             problem = RadarMmProblem(sc)
-            dim = problem.ops.total_real_dim
+            dim = problem.total_real_dim
             anchor = problem.feasible.project(rng.standard_normal(dim))
             z = problem.feasible.project(anchor + 0.1 * rng.standard_normal(dim))
             aux = problem.update_aux(anchor)
@@ -261,7 +254,7 @@ class TestAuxAndSubproblem:
         sc = two_radar_scenario()
         problem = RadarMmProblem(sc)
         rng = np.random.default_rng(3)
-        z = problem.feasible.project(rng.standard_normal(problem.ops.total_real_dim))
+        z = problem.feasible.project(rng.standard_normal(problem.total_real_dim))
         aux = problem.update_aux(z)
         _, g = problem.surrogate(z, aux)
         assert verify.gradient_matches(lambda t: problem.surrogate(t, aux)[0], g, z)
@@ -269,7 +262,7 @@ class TestAuxAndSubproblem:
         rng = np.random.default_rng(11)
         for _ in range(30):
             problem = RadarMmProblem(verify.random_radar_scenario(rng))
-            z = problem.feasible.project(rng.standard_normal(problem.ops.total_real_dim))
+            z = problem.feasible.project(rng.standard_normal(problem.total_real_dim))
             g_fd = solver.central_diff_grad(problem.objective, z)
             g = problem.objective_grad(z)
             assert np.max(np.abs(g - g_fd)) <= 1e-6 * np.max(np.abs(g_fd))
@@ -278,7 +271,7 @@ class TestAuxAndSubproblem:
         sc = two_radar_scenario()
         problem = RadarMmProblem(sc)
         rng = np.random.default_rng(4)
-        z = problem.feasible.project(rng.standard_normal(problem.ops.total_real_dim))
+        z = problem.feasible.project(rng.standard_normal(problem.total_real_dim))
         aux = problem.update_aux(z)
         value, grad = problem.surrogate(np.zeros_like(z), aux)
         assert value == -math.inf and grad is None
@@ -298,7 +291,7 @@ class TestAlgorithm2:
         assert align >= 1.0 - 1e-9
         assert np.real(np.vdot(s, s)) == pytest.approx(100.0, rel=1e-9)
         j_max = 2.0 * w[-1] * 100.0 / sc.sigma2[0]
-        assert fisher_information(sc, waveforms, 0) == pytest.approx(j_max, rel=1e-9)
+        assert RadarMmProblem(sc).fisher(waveforms, 0) == pytest.approx(j_max, rel=1e-9)
 
     def test_trace_monotone_and_powers_saturate(self):
         sc = two_radar_scenario()
@@ -325,7 +318,7 @@ class TestStackHelpers:
 
     def test_initial_waveforms_are_feasible_and_nondegenerate(self):
         sc = benchmark_scenario(30.0)
-        waveforms = initial_waveforms(sc)
+        waveforms = RadarMmProblem(sc).initial_waveforms()
         for m, s in enumerate(waveforms):
             assert np.real(np.vdot(s, s)) <= sc.power[m] + 1e-9
             d = np.kron(np.eye(sc.l_samples), response_derivative(sc, m))
