@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .fp_core import MixedFpProblem, OuterFunction
-from .solver import IterationTrace, SolveOptions, box_set, grid_argmax, run_mm
+from .solver import IterationTrace, SolveOptions, box_set, grid_search, run_mm
 
 # Rates at or below this fraction of mu are outside the open domain: the
 # average age diverges as lambda_k -> 0.
@@ -153,57 +153,21 @@ def baseline_max_rate(scenario: AoiScenario) -> tuple[np.ndarray, float]:
 
 
 def baseline_equal_rate(scenario: AoiScenario) -> tuple[np.ndarray, float]:
-    """Best common rate: dense 1-D grid scan plus golden-section refinement."""
-    mu = scenario.mu
-    n = 10_000  # grid step mu / n
-    lam = mu * np.arange(1, n + 1) / n
-    values = _sum_aoi_batch(np.repeat(lam[:, None], scenario.k, axis=1), mu)
-    i_best = int(np.argmin(values))
-    lo = lam[max(i_best - 1, 0)]
-    hi = lam[min(i_best + 1, n - 1)]
-
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-
-    def f(v: float) -> float:
-        return sum_aoi(np.full(scenario.k, v), mu)
-
-    fc, fd = f(c), f(d)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    best = (a + b) / 2.0
-    if f(best) > values[i_best]:
-        best = float(lam[i_best])
-    return np.full(scenario.k, best), f(best)
+    """Best common rate, by :func:`~mmfp.solver.grid_search` on a grid of
+    step ``mu/10,000`` refined six times."""
+    mu, k = scenario.mu, scenario.k
+    best, neg_age = grid_search(0.0, mu, mu / 10_000, 1, lambda v: -_sum_aoi_batch(np.repeat(v, k, axis=1), mu), 6)
+    return np.repeat(best, k), -neg_age
 
 
-def oracle_grid(scenario: AoiScenario, refine_rounds: int = 3) -> tuple[np.ndarray, float]:
-    """Exhaustive grid search over the rate box, then local refinement; each
-    grid is scanned in fixed-size blocks (:func:`~mmfp.solver.grid_argmax`).
+def oracle_grid(scenario: AoiScenario) -> tuple[np.ndarray, float]:
+    """Exhaustive search over the rate box by :func:`~mmfp.solver.grid_search`:
+    51 points per rate, then three refinements.
 
     Cost grows exponentially in ``K``; refuses ``K > 3``.
     """
     if scenario.k > 3:
         raise InvalidInputError("exhaustive search is limited to K <= 3")
     mu = scenario.mu
-
-    def neg_age(rate_rows: np.ndarray) -> np.ndarray:
-        return -_sum_aoi_batch(rate_rows, mu)
-
-    step = 0.02 * mu
-    best, best_neg = grid_argmax([np.arange(step, mu + step / 2, step)] * scenario.k, neg_age)
-    for _ in range(refine_rounds):
-        step /= 10.0
-        rates, neg = grid_argmax([np.clip(b + step * np.arange(-10, 11), 1e-9 * mu, mu) for b in best], neg_age)
-        if neg > best_neg:
-            best, best_neg = rates, neg
-    return best, -best_neg
+    best, neg_age = grid_search(0.0, mu, 0.02 * mu, scenario.k, lambda rows: -_sum_aoi_batch(rows, mu), 3)
+    return best, -neg_age

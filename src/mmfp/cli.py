@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import numbers
 import os
 import sys
 from dataclasses import astuple, dataclass, fields
@@ -110,9 +111,17 @@ def _solve_options(cfg: dict) -> solver.SolveOptions:
         raise ConfigError(f"bad solver options: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """A count field: an int (numpy ints too), never a bool or a float to
+    truncate."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _build_aoi(scenario: dict) -> aoi.AoiScenario:
     try:
-        return aoi.AoiScenario(k=int(scenario["k"]), mu=float(scenario["mu"]))
+        return aoi.AoiScenario(k=_integer(scenario["k"]), mu=float(scenario["mu"]))
     # ill-typed, invalid (InvalidInputError is a ValueError) or too large for a float
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
@@ -128,8 +137,8 @@ def _per_radar(value, m: int, name: str) -> tuple[float, ...]:
 
 def _build_radar(scenario: dict) -> radar.RadarScenario:
     try:
-        n_tx = tuple(int(v) for v in scenario["n_tx"])
-        n_rx = tuple(int(v) for v in scenario["n_rx"])
+        n_tx = tuple(_integer(v) for v in scenario["n_tx"])
+        n_rx = tuple(_integer(v) for v in scenario["n_rx"])
         m = len(n_tx)
         theta = tuple(math.pi * float(v) for v in scenario["theta_pi"])
         beta_cfg = scenario.get("beta", 1.0)
@@ -143,15 +152,18 @@ def _build_radar(scenario: dict) -> radar.RadarScenario:
         power = tuple(dbm_to_mw(v) for v in _per_radar(scenario["p_dbm"], m, "p_dbm"))
         sc = radar.RadarScenario(
             n_tx=n_tx, n_rx=n_rx, theta=theta, beta=beta,
-            sigma2=sigma2, power=power, l_samples=int(scenario["l_samples"]),
+            sigma2=sigma2, power=power, l_samples=_integer(scenario["l_samples"]),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
     for m in range(sc.m_radars):
-        if not np.any(radar.response_derivative(sc, m)):
+        # |dG_mm| <= pi*(n_tx+n_rx)*|cos theta_m|*|G_mm|, so this fires at
+        # endfire, where cos(pi/2) = 6e-17 leaves rounding in the derivative
+        scale = math.pi * (sc.n_tx[m] + sc.n_rx[m]) * np.linalg.norm(radar.response_matrix(sc, m, m))
+        if np.linalg.norm(radar.response_derivative(sc, m)) <= 1e-12 * scale:
             raise ConfigError(
-                f"bad scenario: the angle derivative of radar {m}'s response is identically zero "
-                "(zero self-gain, or one antenna on both arrays): its bound is infinite"
+                f"bad scenario: the angle derivative of radar {m}'s response is zero to rounding "
+                "(zero self-gain, one antenna on both arrays, or an endfire angle): its bound is infinite"
             )
     return sc
 
@@ -230,8 +242,8 @@ def _aoi_row(scenario: aoi.AoiScenario, k, opts: solver.SolveOptions) -> list:
 def _solve_radar(scenario: radar.RadarScenario, opts: solver.SolveOptions):
     """Waveforms, trace, the initial and final bound sums with the relative
     reduction, and the stationarity residual."""
-    waveforms, trace = radar.run_algorithm2(scenario, opts)
     problem = radar.RadarMmProblem(scenario)
+    waveforms, trace = problem.solve(opts)
     resid = solver.stationarity_residual(problem, radar.stack_waveforms(waveforms))
     first, last = trace.objectives[0], trace.objectives[-1]
     bounds = [float(first), float(last), float(1.0 - last / first)]

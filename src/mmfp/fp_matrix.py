@@ -133,15 +133,7 @@ def cyclic_check(f_minus: str, A_sqrt: np.ndarray, B_sqrt: np.ndarray) -> bool:
         raise IllConditionedError("ratio matrix is numerically singular")
     lhs_arg = np.linalg.inv(inner)
     rhs_arg = matrix_ratio(B_sqrt, A)
-
-    def f(X: np.ndarray) -> float:
-        if f_minus == "trace":
-            return float(np.real(np.trace(X)))
-        w_eig = np.linalg.eigvalsh(hermitize(X))
-        if w_eig.min() <= -1.0:
-            raise DomainError("I + X is not positive definite")
-        return float(np.sum(np.log1p(w_eig)))
-
+    f = MatrixOuter(f_minus).evaluate
     lhs, rhs = f(lhs_arg), f(rhs_arg)
     return abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
 

@@ -295,6 +295,13 @@ class RadarMmProblem:
                 grad_c[mp] -= weights[m] * a * dots[m][mp]
         return value, 2.0 * stack_waveforms(grad_c)
 
+    def solve(self, opts: SolveOptions) -> tuple[list[np.ndarray], IterationTrace]:
+        """Alternating waveform design from :meth:`initial_waveforms`; the
+        trace reports the bound sum (positive, nonincreasing) per outer
+        iteration."""
+        z, trace = run_mm(self, stack_waveforms(self.initial_waveforms(seed=opts.seed)), opts)
+        return self.split(z), trace.negated()
+
 
 def sum_crb(scenario: RadarScenario, waveforms: list[np.ndarray]) -> float:
     """Sum of the per-radar estimator-variance lower bounds ``1/J_m``."""
@@ -304,10 +311,5 @@ def sum_crb(scenario: RadarScenario, waveforms: list[np.ndarray]) -> float:
 def run_algorithm2(
     scenario: RadarScenario, opts: SolveOptions | None = None
 ) -> tuple[list[np.ndarray], IterationTrace]:
-    """Alternating waveform design; the trace reports the bound sum
-    (positive, nonincreasing) per outer iteration."""
-    opts = opts or SolveOptions()
-    problem = RadarMmProblem(scenario)
-    z0 = stack_waveforms(problem.initial_waveforms(seed=opts.seed))
-    z, trace = run_mm(problem, z0, opts)
-    return problem.split(z), trace.negated()
+    """Alternating waveform design (:meth:`RadarMmProblem.solve`)."""
+    return RadarMmProblem(scenario).solve(opts or SolveOptions())

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .fp_core import Fractions, MixedFpProblem, OuterFunction, affine_fractions
 from .lagrangian_dual import LogRatioMmProblem
-from .solver import IterationTrace, SolveOptions, box_set, grid_argmax, run_mm
+from .solver import IterationTrace, SolveOptions, box_set, grid_search, run_mm
 from .units import dbm_to_mw, nats_to_bits
 
 
@@ -294,25 +294,13 @@ def baseline_max_power_linear_search(scenario: SecureScenario) -> tuple[np.ndarr
     return candidates[best].copy(), float(values[best])
 
 
-def oracle_grid_2d(
-    scenario: SecureScenario, step: float | None = None
-) -> tuple[np.ndarray, float]:
-    """Exhaustive two-cell grid search plus one local refinement, each
-    scanned in fixed-size blocks (:func:`~mmfp.solver.grid_argmax`)."""
+def oracle_grid_2d(scenario: SecureScenario) -> tuple[np.ndarray, float]:
+    """Exhaustive two-cell search by :func:`~mmfp.solver.grid_search`:
+    1,001 points per power, then one refinement."""
     if scenario.l_cells != 2:
         raise InvalidInputError("exhaustive search is implemented for L = 2 only")
     p_cap = scenario.p_max
-    step = step if step is not None else p_cap / 1000.0
-
-    def scan(center: np.ndarray, half_width: float, local_step: float):
-        offsets = np.arange(-half_width, half_width + local_step / 2, local_step)
-        axes = [np.unique(np.clip(c + offsets, 0.0, p_cap)) for c in center]
-        return grid_argmax(axes, lambda rows: _weighted_sum_rate_batch(scenario, rows))
-
-    center = np.array([p_cap / 2, p_cap / 2])
-    best_p, best_v = scan(center, p_cap / 2, step)
-    ref_p, ref_v = scan(best_p, step, step / 10.0)
-    return (ref_p, ref_v) if ref_v > best_v else (best_p, best_v)
+    return grid_search(0.0, p_cap, p_cap / 1000, 2, lambda rows: _weighted_sum_rate_batch(scenario, rows), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,24 @@ def grid_argmax(axes: list[np.ndarray], values: Callable[[np.ndarray], np.ndarra
     return point, float(value)
 
 
+def grid_search(
+    lo: float, hi: float, step: float, dims: int, values: Callable[[np.ndarray], np.ndarray], rounds: int
+) -> tuple[np.ndarray, float]:
+    """Maximizer of ``values`` (one value per row of a (rows, dims) batch)
+    over the cube ``[lo, hi]^dims``, and its value: the first maximizer on
+    the grid of spacing ``step`` (:func:`grid_argmax`), then ``rounds``
+    scans of 21 points per axis at a tenth of the previous spacing around
+    the incumbent, clipped to the cube, each replacing it only when strictly
+    better, so more rounds never lower the value."""
+    best, best_value = grid_argmax([np.arange(lo, hi + step / 2, step)] * dims, values)
+    for _ in range(rounds):
+        step /= 10.0
+        point, value = grid_argmax([np.clip(b + step * np.arange(-10, 11), lo, hi) for b in best], values)
+        if value > best_value:
+            best, best_value = point, value
+    return best, best_value
+
+
 def central_diff_grad(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient with per-coordinate relative step."""
     x = np.asarray(x, dtype=float)

@@ -2,10 +2,11 @@ import csv
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from mmfp import cli, verify
+from mmfp import cli, radar, verify
 from mmfp.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -201,6 +202,12 @@ class TestRunCommand:
             (RADAR_SMALL, "theta_pi", [math.nan]),
             (RADAR_SMALL, "sigma2_dbm", math.nan),
             (RADAR_SMALL, "beta", math.nan),
+            # integer fields take integers only: no truncated floats, no bools
+            (AOI_SMALL, "k", 2.5),
+            (AOI_SMALL, "k", True),
+            (RADAR_SMALL, "l_samples", 1.9),
+            (RADAR_SMALL, "n_tx", [2.7]),
+            (RADAR_SMALL, "n_rx", [True]),
         ],
         ids=[
             "aoi-k-string", "radar-n_tx-number", "radar-beta-string", "secure-h2-number",
@@ -209,6 +216,8 @@ class TestRunCommand:
             "secure-w-entry-nan",
             "radar-p_dbm-nan", "radar-p_dbm-inf", "radar-p_dbm-4000", "radar-theta_pi-entry-nan",
             "radar-sigma2_dbm-nan", "radar-beta-nan",
+            "aoi-k-float", "aoi-k-bool", "radar-l_samples-float", "radar-n_tx-entry-float",
+            "radar-n_rx-entry-bool",
         ],
     )
     def test_ill_typed_scenario_value_exits_2(self, tmp_path, capsys, body, key, value, command):
@@ -224,12 +233,19 @@ class TestRunCommand:
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize(
         "fields",
-        [{"beta": 0.0}, {"beta": [[0.0, 1.0], [1.0, 1.0]]}, {"n_tx": [1, 2], "n_rx": [1, 2]}],
-        ids=["all-gains-zero", "self-gain-zero", "single-antenna-arrays"],
+        [
+            {"beta": 0.0},
+            {"beta": [[0.0, 1.0], [1.0, 1.0]]},
+            {"n_tx": [1, 2], "n_rx": [1, 2]},
+            # cos(pi/2) = 6e-17: only rounding moves the response
+            {"theta_pi": [0.5, 0.3]},
+            {"theta_pi": [-0.5, 0.3]},
+        ],
+        ids=["all-gains-zero", "self-gain-zero", "single-antenna-arrays", "endfire", "endfire-negative"],
     )
     def test_zero_angle_derivative_exits_2(self, tmp_path, capsys, fields, command):
-        # radar 0's response does not move with its angle, so its bound is
-        # infinite for every waveform
+        # radar 0's response does not move with its angle (to rounding), so
+        # its bound is infinite for every waveform
         scenario = dict(RADAR_SMALL["scenario"], n_tx=[2, 2], n_rx=[2, 2], theta_pi=[0.15, 0.3])
         body = dict(RADAR_SMALL, scenario=dict(scenario, **fields))
         if command == "sweep":
@@ -237,7 +253,27 @@ class TestRunCommand:
         path = write_config(tmp_path, body)
         code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "angle derivative of radar 0's response is identically zero" in capsys.readouterr().err
+        assert "angle derivative of radar 0's response is zero to rounding" in capsys.readouterr().err
+
+    def test_integer_fields_accept_numpy_integers(self):
+        assert cli._build_aoi({"k": np.int64(2), "mu": 1.0}).k == 2
+        scenario = dict(RADAR_SMALL["scenario"], l_samples=np.int32(2), n_tx=[np.int64(3)])
+        sc = cli._build_radar(scenario)
+        assert (sc.l_samples, sc.n_tx) == (2, (3,)) and type(sc.l_samples) is int
+
+    def test_radar_run_builds_one_model(self, tmp_path, monkeypatch):
+        # the stationarity residual is taken on the problem the solve used
+        builds = []
+
+        class CountedProblem(radar.RadarMmProblem):
+            def __init__(self, scenario):
+                builds.append(scenario)
+                super().__init__(scenario)
+
+        monkeypatch.setattr(radar, "RadarMmProblem", CountedProblem)
+        path = write_config(tmp_path, RADAR_SMALL)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(builds) == 1
 
     @pytest.mark.parametrize(
         "command, body",

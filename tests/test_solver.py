@@ -15,6 +15,7 @@ from mmfp.solver import (
     box_set,
     central_diff_grad,
     grid_argmax,
+    grid_search,
     iterations_to_relative_convergence,
     maximize_subproblem,
     project_ball,
@@ -129,6 +130,49 @@ class TestGridArgmax:
         assert point.tolist() == [0.0, 0.0] and value == 0.0
         point, _ = grid_argmax([np.arange(4.0), np.arange(5.0)], lambda rows: (rows[:, 0] >= 2).astype(float))
         assert point.tolist() == [2.0, 0.0]
+
+
+def _full_grid_search(lo, hi, step, dims, values, rounds):
+    best, best_value = _full_grid_argmax([np.arange(lo, hi + step / 2, step)] * dims, values)
+    for _ in range(rounds):
+        step /= 10.0
+        point, value = _full_grid_argmax([np.clip(b + step * np.arange(-10, 11), lo, hi) for b in best], values)
+        if value > best_value:
+            best, best_value = point, value
+    return best, best_value
+
+
+class TestGridSearch:
+    @staticmethod
+    def _cases(seed):
+        # random boxes and steps that divide no box evenly, values rounded
+        # to a few levels so that ties occur in the coarse and refined scans
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            dims = int(rng.integers(1, 4))
+            lo = float(rng.uniform(-2.0, 1.0))
+            hi = lo + float(rng.uniform(0.1, 3.0))
+            step = (hi - lo) / float(rng.uniform(2.0, [40.0, 20.0, 8.0][dims - 1]))
+            w = rng.standard_normal(dims)
+            levels = int(rng.integers(2, 50))
+
+            def values(rows, w=w, levels=levels):
+                return np.round(levels * np.sin(rows @ w)) / levels
+
+            yield lo, hi, step, dims, values
+
+    @pytest.mark.parametrize("rounds", [0, 1, 2, 3])
+    def test_matches_a_full_grid_search_bitwise(self, rounds):
+        for lo, hi, step, dims, values in self._cases(rounds):
+            point, value = grid_search(lo, hi, step, dims, values, rounds)
+            want_point, want_value = _full_grid_search(lo, hi, step, dims, values, rounds)
+            assert point.tobytes() == want_point.tobytes()
+            assert value == want_value
+
+    def test_more_rounds_never_lower_the_value(self):
+        for lo, hi, step, dims, values in self._cases(7):
+            found = [grid_search(lo, hi, step, dims, values, rounds)[1] for rounds in range(5)]
+            assert found == sorted(found)
 
 
 def _quadratic(center: np.ndarray):

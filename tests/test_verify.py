@@ -1,4 +1,5 @@
-from mmfp import verify
+from mmfp import cli, verify
+from mmfp.errors import MonotonicityError
 
 # the 24 rows of `mmfp verify`, in the order the CLI prints them
 PINNED = [
@@ -33,3 +34,20 @@ def test_table_rows_are_pinned_in_order():
     rows = [(check.suite, check.name) for check in verify.CHECKS]
     assert rows == PINNED
     assert len({name for _, name in rows}) == len(rows)
+
+
+def test_a_row_that_raises_fails_and_the_rows_after_it_still_run(monkeypatch, capsys):
+    def raises():
+        raise MonotonicityError("objective decreased")
+
+    table = (
+        verify.Check("core", "raises", lambda rng: (), raises, 1),
+        verify.Check("core", "holds", lambda rng: (), lambda: True, 1),
+    )
+    monkeypatch.setattr(verify, "CHECKS", table)
+    assert cli.main(["verify", "--suite", "core"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  [core] raises",
+        "PASS  [core] holds",
+        "1/2 invariants hold",
+    ]
