@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, count
 from .fp_core import MixedFpProblem, OuterFunction
 from .solver import IterationTrace, SolveOptions, box_set, grid_search, run_mm
 
@@ -43,6 +43,7 @@ class AoiScenario:
     mu: float
 
     def __post_init__(self):
+        object.__setattr__(self, "k", count("k", self.k))
         if self.k < 1:
             raise InvalidInputError("need at least one source")
         if not (math.isfinite(self.mu) and self.mu > 0):

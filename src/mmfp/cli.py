@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import numbers
 import os
 import sys
 from dataclasses import astuple, dataclass, fields
@@ -111,17 +110,9 @@ def _solve_options(cfg: dict) -> solver.SolveOptions:
         raise ConfigError(f"bad solver options: {exc}") from exc
 
 
-def _integer(value) -> int:
-    """A count field: an int (numpy ints too), never a bool or a float to
-    truncate."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _build_aoi(scenario: dict) -> aoi.AoiScenario:
     try:
-        return aoi.AoiScenario(k=_integer(scenario["k"]), mu=float(scenario["mu"]))
+        return aoi.AoiScenario(k=scenario["k"], mu=float(scenario["mu"]))
     # ill-typed, invalid (InvalidInputError is a ValueError) or too large for a float
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
@@ -137,8 +128,8 @@ def _per_radar(value, m: int, name: str) -> tuple[float, ...]:
 
 def _build_radar(scenario: dict) -> radar.RadarScenario:
     try:
-        n_tx = tuple(_integer(v) for v in scenario["n_tx"])
-        n_rx = tuple(_integer(v) for v in scenario["n_rx"])
+        n_tx = tuple(scenario["n_tx"])
+        n_rx = tuple(scenario["n_rx"])
         m = len(n_tx)
         theta = tuple(math.pi * float(v) for v in scenario["theta_pi"])
         beta_cfg = scenario.get("beta", 1.0)
@@ -152,7 +143,7 @@ def _build_radar(scenario: dict) -> radar.RadarScenario:
         power = tuple(dbm_to_mw(v) for v in _per_radar(scenario["p_dbm"], m, "p_dbm"))
         sc = radar.RadarScenario(
             n_tx=n_tx, n_rx=n_rx, theta=theta, beta=beta,
-            sigma2=sigma2, power=power, l_samples=_integer(scenario["l_samples"]),
+            sigma2=sigma2, power=power, l_samples=scenario["l_samples"],
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc

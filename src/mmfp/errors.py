@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the count check
+every scenario applies."""
+
+import numbers
 
 
 class MmfpError(Exception):
@@ -43,3 +46,11 @@ class MonotonicityError(MmfpError):
 
 class ConfigError(MmfpError):
     """An experiment configuration is malformed or inconsistent."""
+
+
+def count(name: str, value) -> int:
+    """``value`` as an int: an int or numpy integer, never a bool or a
+    float to truncate."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)

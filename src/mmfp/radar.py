@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, InvalidInputError, count
 from .solver import (
     IterationTrace,
     SolveOptions,
@@ -66,6 +66,9 @@ class RadarScenario:
     l_samples: int
 
     def __post_init__(self):
+        for name in ("n_tx", "n_rx"):
+            object.__setattr__(self, name, tuple(count(name, v) for v in getattr(self, name)))
+        object.__setattr__(self, "l_samples", count("l_samples", self.l_samples))
         m = len(self.n_tx)
         if m < 1 or self.l_samples < 1:
             raise InvalidInputError("need at least one radar and one sample")
@@ -162,15 +165,17 @@ def unstack_waveforms(z: np.ndarray, dims: list[int]) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class RadarAux:
-    """Frozen auxiliaries plus per-term constants for fast bracket evaluation.
-
-    ``affine[m] = D_m^H Y_m``; ``cross[m][m'] = T_mm'^H Y_m``, keyed like
-    ``T[m]``; ``noise[m] = sigma_m^2 ||Y_m||^2``.
+    """Frozen auxiliaries, zero-padded to the longest waveform:
+    ``affine[m] = D_m^H Y_m``; ``cross[m, m'] = T_mm'^H Y_m``, zero at
+    ``m' = m``; ``rows[m', m] = conj(cross[m, m'])`` but ``rows[m', m'] =
+    conj(affine[m'])``, the rows the dots with ``s_m'`` take; ``noise[m] =
+    sigma_m^2 ||Y_m||^2``.
     """
 
     Y: list[np.ndarray]
-    affine: list[np.ndarray]
-    cross: list[dict[int, np.ndarray]]
+    affine: np.ndarray
+    cross: np.ndarray
+    rows: np.ndarray
     noise: list[float]
 
 
@@ -195,8 +200,14 @@ class RadarMmProblem:
         self.s_dims = [scenario.waveform_length(m) for m in radars]
         # block layout of the stacked real decision vector [Re s_m; Im s_m]
         ends = np.cumsum([2 * d for d in self.s_dims]).tolist()
+        starts = [0, *ends[:-1]]
         self.total_real_dim = ends[-1]
-        self.feasible = block_ball_set(list(zip([0, *ends[:-1]], ends)), list(scenario.power))
+        # row m of the padded (M, D) waveform array holds s_m, whose parts sit
+        # at z[_re[m]] and z[_im[m]]; padding indexes an appended zero
+        dims, k = np.array(self.s_dims)[:, None], np.arange(max(self.s_dims))
+        first = np.array(starts)[:, None] + k
+        self._re, self._im = (np.where(k < dims, i, self.total_real_dim) for i in (first, first + dims))
+        self.feasible = block_ball_set(list(zip(starts, ends)), list(scenario.power))
 
     def covariance(self, waveforms: list[np.ndarray], m: int, lifts: list | None = None) -> np.ndarray:
         """``K_m`` of the waveforms, or with the PSD lift variables ``lifts``
@@ -246,8 +257,13 @@ class RadarMmProblem:
             waveforms.append(s)
         return waveforms
 
+    def _pack(self, z: np.ndarray) -> np.ndarray:
+        """The waveforms of the stacked vector ``z`` as padded rows."""
+        zz = np.append(np.asarray(z, dtype=float), 0.0)
+        return zz[self._re] + 1j * zz[self._im]
+
     def split(self, z: np.ndarray) -> list[np.ndarray]:
-        return unstack_waveforms(np.asarray(z, dtype=float), self.s_dims)
+        return [s[:d] for s, d in zip(self._pack(z), self.s_dims)]
 
     def objective(self, z: np.ndarray) -> float:
         return -self.sum_crb(self.split(z))  # maximization convention
@@ -265,35 +281,48 @@ class RadarMmProblem:
         waveforms = self.split(z)
         radars = range(self.scenario.m_radars)
         Y = [np.linalg.solve(self.covariance(waveforms, m), self.D[m] @ waveforms[m]) for m in radars]
-        affine = [self.D[m].conj().T @ Y[m] for m in radars]
-        cross = [{mp: t.conj().T @ Y[m] for mp, t in self.T[m].items()} for m in radars]
+        affine = np.zeros(self._re.shape, dtype=complex)
+        cross = np.zeros((len(Y), *self._re.shape), dtype=complex)
+        for m in radars:
+            affine[m, : self.s_dims[m]] = self.D[m].conj().T @ Y[m]
+            for mp, t in self.T[m].items():
+                cross[m, mp, : self.s_dims[mp]] = t.conj().T @ Y[m]
+        rows = cross.transpose(1, 0, 2).conj()
+        rows[radars, radars] = affine.conj()
         noise = [self.scenario.sigma2[m] * float(np.real(np.vdot(Y[m], Y[m]))) for m in radars]
-        return RadarAux(Y=Y, affine=affine, cross=cross, noise=noise)
+        return RadarAux(Y=Y, affine=affine, cross=cross, rows=rows, noise=noise)
 
-    def _brackets(self, waveforms: list[np.ndarray], aux: RadarAux) -> tuple[np.ndarray, list[dict]]:
-        """Per-radar brackets ``q_m`` and the cross dots they use,
-        ``dots[m][m'] = cross[m][m']^H s_m'``, keyed like ``T[m]``."""
-        dots = [{mp: np.vdot(a, waveforms[mp]) for mp, a in cross.items()} for cross in aux.cross]
-        q = np.empty(len(dots))
-        for m, dots_m in enumerate(dots):
-            val = 2.0 * float(np.real(np.vdot(aux.affine[m], waveforms[m]))) - aux.noise[m]
-            for d in dots_m.values():
-                val -= abs(d) ** 2
+    def _brackets(self, z: np.ndarray, aux: RadarAux) -> tuple[np.ndarray, np.ndarray]:
+        """Per-radar brackets ``q_m`` at the stacked waveforms ``z`` and the
+        dots they use, ``dots[m, m', 0] = rows[m', m] . s_m'``."""
+        # for each m', M dots of length d_m', each the BLAS dot np.vdot
+        # takes; padded to D or as one gemv they would round differently
+        dots = np.concatenate(
+            [np.matmul(r[:, None, :d], s[:d, None]) for r, s, d in zip(aux.rows, self._pack(z), self.s_dims)],
+            axis=1,
+        )
+        q = np.empty(len(aux.noise))
+        for m, row in enumerate(dots[:, :, 0].tolist()):
+            val = 2.0 * row[m].real - aux.noise[m]
+            for d in row[:m] + row[m + 1 :]:
+                val -= abs(d) ** 2  # scalar abs and ** 2: array forms round differently
             q[m] = val
         return q, dots
 
     def surrogate(self, z: np.ndarray, aux: RadarAux) -> tuple[float, np.ndarray | None]:
-        waveforms = self.split(z)
-        q, dots = self._brackets(waveforms, aux)
+        q, dots = self._brackets(z, aux)
         if np.any(q <= 0.0):
             return -math.inf, None
         value = float(np.sum(-0.5 / q))
         weights = 0.5 / (q * q)  # d(-1/(2q))/dq
-        grad_c = [weights[m] * a for m, a in enumerate(aux.affine)]
-        for m, cross in enumerate(aux.cross):
-            for mp, a in cross.items():
-                grad_c[mp] -= weights[m] * a * dots[m][mp]
-        return value, 2.0 * stack_waveforms(grad_c)
+        # row m' of the complex gradient is w_m' affine[m'] minus, in
+        # ascending m, w_m cross[m, m'] dots[m, m'] (zero at m = m')
+        terms = [(weights[:, None] * aux.affine)[None], weights[:, None, None] * aux.cross * dots]
+        grad_c = np.subtract.reduce(np.concatenate(terms), axis=0)
+        grad = np.empty(self.total_real_dim + 1)
+        grad[self._re] = grad_c.real
+        grad[self._im] = grad_c.imag
+        return value, 2.0 * grad[:-1]
 
     def solve(self, opts: SolveOptions) -> tuple[list[np.ndarray], IterationTrace]:
         """Alternating waveform design from :meth:`initial_waveforms`; the

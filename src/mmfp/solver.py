@@ -110,9 +110,10 @@ def block_ball_set(
     def proj(x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=float).copy()
         for (a, b), r2 in zip(blocks, radii_sq):
-            nrm_sq = float(np.real(np.vdot(out[a:b], out[a:b])))
+            seg = out[a:b]
+            nrm_sq = float(seg @ seg)  # the BLAS dot np.vdot takes
             if nrm_sq > r2:  # project_ball's scaling, in place
-                out[a:b] *= np.sqrt(r2 / nrm_sq)
+                seg *= math.sqrt(r2 / nrm_sq)
         return out
 
     return FeasibleSet(project=proj, in_domain=in_domain or _always_true)

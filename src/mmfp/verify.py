@@ -418,7 +418,8 @@ def bracket_is_half_curvature(sc, waveforms) -> bool:
     """At the waveforms that set the auxiliaries, each radar's bracket is
     half its Fisher information."""
     problem = radar.RadarMmProblem(sc)
-    q, _ = problem._brackets(waveforms, problem.update_aux(radar.stack_waveforms(waveforms)))
+    z = radar.stack_waveforms(waveforms)
+    q, _ = problem._brackets(z, problem.update_aux(z))
     half = np.array([problem.fisher(waveforms, m) for m in range(sc.m_radars)]) / 2
     return bool(np.all(np.abs(q - half) <= 1e-10 * np.maximum(np.abs(half), 1e-12)))
 

@@ -182,3 +182,15 @@ def test_scenario_validation():
         AoiScenario(k=0, mu=1.0)
     with pytest.raises(InvalidInputError):
         AoiScenario(k=2, mu=0.0)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True])
+def test_source_count_must_be_an_integer(k):
+    # k=2.5 built a scenario whose equal-rate baseline answered for two sources
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        AoiScenario(k=k, mu=1.0)
+
+
+def test_source_count_accepts_numpy_integers():
+    sc = AoiScenario(k=np.int64(3), mu=1.0)
+    assert sc.k == 3 and type(sc.k) is int

@@ -101,6 +101,41 @@ class TestResponse:
             assert verify.response_derivative_matches(sc, m)
 
 
+def random_large_scenario(rng, m):
+    """M radars with unequal array sizes in 1..16 and L in 1..8, wider than
+    :func:`verify.random_radar_scenario` draws."""
+    return RadarScenario(
+        n_tx=tuple(int(v) for v in rng.integers(1, 17, m)),
+        n_rx=tuple(int(v) for v in rng.integers(1, 17, m)),
+        theta=tuple(float(v) for v in rng.uniform(0.1, 1.3, m)),
+        beta=tuple(tuple(complex(*rng.uniform([0.3, -0.5], [1.5, 0.5])) for _ in range(m)) for _ in range(m)),
+        sigma2=tuple(float(v) for v in rng.uniform(0.5, 2.0, m)),
+        power=tuple(float(v) for v in 10 ** rng.uniform(-1, 2, m)),
+        l_samples=int(rng.integers(1, 9)),
+    )
+
+
+def per_pair_surrogate(problem, aux, z):
+    """Brackets, value and gradient pair by pair: one ``np.vdot`` per pair,
+    scalar ``abs(d) ** 2`` and every subtraction in ascending radar order."""
+    waveforms = unstack_waveforms(z, problem.s_dims)
+    radars = range(len(waveforms))
+    affine = [problem.D[m].conj().T @ aux.Y[m] for m in radars]
+    cross = [{mp: t.conj().T @ aux.Y[m] for mp, t in problem.T[m].items()} for m in radars]
+    dots = [{mp: np.vdot(a, waveforms[mp]) for mp, a in cross[m].items()} for m in radars]
+    q = np.empty(len(waveforms))
+    for m in radars:
+        q[m] = 2.0 * float(np.real(np.vdot(affine[m], waveforms[m]))) - aux.noise[m]
+        for d in dots[m].values():
+            q[m] -= abs(d) ** 2
+    weights = 0.5 / (q * q)
+    grad_c = [weights[m] * affine[m] for m in radars]
+    for m in radars:
+        for mp, a in cross[m].items():
+            grad_c[mp] = grad_c[mp] - weights[m] * a * dots[m][mp]
+    return q, float(np.sum(-0.5 / q)), 2.0 * stack_waveforms(grad_c)
+
+
 def rank1_lifts(waveforms):
     """The lift variables ``s s^H`` at which the lifted covariance is the
     interference-plus-noise covariance of the waveforms."""
@@ -215,7 +250,7 @@ class TestAuxAndSubproblem:
             )
             aux = problem.update_aux(anchor)
             waveforms = problem.split(z)
-            q, _ = problem._brackets(waveforms, aux)
+            q, _ = problem._brackets(z, aux)
             for m in range(sc.m_radars):
                 v = np.kron(np.eye(sc.l_samples), response_derivative(sc, m)) @ waveforms[m]
                 k_mat = problem.covariance(waveforms, m, rank1_lifts(waveforms))
@@ -237,18 +272,43 @@ class TestAuxAndSubproblem:
             z = problem.feasible.project(anchor + 0.1 * rng.standard_normal(dim))
             aux = problem.update_aux(anchor)
             waveforms = problem.split(z)
-            q, _ = problem._brackets(waveforms, aux)
+            q, _ = problem._brackets(z, aux)
             value, grad = problem.surrogate(z, aux)
             weights = 0.5 / (q * q)
-            grad_c = [weights[m] * aux.affine[m] for m in range(sc.m_radars)]
+            dims = problem.s_dims
+            grad_c = [weights[m] * aux.affine[m, : dims[m]] for m in range(sc.m_radars)]
             for m in range(sc.m_radars):
                 for mp in range(sc.m_radars):
                     if mp != m:
-                        a = aux.cross[m][mp]
+                        a = aux.cross[m, mp, : dims[mp]]
                         grad_c[mp] = grad_c[mp] - weights[m] * a * np.vdot(a, waveforms[mp])
             want = np.concatenate([np.concatenate([2.0 * c.real, 2.0 * c.imag]) for c in grad_c])
             assert value == float(np.sum(-0.5 / q))
             assert grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 8])
+    def test_padded_surrogate_equals_the_per_pair_formula_bitwise(self, m):
+        # unequal waveform lengths pad every row but the longest; M >= 3
+        # fixes an order among the cross terms, M = 1 has none
+        rng = np.random.default_rng(20 + m)
+        compared = 0
+        for _ in range(12):
+            problem = RadarMmProblem(random_large_scenario(rng, m))
+            dim = problem.total_real_dim
+            for _ in range(3):
+                anchor = problem.feasible.project(10 ** rng.uniform(-1, 1) * rng.standard_normal(dim))
+                z = problem.feasible.project(anchor + 10 ** rng.uniform(-3, -1) * rng.standard_normal(dim))
+                aux = problem.update_aux(anchor)
+                q_want, value_want, grad_want = per_pair_surrogate(problem, aux, z)
+                q, _ = problem._brackets(z, aux)
+                value, grad = problem.surrogate(z, aux)
+                assert q.tobytes() == q_want.tobytes()
+                if np.all(q > 0.0):
+                    assert value == value_want and grad.tobytes() == grad_want.tobytes()
+                    compared += 1
+                else:
+                    assert grad is None
+        assert compared >= 24
 
     def test_subproblem_gradient_matches_finite_differences(self):
         sc = two_radar_scenario()
@@ -331,3 +391,18 @@ def test_scenario_validation():
     with pytest.raises(InvalidInputError):
         RadarScenario(n_tx=(1, 1), n_rx=(1,), theta=(0.0,), beta=((1.0,),),
                       sigma2=(1.0,), power=(1.0,), l_samples=1)
+
+
+@pytest.mark.parametrize(
+    "counts", [{"n_tx": (2.5,)}, {"n_tx": (True,)}, {"n_rx": (2.0,)}, {"l_samples": 1.5}, {"l_samples": True}]
+)
+def test_count_fields_must_be_integers(counts):
+    # a float count was truncated or failed inside numpy; a bool was a 1
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        tiny_scenario(**counts)
+
+
+def test_count_fields_accept_numpy_integers():
+    sc = tiny_scenario(n_tx=(np.int64(2),), n_rx=(np.int32(3),), l_samples=np.int64(2))
+    assert (sc.n_tx, sc.n_rx, sc.l_samples) == ((2,), (3,), 2)
+    assert all(type(v) is int for v in (*sc.n_tx, *sc.n_rx, sc.l_samples))
