@@ -77,8 +77,6 @@ def validate_config(cfg: dict, for_sweep: bool = False) -> dict:
     if not isinstance(solver_cfg, dict):
         raise ConfigError("'solver' must be a mapping")
     _reject_unknown(solver_cfg, _SOLVER_KEYS, "solver.")
-    if "seed" in cfg and (isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int)):
-        raise ConfigError("'seed' must be an integer")
     if for_sweep:
         sweep = _require(cfg, "sweep", "")
         if not isinstance(sweep, dict):
@@ -91,9 +89,9 @@ def validate_config(cfg: dict, for_sweep: bool = False) -> dict:
     return cfg
 
 
-def _seed_of(cfg: dict) -> int:
+def _seed_of(cfg: dict):
     if "seed" in cfg:
-        return int(cfg["seed"])
+        return cfg["seed"]  # as given: SolveOptions checks it, int() would truncate 2.5
     env = os.environ.get(SEED_ENV_VAR)
     try:
         return int(env) if env else 0

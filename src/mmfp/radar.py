@@ -152,17 +152,6 @@ def stack_waveforms(waveforms: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def unstack_waveforms(z: np.ndarray, dims: list[int]) -> list[np.ndarray]:
-    out = []
-    pos = 0
-    for d in dims:
-        re = z[pos : pos + d]
-        im = z[pos + d : pos + 2 * d]
-        out.append(re + 1j * im)
-        pos += 2 * d
-    return out
-
-
 @dataclass(frozen=True)
 class RadarAux:
     """Frozen auxiliaries, zero-padded to the longest waveform:
@@ -209,34 +198,32 @@ class RadarMmProblem:
         self._re, self._im = (np.where(k < dims, i, self.total_real_dim) for i in (first, first + dims))
         self.feasible = block_ball_set(list(zip(starts, ends)), list(scenario.power))
 
-    def covariance(self, waveforms: list[np.ndarray], m: int, lifts: list | None = None) -> np.ndarray:
-        """``K_m`` of the waveforms, or with the PSD lift variables ``lifts``
-        in place of the waveforms' rank-1 outer products."""
+    def covariance(self, waveforms: list[np.ndarray], m: int) -> np.ndarray:
+        """Interference-plus-noise covariance ``K_m`` of the waveforms."""
         K = self.scenario.sigma2[m] * np.eye(self.D[m].shape[0], dtype=complex)
         for mp, t in self.T[m].items():
-            if lifts is None:
-                u = t @ waveforms[mp]
-                K += np.outer(u, u.conj())
-            else:
-                K += t @ lifts[mp] @ t.conj().T
+            u = t @ waveforms[mp]
+            K += np.outer(u, u.conj())
         return K
 
-    def fisher(self, waveforms: list[np.ndarray], m: int, lifts: list | None = None) -> float:
-        """Likelihood curvature ``2 v^H K^{-1} v`` in radar m's arrival angle.
-
-        Zero when the derivative signal vanishes (the bound is then infinite).
-        """
+    def _whitened(self, waveforms: list[np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Radar m's derivative signal ``v = D_m s_m`` and ``K_m^{-1} v``,
+        the one solve behind both the bound and the auxiliaries."""
         v = self.D[m] @ waveforms[m]
-        if np.linalg.norm(v) == 0.0:
-            return 0.0
-        K = self.covariance(waveforms, m, lifts)
-        return 2.0 * float(np.real(v.conj() @ np.linalg.solve(K, v)))
+        return v, np.linalg.solve(self.covariance(waveforms, m), v)
 
-    def sum_crb(self, waveforms: list[np.ndarray], lifts: list | None = None) -> float:
+    def fisher(self, waveforms: list[np.ndarray], m: int) -> float:
+        """Likelihood curvature ``2 v^H K^{-1} v`` in radar m's arrival angle;
+        zero when the derivative signal vanishes (the bound is then
+        infinite)."""
+        v, y = self._whitened(waveforms, m)
+        return 2.0 * float(np.real(v.conj() @ y))
+
+    def sum_crb(self, waveforms: list[np.ndarray]) -> float:
         """Sum of the per-radar estimator-variance lower bounds ``1/J_m``."""
         total = 0.0
         for m in range(self.scenario.m_radars):
-            j = self.fisher(waveforms, m, lifts)
+            j = self.fisher(waveforms, m)
             if j <= 0.0:
                 return math.inf
             total += 1.0 / j
@@ -280,7 +267,7 @@ class RadarMmProblem:
     def update_aux(self, z: np.ndarray) -> RadarAux:
         waveforms = self.split(z)
         radars = range(self.scenario.m_radars)
-        Y = [np.linalg.solve(self.covariance(waveforms, m), self.D[m] @ waveforms[m]) for m in radars]
+        Y = [self._whitened(waveforms, m)[1] for m in radars]
         affine = np.zeros(self._re.shape, dtype=complex)
         cross = np.zeros((len(Y), *self._re.shape), dtype=complex)
         for m in radars:

@@ -269,7 +269,6 @@ def baseline_max_power_linear_search(scenario: SecureScenario) -> tuple[np.ndarr
     p_cap = scenario.p_max
     grid = np.linspace(0.0, p_cap, 2001)
     n = scenario.l_cells
-    candidates = np.empty((0, n))
     if n == 1:
         candidates = grid[:, None]
     elif n == 2:

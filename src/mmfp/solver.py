@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidStartError, MonotonicityError
+from .errors import InvalidInputError, InvalidStartError, MonotonicityError, count
 
 # Hard clamps on the Barzilai-Borwein step to keep the line search sane on
 # degenerate curvature estimates.
@@ -92,11 +92,7 @@ def box_set(lo, hi, in_domain: Callable[[np.ndarray], bool] | None = None) -> Fe
     )
 
 
-def block_ball_set(
-    blocks: list[tuple[int, int]],
-    radii_sq: list[float],
-    in_domain: Callable[[np.ndarray], bool] | None = None,
-) -> FeasibleSet:
+def block_ball_set(blocks: list[tuple[int, int]], radii_sq: list[float]) -> FeasibleSet:
     """Product of per-block Euclidean balls over a stacked real vector.
 
     ``blocks`` holds (start, stop) index pairs; block ``b`` is constrained to
@@ -116,7 +112,7 @@ def block_ball_set(
                 seg *= math.sqrt(r2 / nrm_sq)
         return out
 
-    return FeasibleSet(project=proj, in_domain=in_domain or _always_true)
+    return FeasibleSet(project=proj)
 
 
 @dataclass(frozen=True)
@@ -134,10 +130,11 @@ class SolveOptions:
             tol = getattr(self, name)
             if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
                 raise InvalidInputError(f"{name} must be a finite positive number, got {tol!r}")
-        for name in ("max_outer", "max_inner"):
-            limit = getattr(self, name)
-            if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
-                raise InvalidInputError(f"{name} must be an integer of at least 1, got {limit!r}")
+        for name, least in (("max_outer", 1), ("max_inner", 1), ("seed", 0)):
+            value = count(name, getattr(self, name))
+            if value < least:
+                raise InvalidInputError(f"{name} must be at least {least}, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -183,7 +180,6 @@ class InnerResult:
     step: float
 
 
-@runtime_checkable
 class MmProblem(Protocol):
     """Duck-typed contract the MM driver needs from a problem.
 
@@ -227,7 +223,7 @@ def maximize_subproblem(
     t = step0 if step0 is not None else 1.0 / (1.0 + float(np.linalg.norm(g)))
     t = min(max(t, _STEP_MIN), _STEP_MAX)
     window = [f] * _NONMONOTONE_WINDOW
-    x_best, f_best, g_best = x, f, g
+    x_best, f_best = x, f
     last_gain = 0
     converged = False
     iters = 0
@@ -261,11 +257,10 @@ def maximize_subproblem(
             break
         window.pop(0)
         window.append(f)
-        if f > f_best + 1e-13 * (1.0 + abs(f_best)):
-            x_best, f_best, g_best = x, f, g
-            last_gain = iters
-        elif f > f_best:
-            x_best, f_best, g_best = x, f, g
+        if f > f_best:
+            if f > f_best + 1e-13 * (1.0 + abs(f_best)):
+                last_gain = iters
+            x_best, f_best = x, f
         # spectral step from the accepted move
         dx = x - x_old
         dg = g - g_old
@@ -277,7 +272,7 @@ def maximize_subproblem(
         t = min(max(t, _STEP_MIN), _STEP_MAX)
 
     if f_best > f:
-        x, f, g = x_best, f_best, g_best
+        x = x_best
         converged = False
     return x, InnerResult(iterations=iters, converged=converged, step=t)
 

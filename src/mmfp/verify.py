@@ -425,14 +425,20 @@ def bracket_is_half_curvature(sc, waveforms) -> bool:
 
 
 def lift_reproduces_objective(sc, waveforms) -> bool:
-    """The rank-1 lifts give the same bound sum, and each ``[[s s^H, s],
-    [s^H, 1]]`` block is PSD."""
+    """The bound sum at the rank-1 lifts ``S = s s^H``, each ``K_m`` built here
+    from them, is the model's, and each ``[[S, s], [s^H, 1]]`` block is PSD."""
     problem = radar.RadarMmProblem(sc)
+    lifts = [np.outer(s, s.conj()) for s in waveforms]
+    lifted = 0.0
+    for m, d in enumerate(problem.D):
+        K = sc.sigma2[m] * np.eye(d.shape[0]) + sum(t @ lifts[mp] @ t.conj().T for mp, t in problem.T[m].items())
+        v = d @ waveforms[m]
+        j = 2.0 * float(np.real(v.conj() @ np.linalg.solve(K, v)))
+        lifted += 1.0 / j if j > 0.0 else math.inf
     direct = problem.sum_crb(waveforms)
-    lifted = problem.sum_crb(waveforms, [np.outer(s, s.conj()) for s in waveforms])
     if abs(direct - lifted) > max(1e-10 * abs(direct), 1e-12):
         return False
-    blocks = (np.block([[np.outer(s, s.conj()), s[:, None]], [s.conj()[None, :], np.ones((1, 1))]]) for s in waveforms)
+    blocks = (np.block([[S, s[:, None]], [s.conj()[None, :], np.ones((1, 1))]]) for S, s in zip(lifts, waveforms))
     return all(np.linalg.eigvalsh(fp_matrix.hermitize(block)).min() >= -1e-9 for block in blocks)
 
 

@@ -161,18 +161,22 @@ class TestRunCommand:
         assert float(summary["final_sum_crb"]) <= float(summary["initial_sum_crb"])
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("body", [AOI_SMALL, TRADEOFF_SMALL], ids=["aoi", "tradeoff"])
+    @pytest.mark.parametrize("body", [AOI_SMALL, RADAR_SMALL, TRADEOFF_SMALL], ids=["aoi", "radar", "tradeoff"])
     def test_bad_solver_options_exit_2(self, tmp_path, capsys, body, command):
         # the tradeoff keeps its own solver budgets but still checks the section
         if command == "sweep":
-            body = dict(body, sweep={"k": [2]} if body["experiment"] == "aoi" else {"eta": [1.0]})
+            axis = {"aoi": {"k": [2]}, "radar": {"p_dbm": [10.0]}}
+            body = dict(body, sweep=axis.get(body["experiment"], {"eta": [1.0]}))
         bad = [
             ({"solver": {"max_outer": -1}}, "bad solver options"),
             ({"solver": {"max_outer": 2.5}}, "bad solver options"),
             ({"solver": {"max_outer": True}}, "bad solver options"),
             ({"solver": {"outer_tol": math.nan}}, "bad solver options"),
             ({"solver": {"inner_tol": math.inf}}, "bad solver options"),
-            ({"seed": True}, "'seed' must be an integer"),
+            # a negative seed reached numpy on radar; 2.5 was truncated to 2
+            ({"seed": True}, "bad solver options: seed must be an integer"),
+            ({"seed": 2.5}, "bad solver options: seed must be an integer"),
+            ({"seed": -1}, "bad solver options: seed must be at least 0"),
         ]
         for fields, message in bad:
             path = write_config(tmp_path, dict(body, **fields))
@@ -363,3 +367,13 @@ def test_bad_env_var_seed_exits_2(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, {key: AOI_SMALL[key] for key in ("experiment", "scenario")})
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {cli.SEED_ENV_VAR} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_negative_env_var_seed_exits_2(tmp_path, monkeypatch, capsys, command):
+    # a seedless radar config handed -3 to numpy, which raised ValueError
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "-3")
+    body = {key: RADAR_SMALL[key] for key in ("experiment", "scenario")}
+    path = write_config(tmp_path, dict(body, sweep={"p_dbm": [10.0]}))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "bad solver options: seed must be at least 0" in capsys.readouterr().err

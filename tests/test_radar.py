@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from mmfp.radar import (
     steering_derivative,
     steering_vector,
     sum_crb,
-    unstack_waveforms,
 )
 
 
@@ -118,7 +118,7 @@ def random_large_scenario(rng, m):
 def per_pair_surrogate(problem, aux, z):
     """Brackets, value and gradient pair by pair: one ``np.vdot`` per pair,
     scalar ``abs(d) ** 2`` and every subtraction in ascending radar order."""
-    waveforms = unstack_waveforms(z, problem.s_dims)
+    waveforms = problem.split(z)
     radars = range(len(waveforms))
     affine = [problem.D[m].conj().T @ aux.Y[m] for m in radars]
     cross = [{mp: t.conj().T @ aux.Y[m] for mp, t in problem.T[m].items()} for m in radars]
@@ -136,32 +136,22 @@ def per_pair_surrogate(problem, aux, z):
     return q, float(np.sum(-0.5 / q)), 2.0 * stack_waveforms(grad_c)
 
 
-def rank1_lifts(waveforms):
-    """The lift variables ``s s^H`` at which the lifted covariance is the
-    interference-plus-noise covariance of the waveforms."""
-    return [np.outer(s, s.conj()) for s in waveforms]
-
-
 class TestCovariance:
     def test_single_radar_is_noise_only(self):
         s = [np.array([1.0 + 0j])]
-        K = RadarMmProblem(tiny_scenario()).covariance(s, 0, rank1_lifts(s))
+        K = RadarMmProblem(tiny_scenario()).covariance(s, 0)
         assert np.allclose(K, np.eye(2))
 
     def test_zero_waveforms(self):
         sc = two_radar_scenario()
         waveforms = [np.zeros(sc.waveform_length(m), dtype=complex) for m in range(2)]
-        K = RadarMmProblem(sc).covariance(waveforms, 0, rank1_lifts(waveforms))
+        K = RadarMmProblem(sc).covariance(waveforms, 0)
         assert np.allclose(K, sc.sigma2[0] * np.eye(K.shape[0]))
 
     def test_positive_definite_with_interference(self):
         sc = two_radar_scenario()
-        rng = np.random.default_rng(1)
-        waveforms = [
-            rng.standard_normal(sc.waveform_length(m)) + 1j * rng.standard_normal(sc.waveform_length(m))
-            for m in range(2)
-        ]
-        K = RadarMmProblem(sc).covariance(waveforms, 1, rank1_lifts(waveforms))
+        waveforms = verify.random_waveforms(np.random.default_rng(1), sc)
+        K = RadarMmProblem(sc).covariance(waveforms, 1)
         assert np.linalg.eigvalsh(K).min() >= sc.sigma2[1] - 1e-12
 
 
@@ -202,32 +192,49 @@ class TestAuxAndSubproblem:
         d = np.kron(np.eye(1), response_derivative(sc, 0))
         assert np.allclose(y, (d @ s[0]) / sc.sigma2[0])
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_bound_and_auxiliaries_equal_the_dense_solve_bitwise(self, m):
+        # fisher, sum_crb and update_aux share one solve; each must be the
+        # dense per-radar K_m^{-1} D_m s_m to the bit. Radar 0 of every
+        # other draw has one antenna on each array, a zero derivative signal
+        rng = np.random.default_rng(40 + m)
+        for draw in range(6):
+            sc = random_large_scenario(rng, m)
+            if draw % 2:
+                sc = replace(sc, n_tx=(1, *sc.n_tx[1:]), n_rx=(1, *sc.n_rx[1:]))
+            problem = RadarMmProblem(sc)
+            waveforms = verify.random_waveforms(rng, sc)
+            aux = problem.update_aux(stack_waveforms(waveforms))
+            bound = 0.0
+            for r in range(m):
+                v = problem.D[r] @ waveforms[r]
+                y = np.linalg.solve(problem.covariance(waveforms, r), v)
+                j = 2.0 * float(np.real(v.conj() @ y))
+                assert aux.Y[r].tobytes() == y.tobytes()
+                assert problem.fisher(waveforms, r) == j
+                bound = bound + 1.0 / j if j > 0.0 else math.inf
+            assert problem.sum_crb(waveforms) == bound
+            if draw % 2:
+                assert problem.fisher(waveforms, 0) == 0.0 and bound == math.inf
+
     def test_aux_matches_matrix_module_auxiliary(self):
         # Y = K^{-1} v is the width-1 case of the matrix auxiliary B^{-1} sqrtA
         from mmfp import fp_matrix
 
         sc = two_radar_scenario()
-        rng = np.random.default_rng(7)
-        waveforms = [
-            rng.standard_normal(sc.waveform_length(m)) + 1j * rng.standard_normal(sc.waveform_length(m))
-            for m in range(2)
-        ]
+        waveforms = verify.random_waveforms(np.random.default_rng(7), sc)
         problem = RadarMmProblem(sc)
         aux = problem.update_aux(stack_waveforms(waveforms))
         for m in range(2):
             y = aux.Y[m]
             v = np.kron(np.eye(sc.l_samples), response_derivative(sc, m)) @ waveforms[m]
-            k_mat = problem.covariance(waveforms, m, rank1_lifts(waveforms))
+            k_mat = problem.covariance(waveforms, m)
             y_matrix = fp_matrix.opt_y(v[:, None], k_mat)
             assert np.allclose(y[:, None], y_matrix, atol=1e-12)
 
     def test_bracket_equals_half_curvature_at_update(self):
         sc = two_radar_scenario()
-        rng = np.random.default_rng(2)
-        waveforms = [
-            (rng.standard_normal(sc.waveform_length(m)) + 1j * rng.standard_normal(sc.waveform_length(m)))
-            for m in range(2)
-        ]
+        waveforms = verify.random_waveforms(np.random.default_rng(2), sc)
         assert verify.bracket_is_half_curvature(sc, waveforms)
         problem = RadarMmProblem(sc)
         aux = problem.update_aux(stack_waveforms(waveforms))
@@ -253,7 +260,7 @@ class TestAuxAndSubproblem:
             q, _ = problem._brackets(z, aux)
             for m in range(sc.m_radars):
                 v = np.kron(np.eye(sc.l_samples), response_derivative(sc, m)) @ waveforms[m]
-                k_mat = problem.covariance(waveforms, m, rank1_lifts(waveforms))
+                k_mat = problem.covariance(waveforms, m)
                 y = aux.Y[m][:, None]
                 ref = fp_matrix.q_plus(v[:, None], k_mat, y)[0, 0].real
                 scale = 2 * abs(np.vdot(y, v)) + np.vdot(y, k_mat @ y).real
@@ -368,13 +375,14 @@ class TestAlgorithm2:
 
 class TestStackHelpers:
     def test_round_trip(self):
+        problem = RadarMmProblem(tiny_scenario(theta=(0.2, 0.7), n_tx=(3, 5), n_rx=(2, 2),
+                                               sigma2=(1.0, 1.0), power=(1.0, 1.0)))
+        assert problem.s_dims == [3, 5]
         rng = np.random.default_rng(5)
-        waveforms = [rng.standard_normal(3) + 1j * rng.standard_normal(3),
-                     rng.standard_normal(5) + 1j * rng.standard_normal(5)]
-        z = stack_waveforms(waveforms)
-        back = unstack_waveforms(z, [3, 5])
+        waveforms = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in problem.s_dims]
+        back = problem.split(stack_waveforms(waveforms))
         for a, b in zip(waveforms, back):
-            assert np.allclose(a, b)
+            assert a.tobytes() == b.tobytes()
 
     def test_initial_waveforms_are_feasible_and_nondegenerate(self):
         sc = benchmark_scenario(30.0)

@@ -397,3 +397,16 @@ def test_solve_options_validation():
         SolveOptions(max_inner=0)
     with pytest.raises(InvalidInputError):
         SolveOptions(max_outer=0)
+
+
+def test_solve_options_counts_follow_the_scenario_count_rule():
+    # numpy integers pass and are stored as int; floats, bools and a
+    # negative seed are rejected with the field's name
+    opts = SolveOptions(max_outer=np.int64(5), max_inner=np.int32(7), seed=np.int64(3))
+    assert (opts.max_outer, opts.max_inner, opts.seed) == (5, 7, 3)
+    assert all(type(v) is int for v in (opts.max_outer, opts.max_inner, opts.seed))
+    for seed in (2.5, True, -1):
+        with pytest.raises(InvalidInputError, match="seed"):
+            SolveOptions(seed=seed)
+    with pytest.raises(InvalidInputError, match="max_inner"):
+        SolveOptions(max_inner=3.0)
