@@ -180,12 +180,11 @@ class RadarMmProblem:
     def __init__(self, scenario: RadarScenario):
         self.scenario = scenario
         radars = range(scenario.m_radars)
-        eye_l = np.eye(scenario.l_samples)
         self.T = [
-            {mp: np.kron(eye_l, response_matrix(scenario, m, mp)) for mp in [*radars[:m], *radars[m + 1 :]]}
+            {mp: self._lift(response_matrix(scenario, m, mp)) for mp in [*radars[:m], *radars[m + 1 :]]}
             for m in radars
         ]
-        self.D = [np.kron(eye_l, response_derivative(scenario, m)) for m in radars]
+        self.D = [self._lift(response_derivative(scenario, m)) for m in radars]
         self.s_dims = [scenario.waveform_length(m) for m in radars]
         # block layout of the stacked real decision vector [Re s_m; Im s_m]
         ends = np.cumsum([2 * d for d in self.s_dims]).tolist()
@@ -197,13 +196,26 @@ class RadarMmProblem:
         first = np.array(starts)[:, None] + k
         self._re, self._im = (np.where(k < dims, i, self.total_real_dim) for i in (first, first + dims))
         self.feasible = block_ball_set(list(zip(starts, ends)), list(scenario.power))
+        # the (v_m, K_m^{-1} v_m) pairs of the last stacked point solved, by
+        # its bytes: run_mm asks for the objective and then the auxiliaries
+        # at the same point
+        self._solved_key: bytes | None = None
+        self._solved_pairs: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def _lift(self, g: np.ndarray) -> np.ndarray:
+        """``I_L kron g``: ``g`` in each of the L diagonal blocks of zeros."""
+        l, (r, c) = self.scenario.l_samples, g.shape
+        out = np.zeros((l, r, l, c), dtype=complex)
+        out[np.arange(l), :, np.arange(l), :] = g
+        return out.reshape(l * r, l * c)
 
     def covariance(self, waveforms: list[np.ndarray], m: int) -> np.ndarray:
         """Interference-plus-noise covariance ``K_m`` of the waveforms."""
         K = self.scenario.sigma2[m] * np.eye(self.D[m].shape[0], dtype=complex)
+        uu = np.empty_like(K)
         for mp, t in self.T[m].items():
             u = t @ waveforms[mp]
-            K += np.outer(u, u.conj())
+            K += np.outer(u, u.conj(), out=uu)
         return K
 
     def _whitened(self, waveforms: list[np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,22 +224,28 @@ class RadarMmProblem:
         v = self.D[m] @ waveforms[m]
         return v, np.linalg.solve(self.covariance(waveforms, m), v)
 
+    def _solved(self, z: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every radar's :meth:`_whitened` pair at the stacked point ``z``,
+        solved once per point; the pairs are read-only, as callers share
+        them."""
+        key = np.asarray(z, dtype=float).tobytes()
+        if key != self._solved_key:
+            waveforms = self.split(z)
+            pairs = [self._whitened(waveforms, m) for m in range(self.scenario.m_radars)]
+            for v, y in pairs:
+                v.flags.writeable = y.flags.writeable = False
+            self._solved_key, self._solved_pairs = key, pairs
+        return self._solved_pairs
+
     def fisher(self, waveforms: list[np.ndarray], m: int) -> float:
         """Likelihood curvature ``2 v^H K^{-1} v`` in radar m's arrival angle;
         zero when the derivative signal vanishes (the bound is then
         infinite)."""
-        v, y = self._whitened(waveforms, m)
-        return 2.0 * float(np.real(v.conj() @ y))
+        return _curvature(*self._whitened(waveforms, m))
 
     def sum_crb(self, waveforms: list[np.ndarray]) -> float:
         """Sum of the per-radar estimator-variance lower bounds ``1/J_m``."""
-        total = 0.0
-        for m in range(self.scenario.m_radars):
-            j = self.fisher(waveforms, m)
-            if j <= 0.0:
-                return math.inf
-            total += 1.0 / j
-        return total
+        return _bound(self._whitened(waveforms, m) for m in range(self.scenario.m_radars))
 
     def initial_waveforms(self, seed: int = 0) -> list[np.ndarray]:
         """Flat max-power start, perturbed only if the derivative signal is
@@ -253,7 +271,7 @@ class RadarMmProblem:
         return [s[:d] for s, d in zip(self._pack(z), self.s_dims)]
 
     def objective(self, z: np.ndarray) -> float:
-        return -self.sum_crb(self.split(z))  # maximization convention
+        return -_bound(self._solved(z))  # maximization convention
 
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
         """Gradient of :meth:`objective`: the surrogate is a smooth
@@ -265,9 +283,8 @@ class RadarMmProblem:
         return grad
 
     def update_aux(self, z: np.ndarray) -> RadarAux:
-        waveforms = self.split(z)
         radars = range(self.scenario.m_radars)
-        Y = [self._whitened(waveforms, m)[1] for m in radars]
+        Y = [y for _, y in self._solved(z)]
         affine = np.zeros(self._re.shape, dtype=complex)
         cross = np.zeros((len(Y), *self._re.shape), dtype=complex)
         for m in radars:
@@ -304,8 +321,11 @@ class RadarMmProblem:
         weights = 0.5 / (q * q)  # d(-1/(2q))/dq
         # row m' of the complex gradient is w_m' affine[m'] minus, in
         # ascending m, w_m cross[m, m'] dots[m, m'] (zero at m = m')
-        terms = [(weights[:, None] * aux.affine)[None], weights[:, None, None] * aux.cross * dots]
-        grad_c = np.subtract.reduce(np.concatenate(terms), axis=0)
+        terms = weights[:, None, None] * aux.cross
+        terms *= dots
+        grad_c = weights[:, None] * aux.affine
+        for term in terms:
+            grad_c -= term
         grad = np.empty(self.total_real_dim + 1)
         grad[self._re] = grad_c.real
         grad[self._im] = grad_c.imag
@@ -317,6 +337,23 @@ class RadarMmProblem:
         iteration."""
         z, trace = run_mm(self, stack_waveforms(self.initial_waveforms(seed=opts.seed)), opts)
         return self.split(z), trace.negated()
+
+
+def _curvature(v: np.ndarray, y: np.ndarray) -> float:
+    """``2 v^H y``, the likelihood curvature when ``y = K^{-1} v``."""
+    return 2.0 * float(np.real(v.conj() @ y))
+
+
+def _bound(pairs) -> float:
+    """Sum of ``1/J_m`` over the ``(v_m, K_m^{-1} v_m)`` pairs; infinite at
+    the first curvature that is not positive."""
+    total = 0.0
+    for v, y in pairs:
+        j = _curvature(v, y)
+        if j <= 0.0:
+            return math.inf
+        total += 1.0 / j
+    return total
 
 
 def sum_crb(scenario: RadarScenario, waveforms: list[np.ndarray]) -> float:

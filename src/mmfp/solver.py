@@ -217,7 +217,7 @@ def maximize_subproblem(
     if not feasible.in_domain(x):
         raise InvalidStartError("subproblem start is outside the open domain")
     f, g = objective(x)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise InvalidStartError("subproblem start has non-finite objective")
 
     t = step0 if step0 is not None else 1.0 / (1.0 + float(np.linalg.norm(g)))
@@ -229,7 +229,8 @@ def maximize_subproblem(
     iters = 0
 
     for iters in range(1, opts.max_inner + 1):
-        residual = float(np.linalg.norm(x - feasible.project(x + g)))
+        r = x - feasible.project(x + g)
+        residual = math.sqrt(float(r @ r))  # np.linalg.norm's sqrt(dot(r, r))
         if residual <= opts.inner_tol * (1.0 + abs(f)):
             converged = True
             iters -= 1
@@ -244,11 +245,11 @@ def maximize_subproblem(
         for _ in range(_MAX_BACKTRACKS):
             trial = feasible.project(x + tt * g)
             d = trial - x
-            if float(np.linalg.norm(d)) == 0.0:
+            if float(d @ d) == 0.0:
                 break
             if feasible.in_domain(trial):
                 ft, gt = objective(trial)
-                if np.isfinite(ft) and ft >= f_ref + _ARMIJO_C * float(g @ d):
+                if math.isfinite(ft) and ft >= f_ref + _ARMIJO_C * float(g @ d):
                     x, f, g = trial, ft, gt
                     accepted = True
                     break

@@ -188,11 +188,13 @@ def quad_bound(A: float, B: float, y: float) -> bool:
 
 
 def max_side(A, B, y) -> bool:
-    """Bound at ``y``, tightness at ``opt_y``, and a strict gap away from it."""
+    """Bound at ``y``, tightness at ``opt_y`` (to 1e-12 relative above a
+    unit ratio: the rounding of ``quad_surrogate`` grows with A/B), and a
+    strict gap away from it."""
     y_star = fp_core.opt_y(A, B)
     return (
         quad_bound(A, B, y)
-        and abs(fp_core.quad_surrogate(A, B, y_star) - A / B) <= 1e-12
+        and abs(fp_core.quad_surrogate(A, B, y_star) - A / B) <= max(1e-12, 1e-12 * A / B)
         and (abs(y - y_star) <= 1e-4 or A <= 1e-8 or fp_core.quad_surrogate(A, B, y) < A / B - 1e-15)
     )
 

@@ -63,6 +63,20 @@ class TestQuadSurrogate:
     def test_optimal_auxiliary_attains_ratio(self, A, B):
         assert quad_surrogate(A, B, opt_y(A, B)) == pytest.approx(A / B, abs=1e-12, rel=1e-12)
 
+    def test_max_side_row_holds_at_a_large_ratio(self):
+        # at A/B = 1e7 the tight value rounds 1.86e-9 away from A/B
+        assert abs(quad_surrogate(10.0, 1e-6, opt_y(10.0, 1e-6)) - 1e7) > 1e-12
+        assert verify.max_side(10.0, 1e-6, 0.0)
+
+    @pytest.mark.parametrize("A, B", [(10.0, 1e-6), (4.0, 2.0), (1.0, 1.0), (0.1, 1.0), (3.0, 1e-3)])
+    def test_max_side_row_rejects_a_relative_tightness_gap(self, monkeypatch, A, B):
+        # a surrogate 1e-10 relative below the ratio at its optimum still
+        # minorizes it but is not tight
+        quad = fp_core.quad_surrogate
+        monkeypatch.setattr(fp_core, "quad_surrogate", lambda A, B, y: quad(A, B, y) - 1e-10 * A / B)
+        assert verify.quad_bound(A, B, opt_y(A, B))
+        assert not verify.max_side(A, B, 0.0)
+
 
 class TestOptY:
     def test_values(self):

@@ -346,6 +346,104 @@ class TestAuxAndSubproblem:
             problem.objective_grad(np.zeros_like(z))
 
 
+def _fisher_positive_scenario(seed, m_radars):
+    """A :func:`random_large_scenario` whose every curvature is positive at
+    the start."""
+    rng = np.random.default_rng(seed)
+    while True:
+        sc = random_large_scenario(rng, m_radars)
+        problem = RadarMmProblem(sc)
+        waveforms = problem.initial_waveforms()
+        if all(problem.fisher(waveforms, m) > 0.0 for m in range(sc.m_radars)):
+            return sc
+
+
+def _same_aux(a, b):
+    return (
+        all(x.tobytes() == y.tobytes() for x, y in zip(a.Y, b.Y))
+        and all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("affine", "cross", "rows"))
+        and a.noise == b.noise
+    )
+
+
+class TestOneSolvePerAnchor:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        return calls
+
+    @pytest.mark.parametrize("draw", ["benchmark", (32, 3), (33, 4)])
+    def test_run_algorithm2_solves_each_covariance_once_per_anchor(self, solves, draw):
+        # run_mm evaluates the objective and then updates the auxiliaries at
+        # the same point: M solves at the start and M per outer iteration
+        # whose inner solve moved the point (one that took no step returns
+        # its start, whose solves are kept)
+        sc = benchmark_scenario() if draw == "benchmark" else _fisher_positive_scenario(*draw)
+        solves.clear()
+        _, trace = run_algorithm2(sc, solver.SolveOptions(max_outer=40))
+        moved = sum(r.inner_iterations > 0 for r in trace.records[1:])
+        assert moved >= 2
+        assert len(solves) == sc.m_radars * (moved + 1)
+
+    def test_objective_grad_after_the_objective_solves_nothing(self, solves):
+        sc = two_radar_scenario()
+        problem = RadarMmProblem(sc)
+        z = problem.feasible.project(np.random.default_rng(8).standard_normal(problem.total_real_dim))
+        problem.objective(z)
+        problem.objective_grad(z)
+        problem.update_aux(z)
+        assert len(solves) == sc.m_radars
+
+    def test_kept_solves_never_go_stale(self):
+        # alternating two points, or changing a point in place between the
+        # objective and the auxiliaries, must give a fresh problem's answers
+        rng = np.random.default_rng(9)
+        for sc in [two_radar_scenario(), benchmark_scenario(15.0), random_large_scenario(rng, 4)]:
+            problem = RadarMmProblem(sc)
+            a, b = (problem.feasible.project(rng.standard_normal(problem.total_real_dim)) for _ in range(2))
+            for z in (a, b, a, a, b):
+                fresh = RadarMmProblem(sc)
+                assert problem.objective(z).hex() == fresh.objective(z).hex()
+                assert _same_aux(problem.update_aux(z), fresh.update_aux(z))
+            z = a.copy()
+            problem.objective(z)
+            z *= 0.5
+            assert _same_aux(problem.update_aux(z), RadarMmProblem(sc).update_aux(z))
+            z[0] = -z[0]
+            assert problem.objective_grad(z).tobytes() == RadarMmProblem(sc).objective_grad(z).tobytes()
+            z[:] = b
+            assert problem.objective(z).hex() == RadarMmProblem(sc).objective(z).hex()
+
+    def test_shared_solves_are_read_only(self):
+        problem = RadarMmProblem(two_radar_scenario())
+        aux = problem.update_aux(problem.feasible.project(np.ones(problem.total_real_dim)))
+        with pytest.raises(ValueError):
+            aux.Y[0][0] = 0.0
+
+    def test_lifts_equal_the_kronecker_products(self):
+        # value equality: the off-block zeros of np.kron may carry a sign
+        rng = np.random.default_rng(12)
+        single = tiny_scenario(
+            theta=(0.3, 0.9), n_tx=(1, 1), n_rx=(1, 3), sigma2=(1.0, 1.0), power=(1.0, 1.0), l_samples=3
+        )
+        scenarios = [benchmark_scenario(), tiny_scenario(n_rx=(1,)), single]
+        for sc in scenarios + [random_large_scenario(rng, 3) for _ in range(5)]:
+            problem = RadarMmProblem(sc)
+            eye = np.eye(sc.l_samples)
+            for m in range(sc.m_radars):
+                assert np.array_equal(problem.D[m], np.kron(eye, response_derivative(sc, m)))
+                assert sorted(problem.T[m]) == [mp for mp in range(sc.m_radars) if mp != m]
+                for mp, t in problem.T[m].items():
+                    assert np.array_equal(t, np.kron(eye, response_matrix(sc, m, mp)))
+
+
 class TestAlgorithm2:
     def test_single_radar_matches_eigen_oracle(self):
         sc = tiny_scenario(n_tx=(4,), n_rx=(6,), theta=(math.pi / 6,), power=(100.0,))
