@@ -18,7 +18,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -31,8 +31,8 @@ from .units import dbm_to_mw, nats_to_bits
 
 SEED_ENV_VAR = "MMFP_SEED"
 
-# the seed is a top-level key
-_SOLVER_KEYS = {f.name for f in fields(solver.SolveOptions)} - {"seed"}
+# the seed is a top-level key; extrapolation is chosen by the command
+_SOLVER_KEYS = {f.name for f in fields(solver.SolveOptions)} - {"seed", "accelerate"}
 
 def load_config(path: str | Path) -> dict:
     try:
@@ -408,6 +408,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, exp, opts, out = _start(args, for_sweep=True)
+    # a sweep writes only each point's answer, not its trace: extrapolate
+    opts = replace(opts, accelerate=True)
     rows = []
     for value in cfg["sweep"][exp.axis]:
         # eta is no scenario key: the row applies it to the scenario's weights

@@ -362,10 +362,11 @@ def sweep_start_points(scenario: SecureScenario) -> list[np.ndarray]:
 
 
 # Per-start budget for sweep exploration: losing basins are truncated early.
-_SWEEP_OPTS = SolveOptions(outer_tol=1e-9, max_outer=150, max_inner=1500)
+# Only each point's answer is reported, so both budgets extrapolate the MM map.
+_SWEEP_OPTS = SolveOptions(outer_tol=1e-9, max_outer=150, max_inner=1500, accelerate=True)
 # The winning start is re-polished to a tight fixed point (warm start makes
 # this cheap); this is what keeps the two methods' frontiers coincident.
-_POLISH_OPTS = SolveOptions(outer_tol=1e-11, max_outer=3000, max_inner=10000)
+_POLISH_OPTS = SolveOptions(outer_tol=1e-11, max_outer=3000, max_inner=10000, accelerate=True)
 
 
 def _solve_best(scenario: SecureScenario, runner) -> np.ndarray:

@@ -12,6 +12,11 @@ and touches it at the anchor, the true objective is nondecreasing across
 iterations; a decrease beyond numerical slack raises
 :class:`~mmfp.errors.MonotonicityError` since it can only mean a bug.
 
+With ``SolveOptions.accelerate`` set, every two MM maps are followed by a
+safeguarded squared extrapolation (SQUAREM, scheme S3; Varadhan & Roland,
+Scand. J. Statist. 2008), kept only where the true objective is at least
+the plain map's, so the trace stays monotone.
+
 Feasible sets are products of boxes and Euclidean balls, optionally
 restricted by an open-domain predicate (e.g. strictly positive rates).
 Line search only accepts in-domain trial points, so no accepted iterate
@@ -22,12 +27,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidStartError, MonotonicityError, count
+from .errors import DomainError, InvalidInputError, InvalidStartError, MonotonicityError, count
 
 # Hard clamps on the Barzilai-Borwein step to keep the line search sane on
 # degenerate curvature estimates.
@@ -46,6 +51,10 @@ _STALL_LIMIT = 200
 # consecutive sub-tolerance outer iterations even without an alternation
 # fixed point.
 _OUTER_STALL_STREAK = 8
+# Squared-extrapolation trials per cycle: each rejection halves the distance
+# from the step length alpha to -1, where the extrapolation is the plain map,
+# and costs one true-objective evaluation.
+_EXTRAPOLATION_TRIALS = 4
 
 
 def _always_true(_x: np.ndarray) -> bool:
@@ -117,13 +126,19 @@ def block_ball_set(blocks: list[tuple[int, int]], radii_sq: list[float]) -> Feas
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerances and limits for the outer MM loop and inner solver."""
+    """Tolerances and limits for the outer MM loop and inner solver.
+
+    ``accelerate`` adds the safeguarded squared extrapolation of the MM map
+    (see :func:`run_mm`): fewer maps to an answer at least as good, but a
+    trace that is no longer the plain MM iteration.
+    """
 
     outer_tol: float = 1e-8
     max_outer: int = 500
     inner_tol: float = 1e-7
     max_inner: int = 10000
     seed: int = 0
+    accelerate: bool = False
 
     def __post_init__(self):
         for name in ("outer_tol", "inner_tol"):
@@ -135,14 +150,22 @@ class SolveOptions:
             if value < least:
                 raise InvalidInputError(f"{name} must be at least {least}, got {value!r}")
             object.__setattr__(self, name, value)
+        if not isinstance(self.accelerate, (bool, np.bool_)):
+            raise InvalidInputError(f"accelerate must be a bool, got {self.accelerate!r}")
+        object.__setattr__(self, "accelerate", bool(self.accelerate))
 
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One MM map. ``extrapolated`` marks a map that closed an accelerated
+    cycle with an accepted extrapolation; ``objective`` is then the
+    extrapolated point's."""
+
     outer_index: int
     objective: float
     wall_ms: float
     inner_iterations: int
+    extrapolated: bool = False
 
 
 @dataclass
@@ -166,10 +189,7 @@ class IterationTrace:
 
     def negated(self) -> "IterationTrace":
         """The same run reporting ``-objective``, the minimized quantity."""
-        records = [
-            IterationRecord(r.outer_index, -r.objective, r.wall_ms, r.inner_iterations)
-            for r in self.records
-        ]
+        records = [replace(r, objective=-r.objective) for r in self.records]
         return IterationTrace(records=records, status=self.status)
 
 
@@ -278,6 +298,39 @@ def maximize_subproblem(
     return x, InnerResult(iterations=iters, converged=converged, step=t)
 
 
+def _squared_extrapolation(
+    problem: MmProblem, x0: np.ndarray, x1: np.ndarray, x2: np.ndarray, f2: float
+) -> tuple[np.ndarray, float] | None:
+    """SQUAREM's S3 step from the cycle ``x0 -> x1 -> x2`` of two MM maps.
+
+    With ``r = x1 - x0``, ``v = x2 - x1 - r`` and ``alpha = min(-|r|/|v|,
+    -1)``, the trial is ``project(x0 - 2 alpha r + alpha^2 v)``; it is kept
+    when it is in the domain and its true objective is finite and at least
+    ``f2``. A rejection moves alpha halfway to -1, where the trial would be
+    ``x2`` itself. Returns the kept point and its objective, or None (keep
+    ``x2``).
+    """
+    r = x1 - x0
+    v = x2 - x1 - r
+    vv = float(v @ v)
+    if vv == 0.0:
+        return None
+    alpha = min(-math.sqrt(float(r @ r)) / math.sqrt(vv), -1.0)
+    for _ in range(_EXTRAPOLATION_TRIALS):
+        if alpha == -1.0:
+            break
+        trial = problem.feasible.project(x0 - 2.0 * alpha * r + alpha * alpha * v)
+        if problem.feasible.in_domain(trial):
+            try:
+                f_trial = problem.objective(trial)
+            except DomainError:
+                f_trial = math.nan
+            if math.isfinite(f_trial) and f_trial >= f2:
+                return trial, f_trial
+        alpha = (alpha - 1.0) / 2.0
+    return None
+
+
 def run_mm(
     problem: MmProblem,
     x0: np.ndarray,
@@ -289,6 +342,11 @@ def run_mm(
     after ``max_outer`` iterations. The returned trace is monotone
     nondecreasing in the true objective up to slack ``1e-9 * (1 + |f|)``
     (inexact inner solves); a larger decrease raises MonotonicityError.
+
+    With ``opts.accelerate``, every two maps that do not stop the run close
+    a cycle with :func:`_squared_extrapolation`, and the next cycle starts
+    from the kept point. The stop test runs on each plain map, before any
+    extrapolation; the trace keeps one record per map.
     """
     opts = opts or SolveOptions()
     x = np.asarray(x0, dtype=float).copy()
@@ -298,6 +356,7 @@ def run_mm(
     trace = IterationTrace(records=[IterationRecord(0, f, 0.0, 0)])
     step: float | None = None
     stall_streak = 0
+    cycle = [x]  # the points of the open extrapolation cycle
 
     for outer in range(1, opts.max_outer + 1):
         tic = time.perf_counter()
@@ -307,12 +366,10 @@ def run_mm(
         )
         step = info.step
         f_new = problem.objective(x)
-        wall_ms = 1e3 * (time.perf_counter() - tic)
         if f_new < f - 1e-9 * (1.0 + abs(f)):
             raise MonotonicityError(
                 f"objective decreased from {f!r} to {f_new!r} at outer iteration {outer}"
             )
-        trace.records.append(IterationRecord(outer, f_new, wall_ms, info.iterations))
         # Relative objective stall alone can be transient (tight surrogates
         # crawl through flat regions and pick up again), so convergence is
         # declared when the stall comes with an alternation fixed point:
@@ -320,8 +377,20 @@ def run_mm(
         # sustained stall is accepted as a fallback cutoff.
         stalled = abs(f_new - f) <= opts.outer_tol * max(abs(f), abs(f_new), 1e-300)
         stall_streak = stall_streak + 1 if stalled else 0
+        converged = stalled and (info.iterations <= 1 or stall_streak >= _OUTER_STALL_STREAK)
+        extrapolated = False
+        if opts.accelerate and not converged:
+            cycle.append(x)
+            if len(cycle) == 3:
+                kept = _squared_extrapolation(problem, *cycle, f_new)
+                if kept is not None:
+                    x, f_new = kept
+                    extrapolated = True
+                cycle = [x]
+        wall_ms = 1e3 * (time.perf_counter() - tic)
+        trace.records.append(IterationRecord(outer, f_new, wall_ms, info.iterations, extrapolated))
         f = f_new
-        if stalled and (info.iterations <= 1 or stall_streak >= _OUTER_STALL_STREAK):
+        if converged:
             trace.status = "converged"
             break
 

@@ -177,6 +177,8 @@ class TestRunCommand:
             ({"seed": True}, "bad solver options: seed must be an integer"),
             ({"seed": 2.5}, "bad solver options: seed must be an integer"),
             ({"seed": -1}, "bad solver options: seed must be at least 0"),
+            # extrapolation is chosen by the command, not by the config
+            ({"solver": {"accelerate": True}}, "unknown field 'solver.accelerate'"),
         ]
         for fields, message in bad:
             path = write_config(tmp_path, dict(body, **fields))
@@ -320,11 +322,27 @@ class TestSweepCommand:
         assert [float(r[0]) for r in rows[1:]] == [5.0, 10.0]
         for row in rows[1:]:
             assert float(row[2]) <= float(row[1])
-        # the 10 dBm point reports what `mmfp run` reports for that scenario
+        # the 10 dBm point starts where `mmfp run` starts and, extrapolated,
+        # ends at least as low
         path = write_config(tmp_path, RADAR_SMALL)
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
         summary = dict(read_csv(tmp_path / "run" / "summary.csv")[1:])
-        assert rows[2][1:] == [summary[k] for k in rows[0][1:]]
+        assert rows[2][1] == summary["initial_sum_crb"]
+        assert float(rows[2][2]) <= float(summary["final_sum_crb"]) * (1.0 + 1e-9)
+
+    def test_aoi_sweep_rows_match_run(self, tmp_path):
+        path = write_config(tmp_path, dict(AOI_SMALL, sweep={"k": [3]}))
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        (row,) = read_csv(tmp_path / "out" / "sweep.csv")[1:]
+        body = dict(AOI_SMALL, scenario=dict(AOI_SMALL["scenario"], k=3))
+        path = write_config(tmp_path, body)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        summary = dict(read_csv(tmp_path / "run" / "summary.csv")[1:])
+        start = read_csv(tmp_path / "run" / "trace.csv")[1][1]
+        assert row[0] == "3"
+        assert row[3:5] == [summary["baseline_equal_rate_sum_aoi"], summary["baseline_max_rate_sum_aoi"]]
+        assert float(row[2]) <= float(summary["final_sum_aoi"]) * (1.0 + 1e-9)
+        assert float(row[2]) <= float(start)
 
     def test_secure_sweeps_write_the_tradeoff_frontier(self, tmp_path):
         body = dict(TRADEOFF_SMALL, scenario=dict(TRADEOFF_SMALL["scenario"], etas=[0.5]))

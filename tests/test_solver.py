@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mmfp import solver, verify
-from mmfp.errors import InvalidInputError, InvalidStartError, MonotonicityError
+from mmfp import radar, secure, solver, verify
+from mmfp.errors import DomainError, InvalidInputError, InvalidStartError, MonotonicityError
 from mmfp.fp_core import MixedFpProblem, OuterFunction, affine_fractions
 from mmfp.solver import (
     FeasibleSet,
@@ -354,6 +355,106 @@ class TestRunMm:
             run_mm(Broken(), np.array([0.5]))
 
 
+def _accelerated_cases(draws: int):
+    """Seeded ``(problem, start)`` pairs from every application's random
+    generator: mixed and log-ratio programs, secure (direct and fast) and
+    radar."""
+    rng = np.random.default_rng(13)
+    for _ in range(draws):
+        problem, dim = verify.random_mixed_problem(rng)
+        yield problem, rng.uniform(0.5, 2.0, dim)
+        problem, dim = verify.random_log_ratio_problem(rng, feasible=box_set(0.0, 3.0))
+        yield problem, rng.uniform(0.0, 3.0, dim)
+        sc = verify.random_secure_scenario(rng)
+        yield secure.build_direct_problem(sc), np.full(sc.l_cells, sc.p_max)
+        yield secure.build_fast_problem(sc), np.full(sc.l_cells, sc.p_max)
+        problem = radar.RadarMmProblem(verify.random_radar_scenario(rng))
+        yield problem, radar.stack_waveforms(problem.initial_waveforms(seed=0))
+
+
+class _Recorder:
+    """Forwards the MM protocol of ``problem`` and logs the objective values
+    ``run_mm`` asks for: ``values[0]`` at the start, then per map the plain
+    map's value followed by any extrapolation trials. With ``spoil``, every
+    trial's value is passed through it before ``run_mm`` sees it, so a trial
+    can be made worse."""
+
+    def __init__(self, problem, spoil=None):
+        self.problem = problem
+        self.feasible = problem.feasible
+        self.spoil = spoil
+        self.values = [[]]
+
+    def update_aux(self, x):
+        self.values.append([])
+        return self.problem.update_aux(x)
+
+    def surrogate(self, x, aux):
+        return self.problem.surrogate(x, aux)
+
+    def objective(self, x):
+        value = self.problem.objective(x)
+        self.values[-1].append(value)
+        if self.spoil is not None and len(self.values[-1]) > 1:
+            return self.spoil(value)
+        return value
+
+
+def _raise_domain_error(value):
+    raise DomainError("spoiled trial")
+
+
+class TestAcceleration:
+    ON = SolveOptions(accelerate=True)
+
+    def test_accelerated_traces_are_monotone(self):
+        accepted = 0
+        for problem, x0 in _accelerated_cases(8):
+            x, trace = run_mm(problem, x0, self.ON)
+            assert verify.monotone(trace.objectives)
+            assert trace.records[-1].objective == problem.objective(x)
+            accepted += sum(r.extrapolated for r in trace.records)
+        assert accepted > 0
+
+    def test_accepted_steps_beat_the_plain_map_of_their_cycle(self):
+        accepted = 0
+        for problem, x0 in _accelerated_cases(8):
+            recorder = _Recorder(problem)
+            _, trace = run_mm(recorder, x0, self.ON)
+            for record, values in zip(trace.records[1:], recorder.values[1:]):
+                plain, *trials = values
+                if record.extrapolated:
+                    accepted += 1
+                    assert record.objective == trials[-1] >= plain
+                else:
+                    assert record.objective == plain
+        assert accepted > 0
+
+    @pytest.mark.parametrize(
+        "spoil", [lambda v: v - 1.0 - abs(v), lambda v: math.nan, _raise_domain_error],
+        ids=["worse", "nan", "domain-error"],
+    )
+    def test_rejected_extrapolations_keep_the_plain_map(self, spoil):
+        # every trial is rejected, so each cycle keeps x2: the run is plain
+        # MM (on a budget, as plain MM crawls on some of these draws)
+        plain_opts = SolveOptions(max_outer=30, max_inner=100)
+        trials = 0
+        for problem, x0 in _accelerated_cases(3):
+            recorder = _Recorder(problem, spoil)
+            x, trace = run_mm(recorder, x0, replace(plain_opts, accelerate=True))
+            x_plain, plain = run_mm(problem, x0, plain_opts)
+            assert x.tobytes() == x_plain.tobytes()
+            assert trace.objectives.tobytes() == plain.objectives.tobytes()
+            assert not any(r.extrapolated for r in trace.records)
+            trials += sum(len(v) - 1 for v in recorder.values[1:])
+        assert trials > 0
+
+    def test_negated_trace_keeps_the_flag(self):
+        records = [IterationRecord(0, 1.0, 0.0, 0), IterationRecord(1, 2.0, 0.5, 3, True)]
+        negated = IterationTrace(records=records).negated().records
+        assert [(r.objective, r.extrapolated) for r in negated] == [(-1.0, False), (-2.0, True)]
+
+
 class TestStationarityResidual:
     def test_interior_maximum(self):
         problem = _ratio_problem(
@@ -410,3 +511,11 @@ def test_solve_options_counts_follow_the_scenario_count_rule():
             SolveOptions(seed=seed)
     with pytest.raises(InvalidInputError, match="max_inner"):
         SolveOptions(max_inner=3.0)
+
+
+def test_solve_options_accelerate_takes_bools_only():
+    assert SolveOptions().accelerate is False
+    assert SolveOptions(accelerate=np.bool_(True)).accelerate is True
+    for value in (1, 0, "yes", None, 1.0):
+        with pytest.raises(InvalidInputError, match="accelerate"):
+            SolveOptions(accelerate=value)
