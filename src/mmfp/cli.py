@@ -3,7 +3,8 @@
 ``run`` executes one experiment from a YAML config and writes CSV traces
 plus a key/value summary; ``sweep`` repeats an experiment along a declared
 axis (source count, power budget, or rate weight) writing one row per
-point; ``verify`` executes the seeded property suites.
+point, plus the frontier facts for the secure tradeoff; ``verify``
+executes the seeded property suites.
 
 Configs use dBm for powers/noises (converted to mW internally), angles as
 multiples of pi, and rates per unit time. Unknown keys are rejected.
@@ -26,13 +27,15 @@ import numpy as np
 import yaml
 
 from . import aoi, radar, secure, solver, verify
-from .errors import ConfigError, InvalidInputError, MmfpError, MonotonicityError
+from .errors import ConfigError, InvalidInputError, MmfpError, MonotonicityError, real
 from .units import dbm_to_mw, nats_to_bits
 
 SEED_ENV_VAR = "MMFP_SEED"
 
 # the seed is a top-level key; extrapolation is chosen by the command
 _SOLVER_KEYS = {f.name for f in fields(solver.SolveOptions)} - {"seed", "accelerate"}
+_ORACLE_ONLY = "'oracle: true' applies only to 'mmfp run' on aoi with k <= 3 or on secure with 2 cells"
+
 
 def load_config(path: str | Path) -> dict:
     try:
@@ -73,19 +76,32 @@ def validate_config(cfg: dict, for_sweep: bool = False) -> dict:
     for key, required in schema.items():
         if required:
             _require(scenario, key, "scenario.")
+    if for_sweep and experiment == "secure" and "solver" in cfg:
+        raise ConfigError(
+            "'solver' does not apply to the secure sweep: it keeps fixed budgets, "
+            "secure._SWEEP_OPTS for each start and secure._POLISH_OPTS for the best one"
+        )
     solver_cfg = cfg.get("solver", {})
     if not isinstance(solver_cfg, dict):
         raise ConfigError("'solver' must be a mapping")
     _reject_unknown(solver_cfg, _SOLVER_KEYS, "solver.")
-    if for_sweep:
-        sweep = _require(cfg, "sweep", "")
-        if not isinstance(sweep, dict):
-            raise ConfigError("'sweep' must be a mapping")
-        axis = _EXPERIMENTS[experiment].axis
-        _reject_unknown(sweep, {axis}, "sweep.")
-        values = _require(sweep, axis, "sweep.")
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"'sweep.{axis}' must be a nonempty list")
+    oracle = cfg.get("oracle", False)
+    if not isinstance(oracle, bool):
+        raise ConfigError(f"'oracle' must be true or false, got {oracle!r}")
+    if oracle and (for_sweep or experiment == "radar"):
+        raise ConfigError(_ORACLE_ONLY)
+    if not for_sweep:
+        if "sweep" in cfg:
+            raise ConfigError("a 'sweep' section is run by 'mmfp sweep', not 'mmfp run'")
+        return cfg
+    sweep = _require(cfg, "sweep", "")
+    if not isinstance(sweep, dict):
+        raise ConfigError("'sweep' must be a mapping")
+    axis = _EXPERIMENTS[experiment].axis
+    _reject_unknown(sweep, {axis}, "sweep.")
+    values = _require(sweep, axis, "sweep.")
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"'sweep.{axis}' must be a nonempty list")
     return cfg
 
 
@@ -110,17 +126,18 @@ def _solve_options(cfg: dict) -> solver.SolveOptions:
 
 def _build_aoi(scenario: dict) -> aoi.AoiScenario:
     try:
-        return aoi.AoiScenario(k=scenario["k"], mu=float(scenario["mu"]))
+        return aoi.AoiScenario(k=scenario["k"], mu=real("mu", scenario["mu"]))
     # ill-typed, invalid (InvalidInputError is a ValueError) or too large for a float
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
 
 
 def _per_radar(value, m: int, name: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return (float(value),) * m
-    if isinstance(value, list) and len(value) == m:
-        return tuple(float(v) for v in value)
+    value = real(name, value)
+    if isinstance(value, float):
+        return (value,) * m
+    if len(value) == m:
+        return tuple(value)
     raise ConfigError(f"'scenario.{name}' must be a number or a list of length {m}")
 
 
@@ -129,9 +146,9 @@ def _build_radar(scenario: dict) -> radar.RadarScenario:
         n_tx = tuple(scenario["n_tx"])
         n_rx = tuple(scenario["n_rx"])
         m = len(n_tx)
-        theta = tuple(math.pi * float(v) for v in scenario["theta_pi"])
-        beta_cfg = scenario.get("beta", 1.0)
-        if isinstance(beta_cfg, (int, float)):
+        theta = tuple(math.pi * v for v in real("theta_pi", scenario["theta_pi"]))
+        beta_cfg = real("beta", scenario.get("beta", 1.0))
+        if isinstance(beta_cfg, float):
             beta = tuple(tuple(complex(beta_cfg) for _ in range(m)) for _ in range(m))
         else:
             beta = tuple(tuple(complex(v) for v in row) for row in beta_cfg)
@@ -160,12 +177,12 @@ def _build_radar(scenario: dict) -> radar.RadarScenario:
 def _build_secure(scenario: dict) -> secure.SecureScenario:
     try:
         return secure.SecureScenario(
-            h2=np.asarray(scenario["h2"], dtype=float),
-            ht2=np.asarray(scenario["ht2"], dtype=float),
-            sigma2=dbm_to_mw(float(scenario["sigma2_dbm"])),
-            sigma2_tilde=dbm_to_mw(float(scenario["sigma2_tilde_dbm"])),
-            p_max=dbm_to_mw(float(scenario["p_dbm"])),
-            w=np.asarray(scenario.get("w", 1.0), dtype=float),
+            h2=np.asarray(real("h2", scenario["h2"]), dtype=float),
+            ht2=np.asarray(real("ht2", scenario["ht2"]), dtype=float),
+            sigma2=dbm_to_mw(real("sigma2_dbm", scenario["sigma2_dbm"])),
+            sigma2_tilde=dbm_to_mw(real("sigma2_tilde_dbm", scenario["sigma2_tilde_dbm"])),
+            p_max=dbm_to_mw(real("p_dbm", scenario["p_dbm"])),
+            w=np.asarray(real("w", scenario.get("w", 1.0)), dtype=float),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
@@ -191,6 +208,14 @@ def _write_summary(path: Path, rows: list[tuple[str, object]]) -> None:
     _write_csv(path, ["key", "value"], [[k, v] for k, v in rows])
 
 
+def _oracle(cfg: dict, applies: bool) -> bool:
+    """Whether ``run`` adds the grid oracle; ``oracle: true`` where it
+    cannot run is a config error, raised before any solve."""
+    if cfg.get("oracle", False) and not applies:
+        raise ConfigError(_ORACLE_ONLY)
+    return cfg.get("oracle", False)
+
+
 def _solve_aoi(scenario: aoi.AoiScenario, opts: solver.SolveOptions):
     rates, trace = aoi.run_algorithm1(scenario, opts)
     _, equal_val = aoi.baseline_equal_rate(scenario)
@@ -199,6 +224,7 @@ def _solve_aoi(scenario: aoi.AoiScenario, opts: solver.SolveOptions):
 
 
 def _run_aoi(cfg: dict, scenario: aoi.AoiScenario, opts: solver.SolveOptions, out: Path) -> None:
+    oracle = _oracle(cfg, scenario.k <= 3)
     rates, trace, equal_val, max_val = _solve_aoi(scenario, opts)
     _write_trace(out / "trace.csv", trace)
     resid = solver.stationarity_residual(aoi.build_aoi_problem(scenario), rates)
@@ -211,7 +237,7 @@ def _run_aoi(cfg: dict, scenario: aoi.AoiScenario, opts: solver.SolveOptions, ou
         ("baseline_equal_rate_sum_aoi", equal_val),
         ("baseline_max_rate_sum_aoi", max_val),
     ]
-    if cfg.get("oracle", False) and scenario.k <= 3:
+    if oracle:
         _, oracle_val = aoi.oracle_grid(scenario)
         gap = abs(trace.records[-1].objective - oracle_val) / oracle_val
         rows += [("oracle_sum_aoi", float(oracle_val)), ("oracle_gap_rel", float(gap))]
@@ -261,6 +287,7 @@ def _radar_row(scenario: radar.RadarScenario, p_dbm, opts: solver.SolveOptions) 
 
 
 def _run_secure(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOptions, out: Path) -> None:
+    oracle = _oracle(cfg, scenario.l_cells == 2)
     p3, tr3 = secure.run_algorithm3(scenario, opts)
     p4, tr4 = secure.run_algorithm4(scenario, opts)
     _write_trace(out / "trace_direct.csv", tr3)
@@ -280,7 +307,7 @@ def _run_secure(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOp
         ("fast_iters_to_1e-6", solver.iterations_to_relative_convergence(tr4, 1e-6)),
         ("baseline_objective_nats", float(base_val)),
     ]
-    if cfg.get("oracle", False) and scenario.l_cells == 2:
+    if oracle:
         _, oracle_val = secure.oracle_grid_2d(scenario)
         rows += [
             ("oracle_objective_nats", float(oracle_val)),
@@ -292,54 +319,28 @@ def _run_secure(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOp
     _write_summary(out / "summary.csv", rows)
 
 
-_FRONTIER_HEADER = [
-    "eta",
-    "fast_secure_bits", "fast_open_bits",
-    "direct_secure_bits", "direct_open_bits",
-    "baseline_secure_bits", "baseline_open_bits",
-    "fast_objective_nats", "direct_objective_nats", "baseline_objective_nats",
-]
-
-
-def _frontier_row(p: secure.TradeoffPoint) -> list:
-    return [float(v) for v in astuple(p)]
-
-
-def _etas(values) -> list[float]:
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"bad eta values: expected a nonempty list of numbers, got {values!r}")
-    try:
-        return [float(e) for e in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad eta values: {exc}") from exc
-
-
 def _tradeoff_row(scenario: secure.SecureScenario, eta, opts: solver.SolveOptions) -> list:
-    """One frontier point; the tradeoff keeps its own solver budgets, so
-    ``opts`` is unused."""
-    return _frontier_row(secure.tradeoff_sweep(scenario, _etas([eta]))[0])
+    """One frontier point, its fields in header order; the tradeoff keeps
+    its own solver budgets, so ``opts`` is unused."""
+    try:
+        eta = real("eta", eta)
+    except InvalidInputError as exc:
+        raise ConfigError(f"bad eta values: {exc}") from exc
+    return [float(v) for v in astuple(secure.tradeoff_sweep(scenario, [eta])[0])]
 
 
-def _run_tradeoff(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOptions, out: Path) -> None:
-    etas = cfg["scenario"].get("etas")
-    if etas is None:
-        etas = np.logspace(-3, 2, 26).tolist()
-    points = secure.tradeoff_sweep(scenario, _etas(etas))
-    _write_csv(out / "frontier.csv", _FRONTIER_HEADER, [_frontier_row(p) for p in points])
-    rows = [
-        ("experiment", "secure-tradeoff"),
-        ("points", len(points)),
-        *secure.frontier_facts(points).items(),
-    ]
-    _write_summary(out / "summary.csv", rows)
+def _tradeoff_summary(rows: list[list]) -> list[tuple[str, object]]:
+    points = [secure.TradeoffPoint(*row) for row in rows]
+    return [("experiment", "secure"), ("points", len(points)), *secure.frontier_facts(points).items()]
 
 
 @dataclass(frozen=True)
 class _Experiment:
     """What ``run``, ``sweep`` and :func:`validate_config` know of one
     experiment: its scenario keys (key -> required), the builder of its
-    model scenario, the ``run`` writer, the sweep axis, and the
-    ``sweep.csv`` header with the row of one sweep point."""
+    model scenario, the ``run`` writer, the sweep axis, the ``sweep.csv``
+    header with the row of one sweep point, and what ``sweep`` writes to
+    ``summary.csv`` from all rows, if anything."""
 
     keys: dict[str, bool]
     build: Callable[[dict], object]
@@ -347,16 +348,8 @@ class _Experiment:
     axis: str
     header: list[str]
     row: Callable[[object, object, solver.SolveOptions], list]
+    summary: Callable[[list[list]], list[tuple[str, object]]] | None = None
 
-
-_SECURE_KEYS = {
-    "h2": True,
-    "ht2": True,
-    "sigma2_dbm": True,
-    "sigma2_tilde_dbm": True,
-    "p_dbm": True,
-    "w": False,
-}
 
 _EXPERIMENTS = {
     "aoi": _Experiment(
@@ -380,13 +373,14 @@ _EXPERIMENTS = {
          "outer_iterations", "stationarity_residual"],
         _radar_row,
     ),
-    # a sweep of either secure experiment is the tradeoff along eta
+    # the secure sweep is the tradeoff frontier along the open-cell weight
     "secure": _Experiment(
-        _SECURE_KEYS, _build_secure, _run_secure, "eta", _FRONTIER_HEADER, _tradeoff_row
-    ),
-    "secure-tradeoff": _Experiment(
-        dict(_SECURE_KEYS, etas=False), _build_secure, _run_tradeoff, "eta",
-        _FRONTIER_HEADER, _tradeoff_row,
+        {"h2": True, "ht2": True, "sigma2_dbm": True, "sigma2_tilde_dbm": True, "p_dbm": True, "w": False},
+        _build_secure, _run_secure, "eta",
+        ["eta", "fast_secure_bits", "fast_open_bits", "direct_secure_bits", "direct_open_bits",
+         "baseline_secure_bits", "baseline_open_bits",
+         "fast_objective_nats", "direct_objective_nats", "baseline_objective_nats"],
+        _tradeoff_row, _tradeoff_summary,
     ),
 }
 
@@ -416,6 +410,8 @@ def _cmd_sweep(args) -> int:
         point = dict(cfg["scenario"], **{exp.axis: value}) if exp.axis in exp.keys else cfg["scenario"]
         rows.append(exp.row(exp.build(point), value, opts))
     _write_csv(out / "sweep.csv", exp.header, rows)
+    if exp.summary is not None:
+        _write_summary(out / "summary.csv", exp.summary(rows))
     return 0
 
 

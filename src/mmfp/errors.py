@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the toolkit, and the count check
-every scenario applies."""
+"""Exception hierarchy shared across the toolkit, the count check every
+scenario applies, and the real-number check the CLI applies to config
+values."""
 
 import numbers
 
@@ -54,3 +55,13 @@ def count(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def real(name: str, value):
+    """``value`` as a float, or a nested list of them as a list of the same
+    shape: ints, floats and numpy reals, never a bool or a string."""
+    if isinstance(value, list):
+        return [real(f"{name}[{i}]", v) for i, v in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    return float(value)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -112,7 +111,7 @@ def log_ratio_surrogate(problem: "LogRatioMmProblem", x: np.ndarray, anchor: np.
 
 @dataclass(frozen=True)
 class LogRatioAux:
-    """Frozen auxiliaries for one MM step, one entry per live row in row
+    """Frozen auxiliaries for one MM step, one entry per row in row
     order: the dual auxiliary (``gamma`` on a max row, ``gamma_tilde`` on a
     min row), the outer function of the row's induced ratio and that
     ratio's quadratic-transform auxiliary; plus the gamma-only zeta
@@ -135,9 +134,10 @@ class LogRatioMmProblem:
     the objective into a mixed sum of plain ratios in x: ``w(1+g) *
     A/(A+B)`` under an identity outer per max row and ``w(1-gt) * A/B``
     under a negated identity per min row (the factor is the outer's
-    weight). Only rows with a positive weight take part. The quadratic
-    transform of :mod:`mmfp.fp_core` then gives a concave, logarithm-free
-    subproblem. Implements the driver protocol of :mod:`mmfp.solver`.
+    weight). A row of weight 0 gets an outer of weight 0: it adds an exact
+    0 with slope 0, and its clamp limit is 0. The quadratic transform of
+    :mod:`mmfp.fp_core` then gives a concave, logarithm-free subproblem.
+    Implements the driver protocol of :mod:`mmfp.solver`.
     """
 
     fractions: Fractions
@@ -155,19 +155,6 @@ class LogRatioMmProblem:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "maximize", maximize)
 
-    @cached_property
-    def _live(self) -> np.ndarray | None:
-        """Indices of the positive-weight rows, ``None`` when that is all."""
-        live = np.flatnonzero(self.weights > 0)
-        return None if live.size == self.weights.size else live
-
-    def _live_rows(self, x: np.ndarray):
-        A, B, JA, JB = self.fractions(np.asarray(x, dtype=float))
-        live = self._live
-        if live is None:
-            return self.weights, self.maximize, A, B, JA, JB
-        return self.weights[live], self.maximize[live], A[live], B[live], JA[live], JB[live]
-
     def objective(self, x: np.ndarray) -> float:
         return log_ratio_objective(self, x)
 
@@ -177,11 +164,11 @@ class LogRatioMmProblem:
         return JA.T @ (s * B) - JB.T @ (s * A)
 
     def update_aux(self, x: np.ndarray, eps: float = Y_TILDE_SAFEGUARD) -> LogRatioAux:
-        weights, maximize, A, B, _, _ = self._live_rows(x)
+        A, B, _, _ = self.fractions(np.asarray(x, dtype=float))
         gamma = []
         outers = []
         const = 0.0
-        for w, mx, a, b in zip(weights.tolist(), maximize.tolist(), A.tolist(), B.tolist()):
+        for w, mx, a, b in zip(self.weights.tolist(), self.maximize.tolist(), A.tolist(), B.tolist()):
             if mx:
                 g = opt_gamma(a, b)
                 const += w * (math.log1p(g) - g)
@@ -191,11 +178,11 @@ class LogRatioMmProblem:
                 const += w * (math.log1p(-g) + g)
                 outers.append(OuterFunction.neg_identity(w * (1.0 - g)))
             gamma.append(g)
-        y = _closed_form_aux(outers, A, np.where(maximize, A + B, B), eps)
+        y = _closed_form_aux(outers, A, np.where(self.maximize, A + B, B), eps)
         return LogRatioAux(gamma=np.array(gamma), outers=tuple(outers), y=y, const=const)
 
     def surrogate(self, x: np.ndarray, aux: LogRatioAux) -> tuple[float, np.ndarray | None]:
-        _, maximize, A, B, JA, JB = self._live_rows(x)
-        B = np.where(maximize, A + B, B)
-        JB = np.where(maximize[:, None], JA + JB, JB)
+        A, B, JA, JB = self.fractions(np.asarray(x, dtype=float))
+        B = np.where(self.maximize, A + B, B)
+        JB = np.where(self.maximize[:, None], JA + JB, JB)
         return _quadratic_transform(aux.outers, A, B, JA, JB, aux.y, aux.const)

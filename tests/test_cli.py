@@ -1,12 +1,13 @@
 import csv
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from mmfp import cli, radar, verify
+from mmfp import cli, radar, secure, verify
 from mmfp.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -55,8 +56,8 @@ SECURE_SMALL = {
 }
 
 # two interfering cells, both eavesdropped
-TRADEOFF_SMALL = {
-    "experiment": "secure-tradeoff",
+SECURE_TWO_CELLS = {
+    "experiment": "secure",
     "seed": 0,
     "scenario": {
         "h2": [[1.0, 0.1], [0.09, 0.87]],
@@ -66,8 +67,6 @@ TRADEOFF_SMALL = {
         "p_dbm": 10.0,
     },
 }
-
-SECURE_TWO_CELLS = dict(TRADEOFF_SMALL, experiment="secure")
 
 
 class TestConfigValidation:
@@ -97,6 +96,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="experiment"):
             cli.validate_config({"experiment": "nope", "scenario": {}})
 
+    def test_secure_tradeoff_experiment_is_gone(self):
+        # the frontier is the secure sweep
+        with pytest.raises(ConfigError, match="unknown experiment 'secure-tradeoff'"):
+            cli.validate_config(dict(SECURE_TWO_CELLS, experiment="secure-tradeoff"))
+
     def test_sweep_requires_axis(self):
         cfg = {"experiment": "aoi", "scenario": {"k": 1, "mu": 1.0}}
         with pytest.raises(ConfigError, match="sweep"):
@@ -120,6 +124,34 @@ class TestRunCommand:
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "mu" in capsys.readouterr().err
+
+    def test_sweep_section_under_run_exits_2(self, tmp_path, capsys):
+        # it would otherwise run the scenario once and ignore the sweep
+        config = CONFIG_DIR / "secure_tradeoff.yaml"
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert "a 'sweep' section is run by 'mmfp sweep', not 'mmfp run'" in capsys.readouterr().err
+        assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            ("run", dict(AOI_SMALL, oracle="no"), "'oracle' must be true or false, got 'no'"),
+            ("run", dict(AOI_SMALL, oracle=1), "'oracle' must be true or false, got 1"),
+            ("run", dict(AOI_SMALL, scenario={"k": 5, "mu": 1.0}, oracle=True), cli._ORACLE_ONLY),
+            ("run", dict(SECURE_SMALL, oracle=True), cli._ORACLE_ONLY),
+            ("run", dict(RADAR_SMALL, oracle=True), cli._ORACLE_ONLY),
+            ("sweep", dict(AOI_SMALL, sweep={"k": [2]}, oracle=True), cli._ORACLE_ONLY),
+            ("sweep", dict(SECURE_TWO_CELLS, sweep={"eta": [1.0]}, oracle=True), cli._ORACLE_ONLY),
+        ],
+        ids=["string", "integer", "aoi-k5", "secure-one-cell", "radar", "aoi-sweep", "secure-sweep"],
+    )
+    def test_oracle_that_cannot_run_exits_2(self, tmp_path, capsys, command, body, message):
+        path = write_config(tmp_path, body)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(out.glob("*.csv"))  # refused before any solve
 
     def test_missing_config_file_exits_2(self, tmp_path):
         code = cli.main(
@@ -161,9 +193,11 @@ class TestRunCommand:
         assert float(summary["final_sum_crb"]) <= float(summary["initial_sum_crb"])
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("body", [AOI_SMALL, RADAR_SMALL, TRADEOFF_SMALL], ids=["aoi", "radar", "tradeoff"])
+    @pytest.mark.parametrize("body", [AOI_SMALL, RADAR_SMALL, SECURE_TWO_CELLS], ids=["aoi", "radar", "tradeoff"])
     def test_bad_solver_options_exit_2(self, tmp_path, capsys, body, command):
-        # the tradeoff keeps its own solver budgets but still checks the section
+        # the secure sweep is the tradeoff: it keeps its own fixed budgets,
+        # so any 'solver' section there is an error
+        tradeoff = command == "sweep" and body["experiment"] == "secure"
         if command == "sweep":
             axis = {"aoi": {"k": [2]}, "radar": {"p_dbm": [10.0]}}
             body = dict(body, sweep=axis.get(body["experiment"], {"eta": [1.0]}))
@@ -181,6 +215,8 @@ class TestRunCommand:
             ({"solver": {"accelerate": True}}, "unknown field 'solver.accelerate'"),
         ]
         for fields, message in bad:
+            if tradeoff and "solver" in fields:
+                message = "'solver' does not apply to the secure sweep: it keeps fixed budgets"
             path = write_config(tmp_path, dict(body, **fields))
             code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
             assert code == 2, fields
@@ -214,6 +250,20 @@ class TestRunCommand:
             (RADAR_SMALL, "l_samples", 1.9),
             (RADAR_SMALL, "n_tx", [2.7]),
             (RADAR_SMALL, "n_rx", [True]),
+            # real fields take real numbers only: no bools, no strings
+            (AOI_SMALL, "mu", True),
+            (AOI_SMALL, "mu", "1.5"),
+            (SECURE_TWO_CELLS, "p_dbm", True),
+            (SECURE_TWO_CELLS, "sigma2_dbm", True),
+            (SECURE_TWO_CELLS, "sigma2_tilde_dbm", False),
+            (SECURE_TWO_CELLS, "w", [True, 1.0]),
+            (SECURE_TWO_CELLS, "h2", [[True, 0.1], [0.09, 0.87]]),
+            (SECURE_TWO_CELLS, "ht2", [[0.5, 0.11], [0.13, True]]),
+            (RADAR_SMALL, "p_dbm", True),
+            (RADAR_SMALL, "sigma2_dbm", [True]),
+            (RADAR_SMALL, "theta_pi", [True]),
+            (RADAR_SMALL, "beta", True),
+            (RADAR_SMALL, "beta", [[True]]),
         ],
         ids=[
             "aoi-k-string", "radar-n_tx-number", "radar-beta-string", "secure-h2-number",
@@ -224,6 +274,10 @@ class TestRunCommand:
             "radar-sigma2_dbm-nan", "radar-beta-nan",
             "aoi-k-float", "aoi-k-bool", "radar-l_samples-float", "radar-n_tx-entry-float",
             "radar-n_rx-entry-bool",
+            "aoi-mu-bool", "aoi-mu-string", "secure-p_dbm-bool", "secure-sigma2_dbm-bool",
+            "secure-sigma2_tilde_dbm-bool", "secure-w-entry-bool", "secure-h2-entry-bool",
+            "secure-ht2-entry-bool", "radar-p_dbm-bool", "radar-sigma2_dbm-entry-bool",
+            "radar-theta_pi-entry-bool", "radar-beta-bool", "radar-beta-entry-bool",
         ],
     )
     def test_ill_typed_scenario_value_exits_2(self, tmp_path, capsys, body, key, value, command):
@@ -282,21 +336,25 @@ class TestRunCommand:
         assert len(builds) == 1
 
     @pytest.mark.parametrize(
-        "command, body",
+        "command, body, message",
         [
-            ("sweep", dict(TRADEOFF_SMALL, experiment="secure", sweep={"eta": ["x"]})),
-            ("run", dict(TRADEOFF_SMALL, scenario=dict(TRADEOFF_SMALL["scenario"], etas=["x"]))),
-            ("run", dict(TRADEOFF_SMALL, scenario=dict(TRADEOFF_SMALL["scenario"], etas=5))),
-            ("run", dict(TRADEOFF_SMALL, scenario=dict(TRADEOFF_SMALL["scenario"], etas="123"))),
-            ("run", dict(TRADEOFF_SMALL, scenario=dict(TRADEOFF_SMALL["scenario"], etas=[]))),
+            ("sweep", dict(SECURE_TWO_CELLS, sweep={"eta": ["x"]}), "bad eta values"),
+            ("sweep", dict(SECURE_TWO_CELLS, sweep={"eta": [True]}), "bad eta values"),
+            # the frontier is the secure sweep alone: 'scenario.etas' is gone
+            *(
+                ("run", dict(SECURE_TWO_CELLS, scenario=dict(SECURE_TWO_CELLS["scenario"], etas=etas)),
+                 "unknown field 'scenario.etas'")
+                for etas in (["x"], 5, "123", [])
+            ),
         ],
-        ids=["sweep-eta-string", "run-etas-string", "run-etas-number", "run-etas-text", "run-etas-empty"],
+        ids=["sweep-eta-string", "sweep-eta-bool", "run-etas-string", "run-etas-number", "run-etas-text",
+             "run-etas-empty"],
     )
-    def test_ill_typed_eta_exits_2(self, tmp_path, capsys, command, body):
+    def test_ill_typed_eta_exits_2(self, tmp_path, capsys, command, body, message):
         path = write_config(tmp_path, body)
         code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "config error: bad eta values" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -345,17 +403,22 @@ class TestSweepCommand:
         assert float(row[2]) <= float(start)
 
     def test_secure_sweeps_write_the_tradeoff_frontier(self, tmp_path):
-        body = dict(TRADEOFF_SMALL, scenario=dict(TRADEOFF_SMALL["scenario"], etas=[0.5]))
-        path = write_config(tmp_path, body)
-        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
-        frontier = read_csv(tmp_path / "run" / "frontier.csv")
-        assert len(frontier) == 2 and float(frontier[1][0]) == 0.5
-        for experiment in ("secure-tradeoff", "secure"):
-            body = dict(TRADEOFF_SMALL, experiment=experiment, sweep={"eta": [0.5]})
-            path = write_config(tmp_path, body)
-            out = tmp_path / experiment
-            assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
-            assert read_csv(out / "sweep.csv") == frontier
+        path = write_config(tmp_path, dict(SECURE_TWO_CELLS, sweep={"eta": [0.5, 2]}))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        points = secure.tradeoff_sweep(cli._build_secure(SECURE_TWO_CELLS["scenario"]), [0.5, 2.0])
+        rows = read_csv(out / "sweep.csv")
+        assert rows[0] == cli._EXPERIMENTS["secure"].header
+        assert rows[1:] == [[repr(float(v)) for v in astuple(p)] for p in points]
+        facts = {key: str(value) for key, value in secure.frontier_facts(points).items()}
+        assert dict(read_csv(out / "summary.csv")[1:]) == {"experiment": "secure", "points": "2", **facts}
+
+    def test_shipped_tradeoff_config_is_criterion_4s_sweep(self):
+        # acceptance criterion 4 checks this frontier through the library
+        cfg = cli.validate_config(cli.load_config(CONFIG_DIR / "secure_tradeoff.yaml"), for_sweep=True)
+        assert cfg["sweep"]["eta"] == np.logspace(-3, 2, 26).tolist()
+        shipped, benchmark = cli._build_secure(cfg["scenario"]), secure.five_link_benchmark()
+        assert all(np.array_equal(a, b) for a, b in zip(astuple(shipped), astuple(benchmark)))
 
     def test_sweep_without_axis_exits_2(self, tmp_path):
         path = write_config(tmp_path, AOI_SMALL)
@@ -392,6 +455,8 @@ def test_negative_env_var_seed_exits_2(tmp_path, monkeypatch, capsys, command):
     # a seedless radar config handed -3 to numpy, which raised ValueError
     monkeypatch.setenv(cli.SEED_ENV_VAR, "-3")
     body = {key: RADAR_SMALL[key] for key in ("experiment", "scenario")}
-    path = write_config(tmp_path, dict(body, sweep={"p_dbm": [10.0]}))
+    if command == "sweep":
+        body["sweep"] = {"p_dbm": [10.0]}
+    path = write_config(tmp_path, body)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "bad solver options: seed must be at least 0" in capsys.readouterr().err

@@ -209,19 +209,27 @@ class TestLogRatioMmProblem:
         _, trace = solver.run_mm(problem, np.full(2, 0.5))
         assert verify.monotone(trace.objectives)
 
-    def test_zero_weight_terms_are_dropped(self):
+    def test_zero_weight_row_adds_nothing(self):
+        # the weight-0 row takes part with an outer of weight 0: at its 0/1
+        # ratio it adds an exact 0 with slope 0, so the surrogate is the
+        # live row's alone
         dead = ([1.0], 0.0, [1.0], 1.0, 0.0, False)
         live = ([1.0], 0.5, [0.5], 1.0, 1.0, True)
-        problem = _log_ratio_problem([dead, live], solver.box_set(np.zeros(1), np.ones(1)))
-        x = np.array([0.0])  # dead row's ratio is 0/1; with weight 0 it must not blow up
+        box = solver.box_set(np.zeros(1), np.ones(1))
+        problem = _log_ratio_problem([dead, live], box)
+        alone = _log_ratio_problem([live], box)
+        x = np.array([0.0])
         aux = problem.update_aux(x)
-        value, _ = problem.surrogate(x, aux)
+        value, grad = problem.surrogate(x, aux)
         assert np.isfinite(value)
-        assert aux.gamma.tolist() == [opt_gamma(0.5, 1.0)] and len(aux.outers) == 1
+        assert aux.gamma.tolist() == [opt_gamma_tilde(0.0, 1.0), opt_gamma(0.5, 1.0)]
+        assert [o.weight for o in aux.outers] == [0.0, 1.0 + opt_gamma(0.5, 1.0)]
+        want_value, want_grad = alone.surrogate(x, alone.update_aux(x))
+        assert (value, grad.tolist()) == (want_value, want_grad.tolist())
 
-    def test_gamma_follows_live_row_order(self):
-        # one gamma per positive-weight row, in row order: A/B on a max row,
-        # A/(A+B) on a min row; zero-weight rows are skipped
+    def test_gamma_follows_row_order(self):
+        # one gamma per row, in row order: A/B on a max row, A/(A+B) on a
+        # min row, whatever the weight
         rows = [
             ([1.0], 0.5, [0.5], 1.0, 1.0, False),
             ([1.0], 0.0, [1.0], 1.0, 0.0, True),
@@ -232,9 +240,13 @@ class TestLogRatioMmProblem:
         problem = _log_ratio_problem(rows, solver.box_set(np.zeros(1), np.ones(1)))
         x = np.array([0.5])
         aux = problem.update_aux(x)
-        assert aux.gamma.tolist() == [opt_gamma_tilde(1.0, 1.25), opt_gamma(2.0, 2.5), opt_gamma_tilde(0.75, 1.0)]
-        assert [o.increasing for o in aux.outers] == [False, True, False]
+        assert aux.gamma.tolist() == [
+            opt_gamma_tilde(1.0, 1.25), opt_gamma(0.5, 1.5), opt_gamma(2.0, 2.5),
+            opt_gamma_tilde(0.5, 1.5), opt_gamma_tilde(0.75, 1.0),
+        ]
+        assert [o.increasing for o in aux.outers] == [False, True, True, False, False]
         assert aux.y.shape == aux.gamma.shape
+        assert np.isfinite(problem.surrogate(x, aux)[0])
 
 
 def test_weight_validation():
