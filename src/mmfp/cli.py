@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
@@ -29,8 +28,6 @@ import yaml
 from . import aoi, radar, secure, solver, verify
 from .errors import ConfigError, InvalidInputError, MmfpError, MonotonicityError, real
 from .units import dbm_to_mw, nats_to_bits
-
-SEED_ENV_VAR = "MMFP_SEED"
 
 # the seed is a top-level key; extrapolation is chosen by the command
 _SOLVER_KEYS = {f.name for f in fields(solver.SolveOptions)} - {"seed", "accelerate"}
@@ -105,19 +102,10 @@ def validate_config(cfg: dict, for_sweep: bool = False) -> dict:
     return cfg
 
 
-def _seed_of(cfg: dict):
-    if "seed" in cfg:
-        return cfg["seed"]  # as given: SolveOptions checks it, int() would truncate 2.5
-    env = os.environ.get(SEED_ENV_VAR)
-    try:
-        return int(env) if env else 0
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-
-
 def _solve_options(cfg: dict) -> solver.SolveOptions:
     fields = dict(cfg.get("solver", {}))
-    fields["seed"] = _seed_of(cfg)
+    # as given: SolveOptions checks it, int() would truncate 2.5
+    fields["seed"] = cfg.get("seed", 0)
     try:
         return solver.SolveOptions(**fields)
     except (TypeError, InvalidInputError) as exc:
@@ -319,13 +307,16 @@ def _run_secure(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOp
     _write_summary(out / "summary.csv", rows)
 
 
-def _tradeoff_row(scenario: secure.SecureScenario, eta, opts: solver.SolveOptions) -> list:
-    """One frontier point, its fields in header order; the tradeoff keeps
-    its own solver budgets, so ``opts`` is unused."""
+def _eta(value) -> float:
     try:
-        eta = real("eta", eta)
+        return real("eta", value)
     except InvalidInputError as exc:
         raise ConfigError(f"bad eta values: {exc}") from exc
+
+
+def _tradeoff_row(scenario: secure.SecureScenario, eta: float, opts: solver.SolveOptions) -> list:
+    """One frontier point, its fields in header order; the tradeoff keeps
+    its own solver budgets, so ``opts`` is unused."""
     return [float(v) for v in astuple(secure.tradeoff_sweep(scenario, [eta])[0])]
 
 
@@ -404,11 +395,14 @@ def _cmd_sweep(args) -> int:
     cfg, exp, opts, out = _start(args, for_sweep=True)
     # a sweep writes only each point's answer, not its trace: extrapolate
     opts = replace(opts, accelerate=True)
-    rows = []
+    # build every point, and check every value, before solving any
+    points = []
     for value in cfg["sweep"][exp.axis]:
-        # eta is no scenario key: the row applies it to the scenario's weights
-        point = dict(cfg["scenario"], **{exp.axis: value}) if exp.axis in exp.keys else cfg["scenario"]
-        rows.append(exp.row(exp.build(point), value, opts))
+        if exp.axis in exp.keys:
+            points.append((exp.build(dict(cfg["scenario"], **{exp.axis: value})), value))
+        else:  # eta is no scenario key: the row applies it to the scenario's weights
+            points.append((exp.build(cfg["scenario"]), _eta(value)))
+    rows = [exp.row(scenario, value, opts) for scenario, value in points]
     _write_csv(out / "sweep.csv", exp.header, rows)
     if exp.summary is not None:
         _write_summary(out / "summary.csv", exp.summary(rows))

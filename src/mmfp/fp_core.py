@@ -89,14 +89,17 @@ def inv_quad_surrogate(A: float, B: float, y_tilde: float) -> float:
 def opt_y_tilde(A: float, B: float, eps: float = Y_TILDE_SAFEGUARD) -> float:
     """Safeguarded minimizer ``sqrt(B) / (A + eps)`` of the min-side value.
 
-    ``eps > 0`` keeps the auxiliary finite as ``A -> 0+``; ``eps = 0`` is
-    accepted as the exact limit form used for surrogate anchors.
+    ``eps > 0`` keeps the auxiliary finite as ``A -> 0+``; ``eps = 0`` gives
+    the exact closed form, which needs ``A > 0``.
     """
     if A < 0 or B <= 0:
         raise InvalidInputError(f"need A >= 0 and B > 0, got A={A}, B={B}")
     if eps < 0:
         raise InvalidInputError("eps must be nonnegative")
-    return math.sqrt(B) / (A + eps)
+    try:
+        return math.sqrt(B) / (A + eps)
+    except ZeroDivisionError:
+        raise InvalidInputError("the exact min-side auxiliary needs A > 0") from None
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +119,7 @@ class OuterFunction:
     identity        w * r             increasing     all r
     log1p           w * ln(1 + r)     increasing     r > -1
     log1m           w * ln(1 - r)     decreasing     r < 1
-    neg_half_inverse  -1 / (2 r)      increasing     r > 0
+    neg_half_inverse  -w / (2 r)      increasing     r > 0
     neg_identity    -w * r            decreasing     all r
 
     The closed enumeration lets the driver rely on certified monotonicity
@@ -146,8 +149,8 @@ class OuterFunction:
         return cls("log1m", w)
 
     @classmethod
-    def neg_half_inverse(cls) -> "OuterFunction":
-        return cls("neg_half_inverse", 1.0)
+    def neg_half_inverse(cls, w: float = 1.0) -> "OuterFunction":
+        return cls("neg_half_inverse", w)
 
     @classmethod
     def neg_identity(cls, w: float = 1.0) -> "OuterFunction":
@@ -176,7 +179,7 @@ class OuterFunction:
             return (w * math.log1p(-r), -w / (1.0 - r)) if r < 1.0 else None
         # neg_half_inverse; two divisions, because r*r underflows to 0 for
         # tiny r and 0.5/0.0 raises where 0.5/r/r overflows to inf
-        return (-0.5 / r, 0.5 / r / r) if r > 0.0 else None
+        return (-0.5 * w / r, 0.5 * w / r / r) if r > 0.0 else None
 
     def _checked(self, r: float) -> tuple[float, float]:
         pair = self._value_slope(r)
@@ -254,11 +257,11 @@ class MixedFpProblem:
         return JA.T @ slopes - JB.T @ (slopes * A / B)
 
     # -- auxiliary update and surrogate -----------------------------------
-    def update_aux(self, x: np.ndarray, eps: float = Y_TILDE_SAFEGUARD) -> np.ndarray:
+    def update_aux(self, x: np.ndarray) -> np.ndarray:
         """One closed-form auxiliary per ratio, in ratio order (see
         :func:`_closed_form_aux`)."""
         A, B, _, _ = self.fractions(np.asarray(x, dtype=float))
-        return _closed_form_aux(self.outers, A, B, eps)
+        return _closed_form_aux(self.outers, A, B)
 
     def surrogate(self, x: np.ndarray, aux: np.ndarray) -> tuple[float, np.ndarray | None]:
         """Surrogate value and gradient at ``x`` for fixed auxiliaries.
@@ -275,14 +278,14 @@ class MixedFpProblem:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_aux(outers, A: np.ndarray, B: np.ndarray, eps: float) -> np.ndarray:
+def _closed_form_aux(outers, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Auxiliaries that make the quadratic transform tight at the point
     where ``A`` and ``B`` were evaluated, one per ratio in ratio order:
-    ``y = sqrt(A)/B`` under an increasing outer, ``y_tilde = sqrt(B)/(A +
-    eps)`` under a decreasing one.
+    ``y = sqrt(A)/B`` under an increasing outer, the safeguarded ``y_tilde
+    = sqrt(B)/(A + Y_TILDE_SAFEGUARD)`` under a decreasing one.
     """
     return np.array([
-        opt_y(a, b) if outer.increasing else opt_y_tilde(a, b, eps)
+        opt_y(a, b) if outer.increasing else opt_y_tilde(a, b)
         for outer, a, b in zip(outers, A.tolist(), B.tolist())
     ])
 
@@ -334,19 +337,6 @@ def _quadratic_transform(
             cA[i] = -s * y * y
             cB[i] = s * y / math.sqrt(max(b, POSITIVE_UNDERFLOW))
     return value, JA.T @ cA + JB.T @ cB
-
-
-def mixed_surrogate(problem: MixedFpProblem, x: np.ndarray, anchor: np.ndarray) -> float:
-    """Minorizing surrogate anchored at ``anchor`` and evaluated at ``x``.
-
-    Auxiliaries use the exact closed forms (zero safeguard), so the value
-    equals the true objective at ``x = anchor`` and never exceeds it
-    elsewhere. Returns ``-inf`` when a min-side clamp fires under an outer
-    that is unbounded below.
-    """
-    aux = problem.update_aux(np.asarray(anchor, dtype=float), eps=0.0)
-    value, _ = problem.surrogate(np.asarray(x, dtype=float), aux)
-    return value
 
 
 def affine_fractions(NA, a0, NB, b0) -> Fractions:

@@ -154,7 +154,7 @@ class MatrixOuter:
     -----------------------  -------------------------  ------------
     trace                    w * tr(X)                  increasing
     logdet                   w * logdet(I + X)          increasing
-    neg_half_inverse_trace   -tr(X^{-1}) / 2            increasing
+    neg_half_inverse_trace   -w * tr(X^{-1}) / 2        increasing
     neg_trace                -w * tr(X)                 decreasing
     neg_logdet               -w * logdet(I + X)         decreasing
 
@@ -185,7 +185,7 @@ class MatrixOuter:
             w_eig = np.linalg.eigvalsh(hermitize(X))
             if w_eig.min() <= 0:
                 raise DomainError("argument must be positive definite")
-            return -0.5 * float(np.sum(1.0 / w_eig))
+            return -0.5 * self.weight * float(np.sum(1.0 / w_eig))
         # sign of the determinant alone misses negative-definite arguments
         # of even dimension, so test eigenvalues
         w_eig = np.linalg.eigvalsh(hermitize(X))

@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .fp_core import (
-    Y_TILDE_SAFEGUARD,
-    Fractions,
-    OuterFunction,
-    _closed_form_aux,
-    _quadratic_transform,
-)
+from .fp_core import Fractions, OuterFunction, _closed_form_aux, _quadratic_transform
 from .solver import FeasibleSet
 
 # Keep ln(1 - gamma_tilde) finite; the closed form can only approach 1 when
@@ -163,7 +157,7 @@ class LogRatioMmProblem:
         s = np.where(self.maximize, self.weights, -self.weights) / (B * (A + B))
         return JA.T @ (s * B) - JB.T @ (s * A)
 
-    def update_aux(self, x: np.ndarray, eps: float = Y_TILDE_SAFEGUARD) -> LogRatioAux:
+    def update_aux(self, x: np.ndarray) -> LogRatioAux:
         A, B, _, _ = self.fractions(np.asarray(x, dtype=float))
         gamma = []
         outers = []
@@ -178,7 +172,7 @@ class LogRatioMmProblem:
                 const += w * (math.log1p(-g) + g)
                 outers.append(OuterFunction.neg_identity(w * (1.0 - g)))
             gamma.append(g)
-        y = _closed_form_aux(outers, A, np.where(self.maximize, A + B, B), eps)
+        y = _closed_form_aux(outers, A, np.where(self.maximize, A + B, B))
         return LogRatioAux(gamma=np.array(gamma), outers=tuple(outers), y=y, const=const)
 
     def surrogate(self, x: np.ndarray, aux: LogRatioAux) -> tuple[float, np.ndarray | None]:

@@ -210,10 +210,12 @@ def min_side(A, B, yt) -> bool:
 
 
 def mixed_sandwich(problem, x, anchor) -> bool:
-    """Surrogate at most the objective at ``x``, equal to it at the anchor."""
+    """Surrogate at most the objective at ``x``, equal to it at the anchor,
+    with the auxiliaries the MM driver takes there."""
+    aux = problem.update_aux(anchor)
     return (
-        fp_core.mixed_surrogate(problem, x, anchor) <= problem.objective(x) + 1e-9
-        and abs(fp_core.mixed_surrogate(problem, anchor, anchor) - problem.objective(anchor)) <= 1e-9
+        problem.surrogate(x, aux)[0] <= problem.objective(x) + 1e-9
+        and abs(problem.surrogate(anchor, aux)[0] - problem.objective(anchor)) <= 1e-9
     )
 
 
@@ -407,7 +409,7 @@ def secure_surrogates_tight(sc, p) -> bool:
     direct = secure.build_direct_problem(sc)
     return (
         abs(fast.surrogate(p, fast.update_aux(p))[0] - dual) <= 1e-10 * (1 + abs(ws))
-        and abs(direct.surrogate(p, direct.update_aux(p, 0.0))[0] - ws) <= 1e-10 * (1 + abs(ws))
+        and abs(direct.surrogate(p, direct.update_aux(p))[0] - ws) <= 1e-10 * (1 + abs(ws))
     )
 
 

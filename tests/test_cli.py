@@ -1,6 +1,6 @@
 import csv
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +420,27 @@ class TestSweepCommand:
         shipped, benchmark = cli._build_secure(cfg["scenario"]), secure.five_link_benchmark()
         assert all(np.array_equal(a, b) for a, b in zip(astuple(shipped), astuple(benchmark)))
 
+    @pytest.mark.parametrize(
+        "body, values, message",
+        [
+            (AOI_SMALL, {"k": [1, 2, 2.5]}, "bad scenario"),
+            (RADAR_SMALL, {"p_dbm": [5.0, 10.0, "x"]}, "bad scenario"),
+            (SECURE_TWO_CELLS, {"eta": [0.5, 2.0, True]}, "bad eta values"),
+        ],
+        ids=["aoi-k", "radar-p_dbm", "secure-eta"],
+    )
+    def test_bad_last_value_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch, body, values, message):
+        def no_solve(*args):
+            raise AssertionError("a sweep point was solved")
+
+        name = body["experiment"]
+        monkeypatch.setitem(cli._EXPERIMENTS, name, replace(cli._EXPERIMENTS[name], row=no_solve))
+        path = write_config(tmp_path, dict(body, sweep=values))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     def test_sweep_without_axis_exits_2(self, tmp_path):
         path = write_config(tmp_path, AOI_SMALL)
         assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -434,29 +455,7 @@ def test_verify_command_runs_a_suite(capsys):
             assert (f"[{suite}] {check.name}" in out) == (check.suite == suite)
 
 
-def test_env_var_seed_used_when_config_omits_it(tmp_path, monkeypatch):
+def test_seed_defaults_to_zero_when_config_omits_it():
     body = {"experiment": "aoi", "scenario": {"k": 1, "mu": 1.0}}
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
-    assert cli._seed_of(body) == 7
-    monkeypatch.delenv(cli.SEED_ENV_VAR)
-    assert cli._seed_of(body) == 0
-    assert cli._seed_of(dict(body, seed=3)) == 3
-
-
-def test_bad_env_var_seed_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
-    path = write_config(tmp_path, {key: AOI_SMALL[key] for key in ("experiment", "scenario")})
-    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert f"config error: {cli.SEED_ENV_VAR} must be an integer" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["run", "sweep"])
-def test_negative_env_var_seed_exits_2(tmp_path, monkeypatch, capsys, command):
-    # a seedless radar config handed -3 to numpy, which raised ValueError
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "-3")
-    body = {key: RADAR_SMALL[key] for key in ("experiment", "scenario")}
-    if command == "sweep":
-        body["sweep"] = {"p_dbm": [10.0]}
-    path = write_config(tmp_path, body)
-    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "bad solver options: seed must be at least 0" in capsys.readouterr().err
+    assert cli._solve_options(body).seed == 0
+    assert cli._solve_options(dict(body, seed=3)).seed == 3

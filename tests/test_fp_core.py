@@ -12,7 +12,6 @@ from mmfp.fp_core import (
     OuterFunction,
     affine_fractions,
     inv_quad_surrogate,
-    mixed_surrogate,
     opt_y,
     opt_y_tilde,
     plus_part,
@@ -126,6 +125,10 @@ class TestOptYTilde:
         with pytest.raises(InvalidInputError):
             opt_y_tilde(1.0, 1.0, -1e-3)
 
+    def test_exact_form_at_zero_numerator_rejected(self):
+        with pytest.raises(InvalidInputError):
+            opt_y_tilde(0.0, 1.0, 0.0)
+
 
 def _constant(A, B):
     """Ratios ``A_i / B_i`` that do not depend on the 1-D decision."""
@@ -192,7 +195,7 @@ class TestMixedSurrogate:
         problem = _identity_box_problem(
             affine_fractions([[1.0]], [0.0], [[0.0]], [1.0]), [OuterFunction.identity()]
         )
-        value = mixed_surrogate(problem, np.array([1.0]), np.array([4.0]))
+        value, _ = problem.surrogate(np.array([1.0]), problem.update_aux(np.array([4.0])))
         assert value == pytest.approx(0.0, abs=1e-12)
         assert value <= problem.objective(np.array([1.0]))
 
@@ -200,7 +203,7 @@ class TestMixedSurrogate:
         problem = _identity_box_problem(
             affine_fractions([[1.0]], [0.0], [[0.0]], [1.0]), [OuterFunction.neg_identity()]
         )
-        value = mixed_surrogate(problem, np.array([4.0]), np.array([1.0]))
+        value, _ = problem.surrogate(np.array([4.0]), problem.update_aux(np.array([1.0])))
         assert value == -math.inf
         assert value <= problem.objective(np.array([4.0]))
 
@@ -218,6 +221,13 @@ class TestOuterFunction:
     )
     def test_derivative_matches_finite_difference(self, outer, r):
         assert verify.outer_derivative_matches(outer, r)
+
+    @pytest.mark.parametrize("w", [0.0, 3.0])
+    def test_neg_half_inverse_scales_with_weight(self, w):
+        outer = OuterFunction.neg_half_inverse(w)
+        assert outer == OuterFunction("neg_half_inverse", w)
+        assert outer.evaluate(2.0) == -0.25 * w
+        assert outer.derivative(2.0) == 0.125 * w
 
     def test_monotonicity_flags(self):
         assert OuterFunction.identity().increasing
@@ -242,23 +252,15 @@ class TestOuterFunction:
                 OuterFunction.log1p(),
             ],
         )
-        aux = problem.update_aux(np.array([1.0]), eps=0.0)
+        aux = problem.update_aux(np.array([1.0]))
         assert aux.tolist() == [
-            opt_y_tilde(1.0, 4.0, 0.0),
-            opt_y(1.0, 4.0),
-            opt_y_tilde(9.0, 1.0, 0.0),
-            opt_y(2.0, 8.0),
-            opt_y(1.0, 0.5),
-        ]
-        safeguarded = problem.update_aux(np.array([1.0]))
-        assert safeguarded.tolist() == [
             opt_y_tilde(1.0, 4.0),
             opt_y(1.0, 4.0),
             opt_y_tilde(9.0, 1.0),
             opt_y(2.0, 8.0),
             opt_y(1.0, 0.5),
         ]
-        assert safeguarded[0] != aux[0]  # the safeguard is in effect
+        assert aux[0] != opt_y_tilde(1.0, 4.0, 0.0)  # the safeguard is in effect
         x = np.array([1.0])
         expected = sum(o.evaluate(a / b) for o, a, b in zip(problem.outers, A, B))
         assert problem.surrogate(x, aux)[0] == pytest.approx(expected, rel=1e-12)
@@ -314,7 +316,7 @@ def test_aux_state_matches_closed_forms():
         (OuterFunction.identity(), OuterFunction.neg_identity()),
         solver.box_set(np.array([0.0]), np.array([1.0])),
     )
-    aux = problem.update_aux(np.array([0.5]), eps=0.0)
+    aux = problem.update_aux(np.array([0.5]))
     assert isinstance(aux, np.ndarray)
     assert aux == pytest.approx([1.0, 2.0])
 
@@ -347,7 +349,8 @@ def _random_quadratic_problem(rng):
 
 def _scalar_reference(problem, x, anchor):
     """The transform term by term from the scalar spec: each outer applied
-    to ``quad_surrogate`` (max side) or ``inv_quad_surrogate`` (min side)."""
+    to ``quad_surrogate`` (max side) or ``inv_quad_surrogate`` (min side),
+    with the safeguarded closed forms the problem takes."""
     A, B, _, _ = problem.fractions(x)
     A0, B0, _, _ = problem.fractions(anchor)
     total = 0.0
@@ -355,7 +358,7 @@ def _scalar_reference(problem, x, anchor):
         if outer.increasing:
             r = quad_surrogate(a, b, opt_y(a0, b0))
         else:
-            r = inv_quad_surrogate(a, b, opt_y_tilde(a0, b0, 0.0))
+            r = inv_quad_surrogate(a, b, opt_y_tilde(a0, b0))
         if r == math.inf:
             total += outer.limit_at_infinity()
             continue
@@ -375,7 +378,7 @@ def test_array_transform_matches_scalar_reference():
         # half the queries near the anchor, half anywhere in the box
         scale = 0.1 if rng.random() < 0.5 else 1.5
         x = np.clip(anchor + rng.uniform(-scale, scale, dim), 0.5, 2.0)
-        got, _ = problem.surrogate(x, problem.update_aux(anchor, 0.0))
+        got, _ = problem.surrogate(x, problem.update_aux(anchor))
         want = _scalar_reference(problem, x, anchor)
         if want == -math.inf:
             assert got == -math.inf

@@ -180,6 +180,11 @@ class TestMatrixOuter:
         assert MatrixOuter("neg_trace", 2.0).evaluate(X) == pytest.approx(-1.4)
         assert MatrixOuter("neg_half_inverse_trace").evaluate(X) == pytest.approx(-0.5 / 0.7)
 
+    @pytest.mark.parametrize("w", [0.0, 3.0])
+    def test_neg_half_inverse_trace_scales_with_weight(self, w):
+        X = np.diag([2.0, 4.0])
+        assert MatrixOuter("neg_half_inverse_trace", w).evaluate(X) == pytest.approx(-0.375 * w, rel=1e-12)
+
     def test_logdet_rejects_negative_definite_argument(self):
         # a negative-definite I+X of even size has positive determinant;
         # the domain check must still fire
@@ -243,9 +248,8 @@ class TestMatrixMixedSurrogate:
             )
             x = np.array([rng.uniform(0.1, 2.0)])
             anchor = np.array([rng.uniform(0.1, 2.0)])
-            assert matrix_mixed_surrogate(terms, x, anchor) == pytest.approx(
-                fp_core.mixed_surrogate(core_problem, x, anchor), abs=1e-12
-            )
+            core_value, _ = core_problem.surrogate(x, core_problem.update_aux(anchor))
+            assert matrix_mixed_surrogate(terms, x, anchor) == pytest.approx(core_value, abs=1e-12)
 
     def test_min_side_bound_with_stale_anchor(self):
         rng = np.random.default_rng(9)

@@ -165,7 +165,7 @@ def test_nested_sandwich_on_random_instances():
     for _ in range(200):
         problem, dim = verify.random_log_ratio_problem(rng, offset=0.2, feasible=solver.box_set(0.0, 3.0))
         anchor = rng.uniform(0.1, 3.0, dim)
-        aux = problem.update_aux(anchor, eps=0.0)
+        aux = problem.update_aux(anchor)
         x = rng.uniform(0.1, 3.0, dim)
         inner, _ = problem.surrogate(x, aux)
         assert inner <= log_ratio_surrogate(problem, x, anchor) + 1e-10

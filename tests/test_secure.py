@@ -95,7 +95,7 @@ class TestDirectMethod:
         sc = two_link_benchmark()
         p = np.array([3.0, 8.0])
         problem = build_direct_problem(sc)
-        value, _ = problem.surrogate(p, problem.update_aux(p, eps=0.0))
+        value, _ = problem.surrogate(p, problem.update_aux(p))
         assert value == pytest.approx(weighted_sum_rate(sc, p), abs=1e-12)
 
     def test_surrogate_gradient_matches_finite_differences(self):
@@ -326,6 +326,19 @@ def test_both_problems_have_the_weighted_sum_rate_as_objective():
         tol = 1e-12 * (1 + abs(ws))
         assert build_direct_problem(sc).objective(p) == pytest.approx(ws, abs=tol)
         assert build_fast_problem(sc).objective(p) == pytest.approx(ws, abs=tol)
+
+
+@pytest.mark.parametrize("build", [build_direct_problem, build_fast_problem], ids=["direct", "fast"])
+def test_surrogate_tight_at_a_silent_cell(build):
+    # cell 0 transmits nothing, so its eavesdropper row has a zero numerator
+    sc = two_link_benchmark()
+    p = np.array([0.0, 1.0])
+    problem = build(sc)
+    aux = problem.update_aux(p)
+    parts = [aux] if isinstance(aux, np.ndarray) else [aux.gamma, aux.y, aux.const]
+    assert all(np.all(np.isfinite(v)) for v in parts)
+    value, _ = problem.surrogate(p, aux)
+    assert abs(value - problem.objective(p)) <= 1e-9
 
 
 def test_scenario_validation():
