@@ -26,11 +26,11 @@ import numpy as np
 import yaml
 
 from . import aoi, radar, secure, solver, verify
-from .errors import ConfigError, InvalidInputError, MmfpError, MonotonicityError, real
+from .errors import ConfigError, InvalidInputError, MmfpError, MonotonicityError, count, real
 from .units import dbm_to_mw, nats_to_bits
 
-# the seed is a top-level key; extrapolation is chosen by the command
-_SOLVER_KEYS = {f.name for f in fields(solver.SolveOptions)} - {"seed", "accelerate"}
+# extrapolation is chosen by the command
+_SOLVER_KEYS = {f.name for f in fields(solver.SolveOptions)} - {"accelerate"}
 _ORACLE_ONLY = "'oracle: true' applies only to 'mmfp run' on aoi with k <= 3 or on secure with 2 cells"
 
 
@@ -103,11 +103,12 @@ def validate_config(cfg: dict, for_sweep: bool = False) -> dict:
 
 
 def _solve_options(cfg: dict) -> solver.SolveOptions:
-    fields = dict(cfg.get("solver", {}))
-    # as given: SolveOptions checks it, int() would truncate 2.5
-    fields["seed"] = cfg.get("seed", 0)
     try:
-        return solver.SolveOptions(**fields)
+        opts = solver.SolveOptions(**cfg.get("solver", {}))
+        # the top-level seed is checked and changes nothing: no solve draws random numbers
+        if count("seed", cfg.get("seed", 0)) < 0:
+            raise InvalidInputError(f"seed must be at least 0, got {cfg['seed']!r}")
+        return opts
     except (TypeError, InvalidInputError) as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
 
@@ -276,34 +277,24 @@ def _radar_row(scenario: radar.RadarScenario, p_dbm, opts: solver.SolveOptions) 
 
 def _run_secure(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOptions, out: Path) -> None:
     oracle = _oracle(cfg, scenario.l_cells == 2)
-    p3, tr3 = secure.run_algorithm3(scenario, opts)
-    p4, tr4 = secure.run_algorithm4(scenario, opts)
-    _write_trace(out / "trace_direct.csv", tr3)
-    _write_trace(out / "trace_fast.csv", tr4)
-    v3 = secure.weighted_sum_rate(scenario, p3)
-    v4 = secure.weighted_sum_rate(scenario, p4)
+    solved = {"direct": secure.run_algorithm3(scenario, opts), "fast": secure.run_algorithm4(scenario, opts)}
+    values = {name: secure.weighted_sum_rate(scenario, p) for name, (p, _) in solved.items()}
+    rows = [("experiment", "secure")]
+    for name, (_, trace) in solved.items():
+        _write_trace(out / f"trace_{name}.csv", trace)
+        rows += [
+            (f"{name}_objective_nats", float(values[name])),
+            (f"{name}_objective_bits", float(nats_to_bits(values[name]))),
+            (f"{name}_outer_iterations", trace.outer_iterations),
+            (f"{name}_iters_to_1e-6", solver.iterations_to_relative_convergence(trace, 1e-6)),
+        ]
     _, base_val = secure.baseline_max_power_linear_search(scenario)
-    rows = [
-        ("experiment", "secure"),
-        ("direct_objective_nats", float(v3)),
-        ("direct_objective_bits", float(nats_to_bits(v3))),
-        ("direct_outer_iterations", tr3.outer_iterations),
-        ("direct_iters_to_1e-6", solver.iterations_to_relative_convergence(tr3, 1e-6)),
-        ("fast_objective_nats", float(v4)),
-        ("fast_objective_bits", float(nats_to_bits(v4))),
-        ("fast_outer_iterations", tr4.outer_iterations),
-        ("fast_iters_to_1e-6", solver.iterations_to_relative_convergence(tr4, 1e-6)),
-        ("baseline_objective_nats", float(base_val)),
-    ]
+    rows.append(("baseline_objective_nats", float(base_val)))
     if oracle:
         _, oracle_val = secure.oracle_grid_2d(scenario)
-        rows += [
-            ("oracle_objective_nats", float(oracle_val)),
-            ("direct_oracle_gap_nats", float(abs(v3 - oracle_val))),
-            ("fast_oracle_gap_nats", float(abs(v4 - oracle_val))),
-        ]
-    rows += [(f"direct_power_{i}", float(p3[i])) for i in range(scenario.l_cells)]
-    rows += [(f"fast_power_{i}", float(p4[i])) for i in range(scenario.l_cells)]
+        rows.append(("oracle_objective_nats", float(oracle_val)))
+        rows += [(f"{name}_oracle_gap_nats", float(abs(v - oracle_val))) for name, v in values.items()]
+    rows += [(f"{name}_power_{i}", float(v)) for name, (p, _) in solved.items() for i, v in enumerate(p)]
     _write_summary(out / "summary.csv", rows)
 
 

@@ -43,7 +43,6 @@ from .solver import (
     IterationTrace,
     SolveOptions,
     block_ball_set,
-    project_ball,
     run_mm,
 )
 from .units import dbm_to_mw
@@ -247,20 +246,10 @@ class RadarMmProblem:
         """Sum of the per-radar estimator-variance lower bounds ``1/J_m``."""
         return _bound(self._whitened(waveforms, m) for m in range(self.scenario.m_radars))
 
-    def initial_waveforms(self, seed: int = 0) -> list[np.ndarray]:
-        """Flat max-power start, perturbed only if the derivative signal is
-        degenerate there."""
-        rng = np.random.default_rng(seed)
-        waveforms = []
-        for n, d, power in zip(self.s_dims, self.D, self.scenario.power):
-            s = np.full(n, math.sqrt(power / n), dtype=complex)
-            d_scale = np.linalg.norm(d, "fro") * np.linalg.norm(s)
-            if np.linalg.norm(d @ s) <= 1e-12 * max(d_scale, 1e-300):
-                noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                s = s + 1e-3 * np.linalg.norm(s) * noise / np.linalg.norm(noise)
-                s = project_ball(s, power)
-            waveforms.append(s)
-        return waveforms
+    def initial_waveforms(self) -> list[np.ndarray]:
+        """Flat max-power start; ``D_m s`` is zero there only where ``D_m``
+        is, and then no waveform gives radar m a finite bound."""
+        return [np.full(n, math.sqrt(power / n), dtype=complex) for n, power in zip(self.s_dims, self.scenario.power)]
 
     def _pack(self, z: np.ndarray) -> np.ndarray:
         """The waveforms of the stacked vector ``z`` as padded rows."""
@@ -335,7 +324,7 @@ class RadarMmProblem:
         """Alternating waveform design from :meth:`initial_waveforms`; the
         trace reports the bound sum (positive, nonincreasing) per outer
         iteration."""
-        z, trace = run_mm(self, stack_waveforms(self.initial_waveforms(seed=opts.seed)), opts)
+        z, trace = run_mm(self, stack_waveforms(self.initial_waveforms()), opts)
         return self.split(z), trace.negated()
 
 

@@ -217,10 +217,8 @@ def run_algorithm3(
     p0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, IterationTrace]:
     """Direct power control from the max-power start (or ``p0``)."""
-    problem = build_direct_problem(scenario)
-    if p0 is None:
-        p0 = np.full(scenario.l_cells, scenario.p_max)
-    return run_mm(problem, p0, opts)
+    start = np.full(scenario.l_cells, scenario.p_max) if p0 is None else p0
+    return run_mm(build_direct_problem(scenario), start, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +246,8 @@ def run_algorithm4(
     """Fast power control: dual update, bracket update, box-constrained
     concave maximization, repeated from the max-power start (or ``p0``).
     The trace records the true weighted sum rate."""
-    problem = build_fast_problem(scenario)
-    if p0 is None:
-        p0 = np.full(scenario.l_cells, scenario.p_max)
-    return run_mm(problem, p0, opts)
+    start = np.full(scenario.l_cells, scenario.p_max) if p0 is None else p0
+    return run_mm(build_fast_problem(scenario), start, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -391,26 +387,12 @@ def tradeoff_sweep(scenario: SecureScenario, etas) -> list[TradeoffPoint]:
         w = scenario.w.copy()
         w[scenario.k_eavesdropped:] = eta
         sc = scenario.with_weights(w)
-        p_fast = _solve_best(sc, run_algorithm4)
-        fast_secure, fast_open = _rate_split(sc, p_fast)
-        p_dir = _solve_best(sc, run_algorithm3)
-        direct_secure, direct_open = _rate_split(sc, p_dir)
+        p_fast, p_dir = _solve_best(sc, run_algorithm4), _solve_best(sc, run_algorithm3)
         p_base, base_obj = baseline_max_power_linear_search(sc)
-        base_secure, base_open = _rate_split(sc, p_base)
-        points.append(
-            TradeoffPoint(
-                eta=float(eta),
-                fast_secure=fast_secure,
-                fast_open=fast_open,
-                direct_secure=direct_secure,
-                direct_open=direct_open,
-                fast_objective_nats=weighted_sum_rate(sc, p_fast),
-                direct_objective_nats=weighted_sum_rate(sc, p_dir),
-                baseline_secure=base_secure,
-                baseline_open=base_open,
-                baseline_objective_nats=base_obj,
-            )
-        )
+        # fields in order: each method's rate split, then each one's objective
+        splits = [r for p in (p_fast, p_dir, p_base) for r in _rate_split(sc, p)]
+        objectives = [weighted_sum_rate(sc, p_fast), weighted_sum_rate(sc, p_dir), base_obj]
+        points.append(TradeoffPoint(float(eta), *splits, *objectives))
     return points
 
 

@@ -137,7 +137,6 @@ class SolveOptions:
     max_outer: int = 500
     inner_tol: float = 1e-7
     max_inner: int = 10000
-    seed: int = 0
     accelerate: bool = False
 
     def __post_init__(self):
@@ -145,10 +144,10 @@ class SolveOptions:
             tol = getattr(self, name)
             if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
                 raise InvalidInputError(f"{name} must be a finite positive number, got {tol!r}")
-        for name, least in (("max_outer", 1), ("max_inner", 1), ("seed", 0)):
+        for name in ("max_outer", "max_inner"):
             value = count(name, getattr(self, name))
-            if value < least:
-                raise InvalidInputError(f"{name} must be at least {least}, got {value!r}")
+            if value < 1:
+                raise InvalidInputError(f"{name} must be at least 1, got {value!r}")
             object.__setattr__(self, name, value)
         if not isinstance(self.accelerate, (bool, np.bool_)):
             raise InvalidInputError(f"accelerate must be a bool, got {self.accelerate!r}")
@@ -331,6 +330,12 @@ def _squared_extrapolation(
     return None
 
 
+def _relative_change_within(old: float, new: float, tol: float) -> bool:
+    """``|new - old| <= tol * max(|old|, |new|)``: the outer stall test and
+    the trace's convergence count."""
+    return abs(new - old) <= tol * max(abs(old), abs(new), 1e-300)
+
+
 def run_mm(
     problem: MmProblem,
     x0: np.ndarray,
@@ -375,7 +380,7 @@ def run_mm(
         # declared when the stall comes with an alternation fixed point:
         # the warm-started subproblem had (almost) nothing left to do. A
         # sustained stall is accepted as a fallback cutoff.
-        stalled = abs(f_new - f) <= opts.outer_tol * max(abs(f), abs(f_new), 1e-300)
+        stalled = _relative_change_within(f, f_new, opts.outer_tol)
         stall_streak = stall_streak + 1 if stalled else 0
         converged = stalled and (info.iterations <= 1 or stall_streak >= _OUTER_STALL_STREAK)
         extrapolated = False
@@ -402,7 +407,7 @@ def iterations_to_relative_convergence(trace: IterationTrace, tol: float) -> int
     ``tol`` (trace length if it never is)."""
     vals = trace.objectives
     for i in range(1, len(vals)):
-        if abs(vals[i] - vals[i - 1]) <= tol * max(abs(vals[i]), abs(vals[i - 1]), 1e-300):
+        if _relative_change_within(vals[i - 1], vals[i], tol):
             return int(trace.records[i].outer_index)
     return int(trace.records[-1].outer_index)
 

@@ -499,10 +499,8 @@ def _secure_traces(scenarios) -> bool:
 
 
 def _radar_traces(scenarios) -> bool:
-    return all(
-        monotone(radar.run_algorithm2(sc, solver.SolveOptions(max_outer=60, max_inner=2000, seed=s))[1].objectives, -1.0)
-        for s, sc in enumerate(scenarios)
-    )
+    opts = solver.SolveOptions(max_outer=60, max_inner=2000)
+    return all(monotone(radar.run_algorithm2(sc, opts)[1].objectives, -1.0) for sc in scenarios)
 
 
 # ---------------------------------------------------------------------------

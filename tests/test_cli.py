@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mmfp import cli, radar, secure, verify
+from mmfp import cli, radar, secure, solver, verify
 from mmfp.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -207,7 +207,7 @@ class TestRunCommand:
             ({"solver": {"max_outer": True}}, "bad solver options"),
             ({"solver": {"outer_tol": math.nan}}, "bad solver options"),
             ({"solver": {"inner_tol": math.inf}}, "bad solver options"),
-            # a negative seed reached numpy on radar; 2.5 was truncated to 2
+            # the seed changes nothing but is still checked
             ({"seed": True}, "bad solver options: seed must be an integer"),
             ({"seed": 2.5}, "bad solver options: seed must be an integer"),
             ({"seed": -1}, "bad solver options: seed must be at least 0"),
@@ -455,7 +455,24 @@ def test_verify_command_runs_a_suite(capsys):
             assert (f"[{suite}] {check.name}" in out) == (check.suite == suite)
 
 
-def test_seed_defaults_to_zero_when_config_omits_it():
-    body = {"experiment": "aoi", "scenario": {"k": 1, "mu": 1.0}}
-    assert cli._solve_options(body).seed == 0
-    assert cli._solve_options(dict(body, seed=3)).seed == 3
+def test_seed_sets_no_solver_option():
+    # a config may omit the seed; any valid one, numpy integers too, gives
+    # the options of the 'solver' section alone
+    body = {"experiment": "aoi", "scenario": {"k": 1, "mu": 1.0}, "solver": {"max_outer": 7}}
+    expected = solver.SolveOptions(max_outer=7)
+    for seed in (None, 0, 3, np.int64(5)):
+        assert cli._solve_options(body if seed is None else dict(body, seed=seed)) == expected
+
+
+def test_seed_changes_no_radar_output(tmp_path):
+    # no solve draws random numbers, the radar start included
+    cfg = cli.load_config(CONFIG_DIR / "radar.yaml")
+    outs = [tmp_path / "seed0", tmp_path / "seed7"]
+    for seed, out in zip((0, 7), outs):
+        path = write_config(tmp_path, dict(cfg, seed=seed))
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert (outs[0] / "summary.csv").read_bytes() == (outs[1] / "summary.csv").read_bytes()
+    traces = [read_csv(out / "trace.csv") for out in outs]
+    wall = traces[0][0].index("wall_ms")
+    without_wall = [[r[:wall] + r[wall + 1 :] for r in trace] for trace in traces]
+    assert without_wall[0] == without_wall[1]

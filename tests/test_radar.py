@@ -491,6 +491,62 @@ class TestStackHelpers:
             assert np.linalg.norm(d @ s) > 0
 
 
+def _flat_start_scenario(rng):
+    """M radars with 1..6 antennas per array, often one on an array, and
+    half the angles at ``sin(theta) = 2j / N_T``, where the transmit
+    steering vector sums to zero; a self-gain is sometimes zero."""
+    m = int(rng.integers(1, 4))
+    n_tx = tuple(int(v) for v in rng.choice([1, 1, 2, 3, 4, 5, 6], m))
+    n_rx = tuple(int(v) for v in rng.choice([1, 1, 2, 3, 4, 5, 6], m))
+    theta = []
+    for n in n_tx:
+        if rng.random() < 0.5:
+            theta.append(math.asin(2 * int(rng.integers(-(n // 2), n // 2 + 1)) / n))
+        else:
+            theta.append(float(rng.uniform(-1.5, 1.5)))
+    beta = [[complex(*rng.uniform([-1.5, -1.5], [1.5, 1.5])) for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        if rng.random() < 0.1:
+            beta[i][i] = 0.0
+    return RadarScenario(
+        n_tx=n_tx, n_rx=n_rx, theta=tuple(theta), beta=tuple(map(tuple, beta)),
+        sigma2=(1.0,) * m, power=tuple(float(v) for v in 10 ** rng.uniform(-1, 2, m)),
+        l_samples=int(rng.integers(1, 4)),
+    )
+
+
+class TestFlatStart:
+    """At the flat start every block of ``D_m s`` is a multiple of ``dG_mm
+    1``, which vanishes only where ``dG_mm`` does: no start can make a
+    zero-derivative radar's bound finite, so none is needed."""
+
+    def test_derivative_signal_is_zero_only_where_the_derivative_is(self):
+        rng = np.random.default_rng(17)
+        seen = {"zero": 0, "tx_null": 0, "one_antenna": 0}
+        for _ in range(400):
+            sc = _flat_start_scenario(rng)
+            problem = RadarMmProblem(sc)
+            for m, (d, s) in enumerate(zip(problem.D, problem.initial_waveforms())):
+                scale = np.linalg.norm(d, "fro") * np.linalg.norm(s)
+                if scale == 0.0:
+                    seen["zero"] += 1
+                    continue
+                assert np.linalg.norm(d @ s) >= 1e-6 * scale, (sc, m)
+                n = sc.n_tx[m]
+                seen["tx_null"] += n > 1 and abs(np.sum(steering_vector(n, sc.theta[m]))) < 1e-9
+                seen["one_antenna"] += min(n, sc.n_rx[m]) == 1
+        # the draws reach every case the premise names
+        assert min(seen.values()) >= 20, seen
+
+    def test_zero_self_gain_bound_is_infinite_from_any_start(self):
+        sc = replace(two_radar_scenario(), beta=((1.0, 0.6 + 0.2j), (0.5 - 0.1j, 0.0)))
+        problem = RadarMmProblem(sc)
+        rng = np.random.default_rng(3)
+        for waveforms in (problem.initial_waveforms(), verify.random_waveforms(rng, sc)):
+            assert problem.fisher(waveforms, 1) == 0.0
+            assert problem.sum_crb(waveforms) == math.inf
+
+
 def test_scenario_validation():
     with pytest.raises(InvalidInputError):
         tiny_scenario(sigma2=(0.0,))

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -369,7 +369,7 @@ def _accelerated_cases(draws: int):
         yield secure.build_direct_problem(sc), np.full(sc.l_cells, sc.p_max)
         yield secure.build_fast_problem(sc), np.full(sc.l_cells, sc.p_max)
         problem = radar.RadarMmProblem(verify.random_radar_scenario(rng))
-        yield problem, radar.stack_waveforms(problem.initial_waveforms(seed=0))
+        yield problem, radar.stack_waveforms(problem.initial_waveforms())
 
 
 class _Recorder:
@@ -487,6 +487,9 @@ def test_iterations_to_relative_convergence():
     ]
     trace = IterationTrace(records=records)
     assert iterations_to_relative_convergence(trace, 1e-6) == 3
+    # a zero objective that stays zero has converged, as in run_mm's stall test
+    zeros = IterationTrace(records=[IterationRecord(i, 0.0, 0.0, 1) for i in range(3)])
+    assert iterations_to_relative_convergence(zeros, 1e-6) == 1
 
 
 def test_solve_options_validation():
@@ -501,16 +504,23 @@ def test_solve_options_validation():
 
 
 def test_solve_options_counts_follow_the_scenario_count_rule():
-    # numpy integers pass and are stored as int; floats, bools and a
-    # negative seed are rejected with the field's name
-    opts = SolveOptions(max_outer=np.int64(5), max_inner=np.int32(7), seed=np.int64(3))
-    assert (opts.max_outer, opts.max_inner, opts.seed) == (5, 7, 3)
-    assert all(type(v) is int for v in (opts.max_outer, opts.max_inner, opts.seed))
-    for seed in (2.5, True, -1):
-        with pytest.raises(InvalidInputError, match="seed"):
-            SolveOptions(seed=seed)
+    # numpy integers pass and are stored as int; floats, bools and counts
+    # below 1 are rejected with the field's name
+    opts = SolveOptions(max_outer=np.int64(5), max_inner=np.int32(7))
+    assert (opts.max_outer, opts.max_inner) == (5, 7)
+    assert all(type(v) is int for v in (opts.max_outer, opts.max_inner))
+    for value in (2.5, True, -1):
+        with pytest.raises(InvalidInputError, match="max_outer"):
+            SolveOptions(max_outer=value)
     with pytest.raises(InvalidInputError, match="max_inner"):
         SolveOptions(max_inner=3.0)
+
+
+def test_solve_options_hold_no_seed():
+    # no solve draws random numbers; the config's seed is checked by the CLI
+    assert [f.name for f in fields(SolveOptions)] == ["outer_tol", "max_outer", "inner_tol", "max_inner", "accelerate"]
+    with pytest.raises(TypeError, match="seed"):
+        SolveOptions(seed=0)
 
 
 def test_solve_options_accelerate_takes_bools_only():
