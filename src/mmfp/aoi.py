@@ -161,14 +161,31 @@ def baseline_equal_rate(scenario: AoiScenario) -> tuple[np.ndarray, float]:
     return np.repeat(best, k), -neg_age
 
 
+def _sum_aoi_lower_bound(lo_rows: np.ndarray, hi_rows: np.ndarray, mu: float) -> np.ndarray:
+    """Lower bound of the total age over each box ``[lo, hi]`` of rates, from
+    the two-fraction split: both fractions of source k grow with ``rhat_k``
+    and the second falls with ``rho_k``, so the earlier rates sit at ``lo``
+    and the own rate at ``hi`` (``+inf`` where that is zero)."""
+    _, h = _loads(lo_rows, mu)
+    with np.errstate(divide="ignore"):
+        ages = (h * h + 3 * h + 1) / (mu * (1 + h)) + (h + 1) ** 2 / (mu * (hi_rows / mu))
+    return ages.sum(axis=1)
+
+
 def oracle_grid(scenario: AoiScenario) -> tuple[np.ndarray, float]:
     """Exhaustive search over the rate box by :func:`~mmfp.solver.grid_search`:
-    51 points per rate, then three refinements.
+    51 points per rate, then three refinements. Boxes of rates whose age
+    bound cannot reach the incumbent are not scanned; the answer is the
+    full scan's.
 
     Cost grows exponentially in ``K``; refuses ``K > 3``.
     """
     if scenario.k > 3:
         raise InvalidInputError("exhaustive search is limited to K <= 3")
     mu = scenario.mu
-    best, neg_age = grid_search(0.0, mu, 0.02 * mu, scenario.k, lambda rows: -_sum_aoi_batch(rows, mu), 3)
+    best, neg_age = grid_search(
+        0.0, mu, 0.02 * mu, scenario.k,
+        lambda rows: -_sum_aoi_batch(rows, mu), 3,
+        lambda lo, hi: -_sum_aoi_lower_bound(lo, hi, mu),
+    )
     return best, -neg_age

@@ -131,29 +131,39 @@ def five_link_benchmark(eta: float = 1.0) -> SecureScenario:
 # ---------------------------------------------------------------------------
 
 
-def _sinrs(scenario: SecureScenario, p_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sinrs(
+    scenario: SecureScenario, p_rows: np.ndarray, lo_rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """User SINRs (batch, L) and eavesdropper SINRs (batch, K) for each row
-    of a (batch, L) power array."""
-    received = p_rows @ scenario.h2.T  # (batch, L): total power seen at user i
-    own = p_rows * np.diag(scenario.h2)
+    of a (batch, L) power array. With ``lo_rows``, row pairs are boxes
+    ``[lo, p]`` and the SINRs are the users' largest and the eavesdroppers'
+    smallest over each box: every SINR rises with its own power and falls
+    with the others'."""
+    lo = p_rows if lo_rows is None else lo_rows
     kk = np.arange(scenario.k_eavesdropped)
-    received_t = p_rows @ scenario.ht2.T
-    own_t = p_rows[:, kk] * scenario.ht2[kk, kk]
-    sinr = own / (received - own + scenario.sigma2)
-    return sinr, own_t / (received_t - own_t + scenario.sigma2_tilde)
+    gain, gain_t = np.diag(scenario.h2), scenario.ht2[kk, kk]
+    interference = lo @ scenario.h2.T - lo * gain  # (batch, L): power seen at user i from the others
+    leakage = p_rows @ scenario.ht2.T - p_rows[:, kk] * gain_t
+    return p_rows * gain / (interference + scenario.sigma2), lo[:, kk] * gain_t / (leakage + scenario.sigma2_tilde)
 
 
-def _rates(scenario: SecureScenario, p_rows: np.ndarray) -> np.ndarray:
-    """Per-cell rates in nats, row by row of a (batch, L) power array."""
-    sinr, eaves = _sinrs(scenario, p_rows)
+def _rates(scenario: SecureScenario, p_rows: np.ndarray, lo_rows: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell rates in nats, row by row of a (batch, L) power array; with
+    ``lo_rows``, an upper bound of each rate over each box ``[lo, p]``."""
+    sinr, eaves = _sinrs(scenario, p_rows, lo_rows)
     rates = np.log1p(sinr)
     rates[:, : scenario.k_eavesdropped] -= np.log1p(eaves)
     return rates
 
 
-def _weighted_sum_rate_batch(scenario: SecureScenario, p_rows: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`weighted_sum_rate` over rows of a (batch, L) array."""
-    return _rates(scenario, p_rows) @ scenario.w
+def _weighted_sum_rate_batch(
+    scenario: SecureScenario, p_rows: np.ndarray, lo_rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Vectorized :func:`weighted_sum_rate` over rows of a (batch, L) array;
+    with ``lo_rows``, an upper bound of it over each box ``[lo, p]``, since
+    the weights are nonnegative (monotonic optimization; Tuy, SIAM J.
+    Optim. 2000)."""
+    return _rates(scenario, p_rows, lo_rows) @ scenario.w
 
 
 def secret_rate(scenario: SecureScenario, p, i: int) -> float:
@@ -291,11 +301,17 @@ def baseline_max_power_linear_search(scenario: SecureScenario) -> tuple[np.ndarr
 
 def oracle_grid_2d(scenario: SecureScenario) -> tuple[np.ndarray, float]:
     """Exhaustive two-cell search by :func:`~mmfp.solver.grid_search`:
-    1,001 points per power, then one refinement."""
+    1,001 points per power, then one refinement. Boxes of powers whose rate
+    bound cannot reach the incumbent are not scanned; the answer is the
+    full scan's."""
     if scenario.l_cells != 2:
         raise InvalidInputError("exhaustive search is implemented for L = 2 only")
     p_cap = scenario.p_max
-    return grid_search(0.0, p_cap, p_cap / 1000, 2, lambda rows: _weighted_sum_rate_batch(scenario, rows), 1)
+    return grid_search(
+        0.0, p_cap, p_cap / 1000, 2,
+        lambda rows: _weighted_sum_rate_batch(scenario, rows), 1,
+        lambda lo, hi: _weighted_sum_rate_batch(scenario, hi, lo),
+    )
 
 
 # ---------------------------------------------------------------------------

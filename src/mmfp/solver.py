@@ -413,20 +413,14 @@ def iterations_to_relative_convergence(trace: IterationTrace, tol: float) -> int
 
 
 _GRID_BLOCK_ROWS = 4096  # rows per grid_argmax block: its temporaries stay in cache
+_INCUMBENT_BOXES = 16  # boxes per level of the bounded descent whose points seed the incumbent
+_PRUNE_REL = 1e-9  # a box is pruned when its bound is below the incumbent by this, relative
 
 
-def grid_argmax(axes: list[np.ndarray], values: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, float]:
-    """First maximizer of ``values`` (one value per row of a (rows,
-    len(axes)) batch) over the row-major grid of ``axes``, and its value:
-    the row ``np.argmax`` picks over the full ``meshgrid`` batch. The grid
-    is scanned in blocks of about ``_GRID_BLOCK_ROWS`` rows, a chunk of the
-    leading axis times the grid of the others, so memory stays bounded."""
-    lead, *rest = axes
-    chunk = max(1, _GRID_BLOCK_ROWS // math.prod(map(len, rest)))
+def _scan(blocks, values: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, float]:
+    """First row holding the largest value over row-major blocks of rows."""
     found = []
-    for start in range(0, len(lead), chunk):
-        grids = np.meshgrid(lead[start : start + chunk], *rest, indexing="ij")
-        block = np.stack([g.ravel() for g in grids], axis=1)
+    for block in blocks:
         v = values(block)
         i = int(np.argmax(v))
         found.append((v[i], block[i].copy()))
@@ -434,19 +428,105 @@ def grid_argmax(axes: list[np.ndarray], values: Callable[[np.ndarray], np.ndarra
     return point, float(value)
 
 
+def _unpruned(
+    axes: list[np.ndarray],
+    values: Callable[[np.ndarray], np.ndarray],
+    bound: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray | None:
+    """Row-major flat indices of the grid points whose value may reach the
+    grid maximum, or ``None`` where pruning does not pay.
+
+    Halves every box side level by level, from one box holding the grid
+    down to two points a side, and bounds all the boxes of a level in one
+    ``bound`` call. The incumbent is the best value evaluated so far at the
+    corners, edge midpoints and centres of the ``_INCUMBENT_BOXES`` boxes
+    with the largest bounds; a box is pruned when its bound is below it by
+    more than ``_PRUNE_REL`` relative. A level of more than
+    ``_GRID_BLOCK_ROWS`` boxes that still keeps half the grid gives up: the
+    values tie or the bound is loose, and a plain scan is cheaper."""
+    shape = np.array([len(a) for a in axes])[:, None]
+    dims = len(axes)
+    halves = np.indices((2,) * dims).reshape(dims, 1, -1)  # child offsets of a box, in box units
+    picks = np.indices((3,) * dims).reshape(dims, -1)  # first, middle or last index per axis
+    side = 1 << (int(shape.max()) - 1).bit_length()
+    boxes = np.zeros((dims, 1), dtype=np.intp)  # one column per box: its indices in units of ``side``
+    incumbent = -math.inf
+    while side > 2:
+        side //= 2
+        boxes = (2 * boxes[:, :, None] + halves).reshape(dims, -1)
+        boxes = boxes[:, np.all(boxes * side < shape, axis=0)]
+        first = boxes * side
+        last = np.minimum(first + side, shape) - 1
+        lo = np.column_stack([np.minimum.reduceat(a, np.arange(0, len(a), side))[b] for a, b in zip(axes, boxes)])
+        hi = np.column_stack([np.maximum.reduceat(a, np.arange(0, len(a), side))[b] for a, b in zip(axes, boxes)])
+        upper = bound(lo, hi)
+        top = np.argpartition(-upper, min(_INCUMBENT_BOXES, len(upper) - 1))[:_INCUMBENT_BOXES]
+        ends = np.stack([first[:, top], (first[:, top] + last[:, top]) // 2, last[:, top]], axis=2)
+        points = np.column_stack([a[e[:, pick].ravel()] for a, e, pick in zip(axes, ends, picks)])
+        incumbent = max(incumbent, float(np.max(values(points))))
+        boxes = boxes[:, upper >= incumbent - _PRUNE_REL * (1.0 + abs(incumbent))]
+        if len(upper) > _GRID_BLOCK_ROWS and boxes.shape[1] * side**dims > np.prod(shape) / 2:
+            return None
+    offsets = np.indices((side,) * dims).reshape(dims, 1, -1)
+    points = (side * boxes[:, :, None] + offsets).reshape(dims, -1)
+    points = points[:, np.all(points < shape, axis=0)]
+    return np.sort(np.ravel_multi_index(tuple(points), tuple(shape.ravel())))
+
+
+def grid_argmax(
+    axes: list[np.ndarray],
+    values: Callable[[np.ndarray], np.ndarray],
+    bound: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, float]:
+    """First maximizer of ``values`` (one value per row of a (rows,
+    len(axes)) batch) over the row-major grid of ``axes``, and its value:
+    the row ``np.argmax`` picks over the full ``meshgrid`` batch. The grid
+    is scanned in blocks of about ``_GRID_BLOCK_ROWS`` rows, a chunk of the
+    leading axis times the grid of the others, so memory stays bounded.
+
+    ``bound(lo_rows, hi_rows)``, if given, is an upper bound of ``values``
+    over each box ``[lo, hi]``, e.g. from monotonicity (Tuy, SIAM J. Optim.
+    2000). On a grid larger than one block, the scan then evaluates only
+    the points of the boxes whose bound can reach a value already
+    evaluated (:func:`_unpruned`), in row-major order, in batches of at
+    most ``_GRID_BLOCK_ROWS`` rows and never of one row, which some
+    ``values`` round differently; the answer is the full scan's."""
+    lead, *rest = axes
+    chunk = max(1, _GRID_BLOCK_ROWS // math.prod(map(len, rest)))
+    flat = None if bound is None or len(lead) <= chunk else _unpruned(axes, values, bound)
+    if flat is None:
+        blocks = (
+            np.stack([g.ravel() for g in np.meshgrid(lead[start : start + chunk], *rest, indexing="ij")], axis=1)
+            for start in range(0, len(lead), chunk)
+        )
+    else:
+        flat = np.repeat(flat, 2) if flat.size == 1 else flat
+        batches = np.array_split(flat, -(-flat.size // _GRID_BLOCK_ROWS))  # near-equal sizes: two rows or more each
+        shape = tuple(map(len, axes))
+        blocks = (np.column_stack([a[i] for a, i in zip(axes, np.unravel_index(b, shape))]) for b in batches)
+    return _scan(blocks, values)
+
+
 def grid_search(
-    lo: float, hi: float, step: float, dims: int, values: Callable[[np.ndarray], np.ndarray], rounds: int
+    lo: float,
+    hi: float,
+    step: float,
+    dims: int,
+    values: Callable[[np.ndarray], np.ndarray],
+    rounds: int,
+    bound: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Maximizer of ``values`` (one value per row of a (rows, dims) batch)
     over the cube ``[lo, hi]^dims``, and its value: the first maximizer on
     the grid of spacing ``step`` (:func:`grid_argmax`), then ``rounds``
     scans of 21 points per axis at a tenth of the previous spacing around
     the incumbent, clipped to the cube, each replacing it only when strictly
-    better, so more rounds never lower the value."""
-    best, best_value = grid_argmax([np.arange(lo, hi + step / 2, step)] * dims, values)
+    better, so more rounds never lower the value. ``bound`` is passed to
+    every scan."""
+    best, best_value = grid_argmax([np.arange(lo, hi + step / 2, step)] * dims, values, bound)
     for _ in range(rounds):
         step /= 10.0
-        point, value = grid_argmax([np.clip(b + step * np.arange(-10, 11), lo, hi) for b in best], values)
+        point, value = grid_argmax([np.clip(b + step * np.arange(-10, 11), lo, hi) for b in best], values, bound)
         if value > best_value:
             best, best_value = point, value
     return best, best_value

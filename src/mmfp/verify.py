@@ -413,6 +413,56 @@ def secure_surrogates_tight(sc, p) -> bool:
     )
 
 
+def _random_box(rng: np.random.Generator, cap: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A box ``[lo, hi]`` in ``[0, cap]^n``: a point (``lo = hi``) a quarter
+    of the time, and some lower corners moved to 0."""
+    lo, hi = np.sort(rng.uniform(0.0, cap, (2, n)), axis=0)
+    if rng.random() < 0.25:
+        hi = lo.copy()
+    lo[rng.random(n) < 0.3] = 0.0
+    return lo, hi
+
+
+def _box_points(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Every corner of the box and 20 uniform points inside it, as rows."""
+    corners = np.indices((2,) * lo.size).reshape(lo.size, -1).T.astype(bool)
+    return np.vstack([np.where(corners, hi, lo), rng.uniform(lo, hi, (20, lo.size))])
+
+
+def _random_secure_box(rng: np.random.Generator):
+    """A secure scenario, cross gains zeroed a third of the time, with a
+    box of powers and points in it."""
+    sc = random_secure_scenario(rng)
+    if rng.random() < 1 / 3:
+        own_cell = np.arange(sc.l_cells) == np.arange(sc.k_eavesdropped)[:, None]
+        sc = replace(sc, h2=np.diag(np.diag(sc.h2)), ht2=sc.ht2 * own_cell)
+    lo, hi = _random_box(rng, sc.p_max, sc.l_cells)
+    return sc, lo, hi, _box_points(rng, lo, hi)
+
+
+def secure_bound_dominates(sc, lo, hi, points) -> bool:
+    """The box bound the secure grid oracle prunes with is at least the
+    weighted sum rate at every given point of the box."""
+    upper = float(secure._weighted_sum_rate_batch(sc, hi[None], lo[None])[0])
+    rates = secure._weighted_sum_rate_batch(sc, points)
+    return bool(np.all(rates <= upper + 1e-12 * (1 + abs(upper))))
+
+
+def _random_age_box(rng: np.random.Generator):
+    k_sources = int(rng.integers(1, 8))
+    mu = float(rng.uniform(0.2, 3.0))
+    lo, hi = _random_box(rng, mu, k_sources)
+    return lo, hi, _box_points(rng, lo, hi), mu
+
+
+def age_bound_below(lo, hi, points, mu) -> bool:
+    """The box bound the age grid oracle prunes with is at most the total
+    age at every given point of the box."""
+    lower = float(aoi._sum_aoi_lower_bound(lo[None], hi[None], mu)[0])
+    ages = aoi._sum_aoi_batch(points, mu)
+    return bool(np.all(ages >= lower * (1 - 1e-12) - 1e-12))  # an infinite bound needs infinite ages
+
+
 def _random_radar_case(rng: np.random.Generator):
     sc = random_radar_scenario(rng)
     return sc, random_waveforms(rng, sc)
@@ -570,6 +620,8 @@ CHECKS: tuple[Check, ...] = (
           _seeded(2000, random_secure_scenario), _secure_traces, 1),
     Check("apps", "radar bound traces are monotone nonincreasing (20 seeds)",
           _seeded(3000, random_radar_scenario), _radar_traces, 1),
+    Check("apps", "secure rate bound dominates every point of its box", _random_secure_box, secure_bound_dominates, 500),
+    Check("apps", "age bound lies below every age in its box", _random_age_box, age_bound_below, 500),
 )
 
 

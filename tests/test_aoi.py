@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmfp import verify
+from mmfp import aoi, solver, verify
 from mmfp.aoi import (
     AoiScenario,
     _sum_aoi_batch,
@@ -139,13 +139,24 @@ class TestOracle:
         assert abs(v1 + neg_v2) <= 1e-5 * v1
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_a_full_grid_scan_bitwise(self, k):
+    def test_matches_a_full_grid_scan_bitwise(self, monkeypatch, k):
+        def at_least_two_rows(rows, mu):
+            assert len(rows) >= 2, "ages evaluated on a single row"
+            return _sum_aoi_batch(rows, mu)
+
+        def no_descent(*_args):
+            raise AssertionError("a grid of one block is pruned")
+
+        monkeypatch.setattr(aoi, "_sum_aoi_batch", at_least_two_rows)
+        if k < 3:  # the 51^k grid fits in one block and scans as without a bound
+            monkeypatch.setattr(solver, "_unpruned", no_descent)
+
         def scan(axes, mu):
             batch = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
             values = _sum_aoi_batch(batch, mu)
             return batch[int(np.argmin(values))], float(values.min())
 
-        for mu in (1.0, 0.37):
+        for mu in (1.0, 0.37, 0.5, 2.0, 7.3):
             # 51 rates per source from 0 (infinite age) to mu, then three refinements
             step = 0.02 * mu
             want, want_val = scan([np.arange(0.0, mu + step / 2, step)] * k, mu)

@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmfp import solver, verify
+from mmfp import cli, secure, solver, verify
 from mmfp.errors import InvalidInputError
 from mmfp.lagrangian_dual import log_ratio_surrogate
 from mmfp.secure import (
@@ -25,6 +26,8 @@ from mmfp.secure import (
     weighted_sum_rate,
 )
 from mmfp.units import dbm_to_mw, nats_to_bits
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def single_link(k_eaves=0, h=1.0, ht=0.5, sigma2=1.0, sigma2_tilde=1.0, p_max=1.0):
@@ -255,19 +258,42 @@ class TestBaselineAndOracle:
         assert abs(v1 - v2) <= 1e-5
 
 
-    def test_oracle_matches_a_full_grid_scan_bitwise(self):
+    @staticmethod
+    def _rows_of_two_or_more(monkeypatch, rows_seen):
+        """Make every rate evaluation fail the test on a single row, whose
+        value rounds differently, and tally the rows it gets."""
+
+        def checked(sc, rows, lo_rows=None):
+            if lo_rows is None:
+                assert len(rows) >= 2, "rates evaluated on a single row"
+                rows_seen.append(len(rows))
+            return _weighted_sum_rate_batch(sc, rows, lo_rows)
+
+        monkeypatch.setattr(secure, "_weighted_sum_rate_batch", checked)
+
+    def test_oracle_matches_a_full_grid_scan_bitwise(self, monkeypatch):
         def scan(sc, axes):
             g0, g1 = np.meshgrid(*axes, indexing="ij")
             batch = np.column_stack([g0.ravel(), g1.ravel()])
             values = _weighted_sum_rate_batch(sc, batch)
             return batch[int(np.argmax(values))], float(values.max())
 
+        # the shipped config, the two-link benchmark across its powers, ties
+        # (one or both weights zero, no eavesdropper and no interference) and
+        # seeded random draws
+        shipped = cli._build_secure(cli.load_config(CONFIGS / "secure.yaml")["scenario"])
+        bench = two_link_benchmark()
+        cases = [shipped] + [dataclasses.replace(bench, p_max=dbm_to_mw(d)) for d in (-20, 0, 5, 15, 20, 30, 40, 60)]
+        cases += [bench.with_weights([1.0, 0.0]), bench.with_weights([0.0, 0.0])]
+        cases.append(SecureScenario(
+            h2=np.eye(2), ht2=np.zeros((0, 2)), sigma2=1.0, sigma2_tilde=np.zeros(0), p_max=2.0, w=1.0,
+        ))
         rng = np.random.default_rng(11)
-        cases = [two_link_benchmark()]
-        while len(cases) < 2:
+        while len(cases) < 32:
             sc = verify.random_secure_scenario(rng)
             if sc.l_cells == 2:
                 cases.append(sc)
+        self._rows_of_two_or_more(monkeypatch, [])
         for sc in cases:
             # 1,001 powers per cell from 0 to p_max, then one refinement
             step = sc.p_max / 1000
@@ -279,15 +305,26 @@ class TestBaselineAndOracle:
             assert p.tobytes() == want_p.tobytes()
             assert v == want_v
 
+    def test_oracle_scans_a_tie_everywhere_once(self, monkeypatch):
+        # with both weights zero no box can be pruned: the rows evaluated
+        # stay within 5% of the 1,001^2 grid and the 21^2 refinement
+        rows_seen = []
+        self._rows_of_two_or_more(monkeypatch, rows_seen)
+        p, v = oracle_grid_2d(two_link_benchmark().with_weights([0.0, 0.0]))
+        assert p.tolist() == [0.0, 0.0] and v == 0.0
+        assert sum(rows_seen) <= 1.05 * (1001**2 + 21**2)
+
     def test_oracle_scans_in_bounded_memory(self):
-        # one full-grid batch of the 1001 x 1001 scan peaks near 140 MB
-        tracemalloc.start()
-        try:
-            oracle_grid_2d(two_link_benchmark())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        # one full-grid batch of the 1001 x 1001 scan peaks near 140 MB;
+        # with both weights zero every value ties and nothing is pruned
+        for w in ([1.0, 1.0], [0.0, 0.0]):
+            tracemalloc.start()
+            try:
+                oracle_grid_2d(two_link_benchmark().with_weights(w))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
 
 
 class TestTradeoffSweep:

@@ -143,6 +143,84 @@ def _full_grid_search(lo, hi, step, dims, values, rounds):
     return best, best_value
 
 
+def _at_least_two_rows(values, rows_seen=None):
+    """``values`` that fails the test on a batch of one row, whose value
+    some functions round differently, and tallies the rows it gets."""
+
+    def checked(rows):
+        assert len(rows) >= 2, "values called on a single row"
+        if rows_seen is not None:
+            rows_seen.append(len(rows))
+        return values(rows)
+
+    return checked
+
+
+def _bounded_function(rng, dims):
+    """Values rounded to a few levels, so with plateaus: a monotone part
+    (arctan, rising or falling per axis) plus a peak at a random point,
+    and a valid bound of them over each box: each part at its own best
+    point of the box, plus a random slack."""
+    signs = rng.choice([-1.0, 1.0], dims)
+    peak = rng.uniform(-1.0, 1.0, dims)
+    w = rng.uniform(0.0, 2.0, dims)
+    levels = int(rng.integers(1, 30))
+    slack = float(rng.choice([0.0, 0.01, 0.3]))
+
+    def values(rows):
+        return np.round(levels * (np.arctan(3 * rows) @ signs - np.abs(rows - peak) @ w)) / levels
+
+    def bound(lo, hi):
+        rising = np.where(signs > 0, hi, lo)
+        raw = np.arctan(3 * rising) @ signs - np.abs(np.clip(peak, lo, hi) - peak) @ w
+        return np.round(levels * raw) / levels + slack
+
+    return values, bound
+
+
+class TestBoundedGridArgmax:
+    @pytest.mark.parametrize("block_rows", [3, 7, 64, 4096])
+    def test_matches_argmax_over_the_full_grid(self, monkeypatch, block_rows):
+        # 2-D and 3-D grids larger than a block, sorted and unsorted axes
+        monkeypatch.setattr(solver, "_GRID_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(100 + block_rows)
+        for _ in range(40):
+            dims = int(rng.integers(2, 4))
+            sizes = rng.integers(2, 40 if block_rows < 4096 else [0, 0, 200, 40][dims], dims)
+            if rng.random() < 0.5:
+                axes = [np.sort(rng.uniform(-1.0, 1.0, n)) for n in sizes]
+            else:
+                axes = [rng.uniform(-1.0, 1.0, n) for n in sizes]
+            values, bound = _bounded_function(rng, dims)
+            point, value = grid_argmax(axes, _at_least_two_rows(values), bound)
+            want_point, want_value = _full_grid_argmax(axes, values)
+            assert point.tobytes() == want_point.tobytes()
+            assert value == want_value
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_all_tie_costs_one_scan(self, dims):
+        # nothing can be pruned: the rows evaluated stay within 5% of the grid
+        axes = [np.linspace(0.0, 1.0, {2: 300, 3: 50}[dims])] * dims
+        rows_seen = []
+        values = _at_least_two_rows(lambda rows: np.zeros(len(rows)), rows_seen)
+        point, value = grid_argmax(axes, values, lambda lo, hi: np.zeros(len(lo)))
+        assert point.tolist() == [0.0] * dims and value == 0.0
+        assert sum(rows_seen) <= 1.05 * math.prod(map(len, axes))
+
+    def test_a_lone_surviving_point_is_not_a_one_row_batch(self, monkeypatch):
+        # a strict peak at the far corner of an odd grid: its leaf box holds
+        # that one point, and every other box is pruned
+        monkeypatch.setattr(solver, "_GRID_BLOCK_ROWS", 64)
+        axes = [np.arange(33.0), np.arange(17.0)]
+        corner = np.array([32.0, 16.0])
+
+        def values(rows):
+            return -np.abs(rows - corner).sum(axis=1)
+
+        point, value = grid_argmax(axes, _at_least_two_rows(values), lambda lo, hi: values(np.clip(corner, lo, hi)))
+        assert point.tolist() == [32.0, 16.0] and value == 0.0
+
+
 class TestGridSearch:
     @staticmethod
     def _cases(seed):
@@ -166,6 +244,23 @@ class TestGridSearch:
     def test_matches_a_full_grid_search_bitwise(self, rounds):
         for lo, hi, step, dims, values in self._cases(rounds):
             point, value = grid_search(lo, hi, step, dims, values, rounds)
+            want_point, want_value = _full_grid_search(lo, hi, step, dims, values, rounds)
+            assert point.tobytes() == want_point.tobytes()
+            assert value == want_value
+
+    @pytest.mark.parametrize("block_rows", [7, 4096])
+    def test_bounded_matches_a_full_grid_search_bitwise(self, monkeypatch, block_rows):
+        # with small blocks the 21-point refinements are pruned too
+        monkeypatch.setattr(solver, "_GRID_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(200 + block_rows)
+        for _ in range(20):
+            dims = int(rng.integers(2, 4))
+            lo = float(rng.uniform(-2.0, 0.0))
+            hi = lo + float(rng.uniform(0.5, 3.0))
+            step = (hi - lo) / float(rng.uniform(10.0, [0, 0, 150.0, 40.0][dims]))
+            values, bound = _bounded_function(rng, dims)
+            rounds = int(rng.integers(0, 4))
+            point, value = grid_search(lo, hi, step, dims, _at_least_two_rows(values), rounds, bound)
             want_point, want_value = _full_grid_search(lo, hi, step, dims, values, rounds)
             assert point.tobytes() == want_point.tobytes()
             assert value == want_value

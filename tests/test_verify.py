@@ -1,7 +1,7 @@
 from mmfp import cli, verify
 from mmfp.errors import MonotonicityError
 
-# the 24 rows of `mmfp verify`, in the order the CLI prints them
+# the 26 rows of `mmfp verify`, in the order the CLI prints them
 PINNED = [
     ("core", "max-side bound and tightness"),
     ("core", "min-side bound and tightness"),
@@ -27,6 +27,8 @@ PINNED = [
     ("apps", "age traces are monotone nonincreasing (20 seeds)"),
     ("apps", "secure traces are monotone nondecreasing (20 seeds)"),
     ("apps", "radar bound traces are monotone nonincreasing (20 seeds)"),
+    ("apps", "secure rate bound dominates every point of its box"),
+    ("apps", "age bound lies below every age in its box"),
 ]
 
 
