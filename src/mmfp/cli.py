@@ -31,7 +31,7 @@ from .units import dbm_to_mw, nats_to_bits
 
 # extrapolation is chosen by the command
 _SOLVER_KEYS = {f.name for f in fields(solver.SolveOptions)} - {"accelerate"}
-_ORACLE_ONLY = "'oracle: true' applies only to 'mmfp run' on aoi with k <= 3 or on secure with 2 cells"
+_ORACLE_ONLY = "'oracle: true' applies only to 'mmfp run' on a scenario its grid oracle can search"
 
 
 def load_config(path: str | Path) -> dict:
@@ -121,13 +121,14 @@ def _build_aoi(scenario: dict) -> aoi.AoiScenario:
         raise ConfigError(f"bad scenario: {exc}") from exc
 
 
-def _per_radar(value, m: int, name: str) -> tuple[float, ...]:
+def _mw_per_entry(value, m: int, name: str) -> tuple[float, ...]:
+    """A dBm field as ``m`` powers in mW: one number for all, or a list of ``m``."""
     value = real(name, value)
     if isinstance(value, float):
-        return (value,) * m
-    if len(value) == m:
-        return tuple(value)
-    raise ConfigError(f"'scenario.{name}' must be a number or a list of length {m}")
+        value = [value] * m
+    elif len(value) != m:
+        raise ConfigError(f"'scenario.{name}' must be a number or a list of length {m}")
+    return tuple(dbm_to_mw(v) for v in value)
 
 
 def _build_radar(scenario: dict) -> radar.RadarScenario:
@@ -136,18 +137,13 @@ def _build_radar(scenario: dict) -> radar.RadarScenario:
         n_rx = tuple(scenario["n_rx"])
         m = len(n_tx)
         theta = tuple(math.pi * v for v in real("theta_pi", scenario["theta_pi"]))
-        beta_cfg = real("beta", scenario.get("beta", 1.0))
-        if isinstance(beta_cfg, float):
-            beta = tuple(tuple(complex(beta_cfg) for _ in range(m)) for _ in range(m))
-        else:
-            beta = tuple(tuple(complex(v) for v in row) for row in beta_cfg)
-        sigma2 = tuple(
-            dbm_to_mw(v) for v in _per_radar(scenario.get("sigma2_dbm", 0.0), m, "sigma2_dbm")
-        )
-        power = tuple(dbm_to_mw(v) for v in _per_radar(scenario["p_dbm"], m, "p_dbm"))
+        beta = real("beta", scenario.get("beta", 1.0))
+        rows = [[beta] * m] * m if isinstance(beta, float) else beta
+        beta = tuple(tuple(complex(v) for v in row) for row in rows)
         sc = radar.RadarScenario(
             n_tx=n_tx, n_rx=n_rx, theta=theta, beta=beta,
-            sigma2=sigma2, power=power, l_samples=scenario["l_samples"],
+            sigma2=_mw_per_entry(scenario.get("sigma2_dbm", 0.0), m, "sigma2_dbm"),
+            power=_mw_per_entry(scenario["p_dbm"], m, "p_dbm"), l_samples=scenario["l_samples"],
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
@@ -165,13 +161,20 @@ def _build_radar(scenario: dict) -> radar.RadarScenario:
 
 def _build_secure(scenario: dict) -> secure.SecureScenario:
     try:
-        return secure.SecureScenario(
+        # the gains fix the number of noise entries; until then the noises are placeholders
+        sc = secure.SecureScenario(
             h2=np.asarray(real("h2", scenario["h2"]), dtype=float),
             ht2=np.asarray(real("ht2", scenario["ht2"]), dtype=float),
-            sigma2=dbm_to_mw(real("sigma2_dbm", scenario["sigma2_dbm"])),
-            sigma2_tilde=dbm_to_mw(real("sigma2_tilde_dbm", scenario["sigma2_tilde_dbm"])),
-            p_max=dbm_to_mw(real("p_dbm", scenario["p_dbm"])),
+            sigma2=1.0, sigma2_tilde=1.0, p_max=1.0,
             w=np.asarray(real("w", scenario.get("w", 1.0)), dtype=float),
+        )
+        p_dbm = real("p_dbm", scenario["p_dbm"])
+        if isinstance(p_dbm, list):
+            raise ConfigError("'scenario.p_dbm' must be a number: one power cap shared by every cell")
+        return replace(
+            sc, p_max=dbm_to_mw(p_dbm),
+            sigma2=_mw_per_entry(scenario["sigma2_dbm"], sc.l_cells, "sigma2_dbm"),
+            sigma2_tilde=_mw_per_entry(scenario["sigma2_tilde_dbm"], sc.k_eavesdropped, "sigma2_tilde_dbm"),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
@@ -197,12 +200,15 @@ def _write_summary(path: Path, rows: list[tuple[str, object]]) -> None:
     _write_csv(path, ["key", "value"], [[k, v] for k, v in rows])
 
 
-def _oracle(cfg: dict, applies: bool) -> bool:
-    """Whether ``run`` adds the grid oracle; ``oracle: true`` where it
-    cannot run is a config error, raised before any solve."""
-    if cfg.get("oracle", False) and not applies:
-        raise ConfigError(_ORACLE_ONLY)
-    return cfg.get("oracle", False)
+def _oracle_value(cfg: dict, search: Callable, scenario) -> float | None:
+    """The grid oracle's value, or None unless the config asks for it; an
+    oracle that refuses the scenario is a config error, before any solve."""
+    if not cfg.get("oracle", False):
+        return None
+    try:
+        return float(search(scenario)[1])
+    except InvalidInputError as exc:
+        raise ConfigError(f"{_ORACLE_ONLY}: {exc}") from exc
 
 
 def _solve_aoi(scenario: aoi.AoiScenario, opts: solver.SolveOptions):
@@ -213,7 +219,7 @@ def _solve_aoi(scenario: aoi.AoiScenario, opts: solver.SolveOptions):
 
 
 def _run_aoi(cfg: dict, scenario: aoi.AoiScenario, opts: solver.SolveOptions, out: Path) -> None:
-    oracle = _oracle(cfg, scenario.k <= 3)
+    oracle_val = _oracle_value(cfg, aoi.oracle_grid, scenario)
     rates, trace, equal_val, max_val = _solve_aoi(scenario, opts)
     _write_trace(out / "trace.csv", trace)
     resid = solver.stationarity_residual(aoi.build_aoi_problem(scenario), rates)
@@ -226,10 +232,9 @@ def _run_aoi(cfg: dict, scenario: aoi.AoiScenario, opts: solver.SolveOptions, ou
         ("baseline_equal_rate_sum_aoi", equal_val),
         ("baseline_max_rate_sum_aoi", max_val),
     ]
-    if oracle:
-        _, oracle_val = aoi.oracle_grid(scenario)
+    if oracle_val is not None:
         gap = abs(trace.records[-1].objective - oracle_val) / oracle_val
-        rows += [("oracle_sum_aoi", float(oracle_val)), ("oracle_gap_rel", float(gap))]
+        rows += [("oracle_sum_aoi", oracle_val), ("oracle_gap_rel", float(gap))]
     rows += [(f"rate_{k}", float(rates[k])) for k in range(scenario.k)]
     _write_summary(out / "summary.csv", rows)
 
@@ -276,7 +281,7 @@ def _radar_row(scenario: radar.RadarScenario, p_dbm, opts: solver.SolveOptions) 
 
 
 def _run_secure(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOptions, out: Path) -> None:
-    oracle = _oracle(cfg, scenario.l_cells == 2)
+    oracle_val = _oracle_value(cfg, secure.oracle_grid_2d, scenario)
     solved = {"direct": secure.run_algorithm3(scenario, opts), "fast": secure.run_algorithm4(scenario, opts)}
     values = {name: secure.weighted_sum_rate(scenario, p) for name, (p, _) in solved.items()}
     rows = [("experiment", "secure")]
@@ -290,9 +295,8 @@ def _run_secure(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOp
         ]
     _, base_val = secure.baseline_max_power_linear_search(scenario)
     rows.append(("baseline_objective_nats", float(base_val)))
-    if oracle:
-        _, oracle_val = secure.oracle_grid_2d(scenario)
-        rows.append(("oracle_objective_nats", float(oracle_val)))
+    if oracle_val is not None:
+        rows.append(("oracle_objective_nats", oracle_val))
         rows += [(f"{name}_oracle_gap_nats", float(abs(v - oracle_val))) for name, v in values.items()]
     rows += [(f"{name}_power_{i}", float(v)) for name, (p, _) in solved.items() for i, v in enumerate(p)]
     _write_summary(out / "summary.csv", rows)
@@ -415,15 +419,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="mmfp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one experiment from a config file")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", required=True)
-    p_run.set_defaults(fn=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run an experiment along its sweep axis")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.set_defaults(fn=_cmd_sweep)
+    for name, fn, help_text in (
+        ("run", _cmd_run, "run one experiment from a config file"),
+        ("sweep", _cmd_sweep, "run an experiment along its sweep axis"),
+    ):
+        p_cmd = sub.add_parser(name, help=help_text)
+        p_cmd.add_argument("--config", required=True)
+        p_cmd.add_argument("--out", required=True)
+        p_cmd.set_defaults(fn=fn)
 
     p_verify = sub.add_parser("verify", help="run the property suites")
     p_verify.add_argument(
@@ -434,15 +437,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MonotonicityError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -2,6 +2,7 @@
 scenario applies, and the real-number check the CLI applies to config
 values."""
 
+import math
 import numbers
 
 
@@ -59,9 +60,24 @@ def count(name: str, value) -> int:
 
 def real(name: str, value):
     """``value`` as a float, or a nested list of them as a list of the same
-    shape: ints, floats and numpy reals, never a bool or a string."""
+    shape: ints, floats and numpy reals, never a bool or a string. The error
+    on a string that reads as a float says how to write it, since YAML 1.1
+    reads ``1e3`` and ``1.0e300`` as strings."""
     if isinstance(value, list):
         return [real(f"{name}[{i}]", v) for i, v in enumerate(value)]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}{_float_hint(value)}")
     return float(value)
+
+
+def _float_hint(value) -> str:
+    """How to write a string that reads as a finite float so that YAML 1.1
+    reads it as a float too; empty for any other value."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        return ""
+    if not (isinstance(value, str) and math.isfinite(x)):
+        return ""
+    text = repr(x) if "." in repr(x) else repr(x).replace("e", ".0e")
+    return f" (write {text} for a number: YAML 1.1 reads a float only with a dot, and an exponent only with a sign)"

@@ -172,19 +172,6 @@ def secret_rate(scenario: SecureScenario, p, i: int) -> float:
     return float(_rates(scenario, np.asarray(p, dtype=float)[None])[0, i])
 
 
-def secret_rate_via_leakage(scenario: SecureScenario, p, i: int) -> float:
-    """Same rate written with the whole-row leakage fraction
-    ``ln(1 - ht2[kk] p_k / (sum_all_j + noise))`` (identity used by the
-    min-side transform)."""
-    p = np.asarray(p, dtype=float)
-    rate = math.log1p(_sinrs(scenario, p[None])[0][0, i])
-    if i < scenario.k_eavesdropped:
-        row = scenario.ht2[i]
-        total = float(row @ p) + scenario.sigma2_tilde[i]
-        rate += math.log1p(-row[i] * p[i] / total)
-    return rate
-
-
 def weighted_sum_rate(scenario: SecureScenario, p) -> float:
     """Objective of both algorithms, in nats."""
     return float(_weighted_sum_rate_batch(scenario, np.asarray(p, dtype=float)[None])[0])
@@ -266,34 +253,14 @@ def run_algorithm4(
 
 
 def baseline_max_power_linear_search(scenario: SecureScenario) -> tuple[np.ndarray, float]:
-    """Best of the peak-power one-dimensional scans.
-
-    For two cells: fix one power at the cap and scan the other. For more
-    cells: tie the eavesdropped cells to one level and the rest to another,
-    fix one level at the cap and scan the other.
-    """
-    p_cap = scenario.p_max
-    grid = np.linspace(0.0, p_cap, 2001)
+    """Best of two peak-power scans: one group of cells at the cap while the
+    other scans 2,001 levels from 0, then the reverse. The first group is
+    the first L - 1 cells for L <= 2, else the eavesdropped cells (at least
+    one)."""
     n = scenario.l_cells
-    if n == 1:
-        candidates = grid[:, None]
-    elif n == 2:
-        a = np.column_stack([np.full_like(grid, p_cap), grid])
-        b = np.column_stack([grid, np.full_like(grid, p_cap)])
-        candidates = np.vstack([a, b])
-    else:
-        k = max(scenario.k_eavesdropped, 1)
-        rows = []
-        for rho_fixed in (True, False):
-            block = np.empty((grid.size, n))
-            if rho_fixed:
-                block[:, :k] = p_cap
-                block[:, k:] = grid[:, None]
-            else:
-                block[:, :k] = grid[:, None]
-                block[:, k:] = p_cap
-            rows.append(block)
-        candidates = np.vstack(rows)
+    first = np.arange(n) < (n - 1 if n <= 2 else max(scenario.k_eavesdropped, 1))
+    levels = np.linspace(0.0, scenario.p_max, 2001)[:, None]
+    candidates = np.vstack([np.where(first, scenario.p_max, levels), np.where(first, levels, scenario.p_max)])
     values = _weighted_sum_rate_batch(scenario, candidates)
     best = int(np.argmax(values))
     return candidates[best].copy(), float(values[best])

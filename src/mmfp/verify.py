@@ -393,8 +393,10 @@ def total_age_order_sensitive(lam: np.ndarray) -> bool:
 
 
 def leakage_rewrite(sc, p, i) -> bool:
+    """Cell i's rate equals the direct method's objective with weight on cell i alone."""
     a = secure.secret_rate(sc, p, i)
-    return abs(a - secure.secret_rate_via_leakage(sc, p, i)) <= 1e-12 * (1 + abs(a))
+    direct = secure.build_direct_problem(sc.with_weights(np.arange(sc.l_cells) == i))
+    return abs(a - direct.objective(p)) <= 1e-12 * (1 + abs(a))
 
 
 def secure_surrogates_tight(sc, p) -> bool:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mmfp import cli, radar, secure, solver, verify
+from mmfp import aoi, cli, radar, secure, solver, verify
 from mmfp.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -138,8 +138,10 @@ class TestRunCommand:
         [
             ("run", dict(AOI_SMALL, oracle="no"), "'oracle' must be true or false, got 'no'"),
             ("run", dict(AOI_SMALL, oracle=1), "'oracle' must be true or false, got 1"),
-            ("run", dict(AOI_SMALL, scenario={"k": 5, "mu": 1.0}, oracle=True), cli._ORACLE_ONLY),
-            ("run", dict(SECURE_SMALL, oracle=True), cli._ORACLE_ONLY),
+            # the oracle's own refusal, with its reason
+            ("run", dict(AOI_SMALL, scenario={"k": 5, "mu": 1.0}, oracle=True),
+             f"{cli._ORACLE_ONLY}: exhaustive search is limited to K <= 3"),
+            ("run", dict(SECURE_SMALL, oracle=True), f"{cli._ORACLE_ONLY}: exhaustive search is implemented for L = 2 only"),
             ("run", dict(RADAR_SMALL, oracle=True), cli._ORACLE_ONLY),
             ("sweep", dict(AOI_SMALL, sweep={"k": [2]}, oracle=True), cli._ORACLE_ONLY),
             ("sweep", dict(SECURE_TWO_CELLS, sweep={"eta": [1.0]}, oracle=True), cli._ORACLE_ONLY),
@@ -152,6 +154,24 @@ class TestRunCommand:
         assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not any(out.glob("*.csv"))  # refused before any solve
+
+    def test_oracle_runs_once_before_the_solve(self, tmp_path, monkeypatch):
+        calls = []
+        oracle_grid, run_algorithm1 = aoi.oracle_grid, aoi.run_algorithm1
+
+        def oracle(scenario):
+            calls.append("oracle_grid")
+            return oracle_grid(scenario)
+
+        def solve(scenario, opts):
+            calls.append("run_algorithm1")
+            return run_algorithm1(scenario, opts)
+
+        monkeypatch.setattr(aoi, "oracle_grid", oracle)
+        monkeypatch.setattr(aoi, "run_algorithm1", solve)
+        path = write_config(tmp_path, dict(AOI_SMALL, scenario={"k": 3, "mu": 1.0}, oracle=True))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert calls == ["oracle_grid", "run_algorithm1"]
 
     def test_missing_config_file_exits_2(self, tmp_path):
         code = cli.main(
@@ -355,6 +375,58 @@ class TestRunCommand:
         code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_per_cell_secure_noise(self, tmp_path):
+        # 0, 10 and 20 dBm are exactly 1, 10 and 100 mW
+        noise = {"sigma2_dbm": [0.0, 10.0], "sigma2_tilde_dbm": [10.0, 0.0], "p_dbm": 20.0}
+        cfg = dict(SECURE_TWO_CELLS, scenario=dict(SECURE_TWO_CELLS["scenario"], **noise))
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        sc = secure.SecureScenario(
+            h2=cfg["scenario"]["h2"], ht2=cfg["scenario"]["ht2"],
+            sigma2=[1.0, 10.0], sigma2_tilde=[10.0, 1.0], p_max=100.0, w=1.0,
+        )
+        cli._run_secure(cfg, sc, solver.SolveOptions(), tmp_path)
+        assert (out / "summary.csv").read_bytes() == (tmp_path / "summary.csv").read_bytes()
+
+    def test_no_eavesdropper_takes_an_empty_noise_list(self, tmp_path):
+        cfg = dict(SECURE_SMALL, scenario=dict(SECURE_SMALL["scenario"], sigma2_tilde_dbm=[]))
+        assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"sigma2_dbm": [-10.0]}, "'scenario.sigma2_dbm' must be a number or a list of length 2"),
+            ({"sigma2_tilde_dbm": [0.0, 0.0, 0.0]}, "'scenario.sigma2_tilde_dbm' must be a number or a list of length 2"),
+            ({"p_dbm": [10.0, 10.0]}, "'scenario.p_dbm' must be a number"),
+        ],
+        ids=["sigma2_dbm", "sigma2_tilde_dbm", "p_dbm"],
+    )
+    def test_secure_list_of_the_wrong_length_exits_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, fields, message
+    ):
+        def no_solve(*args):
+            raise AssertionError("a scenario was solved")
+
+        monkeypatch.setattr(secure, "run_algorithm3", no_solve)
+        cfg = dict(SECURE_TWO_CELLS, scenario=dict(SECURE_TWO_CELLS["scenario"], **fields))
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "mu, hint",
+        [("1e3", "write 1000.0 for a number"), ("1.0e300", "write 1.0e+300 for a number"), ("abc", None)],
+        ids=["no-dot", "unsigned-exponent", "text"],
+    )
+    def test_yaml_exponent_reads_as_text_and_exits_2(self, tmp_path, capsys, mu, hint):
+        path = tmp_path / "config.yaml"
+        path.write_text(f"experiment: aoi\nscenario:\n  k: 2\n  mu: {mu}\n", encoding="utf-8")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: bad scenario: mu must be a real number, got '{mu}'" in err
+        assert (hint in err) if hint else "write" not in err
 
 
 class TestSweepCommand:

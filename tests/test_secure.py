@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mmfp import cli, secure, solver, verify
-from mmfp.errors import InvalidInputError
+from mmfp.errors import DomainError, InvalidInputError
 from mmfp.lagrangian_dual import log_ratio_surrogate
 from mmfp.secure import (
     SecureScenario,
@@ -58,6 +58,23 @@ class TestRates:
         rng = np.random.default_rng(0)
         for _ in range(2000):
             assert verify.leakage_rewrite(*verify.random_leakage_case(rng))
+
+    def test_leakage_rewrite_checks_the_direct_problem(self, monkeypatch):
+        # leakage rows without the own signal in their denominator: the
+        # rewrite no longer holds, so the row checks the problem it builds
+        def own_signal_dropped(sc):
+            problem = build_direct_problem(sc)
+            return dataclasses.replace(problem, fractions=secure._sinr_fractions(sc, whole_row_leakage=False))
+
+        monkeypatch.setattr(secure, "build_direct_problem", own_signal_dropped)
+        rng = np.random.default_rng(0)
+        failed = 0
+        for _ in range(200):
+            try:
+                failed += not verify.leakage_rewrite(*verify.random_leakage_case(rng))
+            except DomainError:  # a ratio at or above 1 under log1m
+                failed += 1
+        assert failed > 0
 
     def test_zero_weights_give_zero_objective(self):
         sc = two_link_benchmark().with_weights([0.0, 0.0])
@@ -223,6 +240,19 @@ class TestBaselineAndOracle:
         sc = single_link(p_max=2.0)
         p, _ = baseline_max_power_linear_search(sc)
         assert p[0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "cells, eavesdropped, first",
+        [(1, 0, 0), (1, 1, 0), (2, 0, 1), (2, 2, 1), (3, 0, 1), (3, 3, 3), (4, 2, 2)],
+    )
+    def test_baseline_tie_takes_the_first_scan_at_level_0(self, cells, eavesdropped, first):
+        # with zero weights every candidate ties: the answer is the first
+        # group at the cap and the rest at 0
+        h2 = np.full((cells, cells), 0.1) + 0.9 * np.eye(cells)
+        ht2 = np.full((eavesdropped, cells), 0.1) + 0.4 * np.eye(eavesdropped, cells)
+        sc = SecureScenario(h2=h2, ht2=ht2, sigma2=1.0, sigma2_tilde=1.0, p_max=3.0, w=0.0)
+        p, v = baseline_max_power_linear_search(sc)
+        assert p.tolist() == [3.0] * first + [0.0] * (cells - first) and v == 0.0
 
     def test_baseline_deterministic(self):
         sc = two_link_benchmark()
