@@ -18,9 +18,9 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import yaml
@@ -302,21 +302,18 @@ def _run_secure(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOp
     _write_summary(out / "summary.csv", rows)
 
 
-def _eta(value) -> float:
+def _eta(scenario: secure.SecureScenario, value) -> float:
+    """``value`` as an open-cell weight, checked by the scenario itself:
+    finite and nonnegative."""
     try:
-        return real("eta", value)
+        eta = real("eta", value)
+        scenario.with_weights(eta)
+        return eta
     except InvalidInputError as exc:
         raise ConfigError(f"bad eta values: {exc}") from exc
 
 
-def _tradeoff_row(scenario: secure.SecureScenario, eta: float, opts: solver.SolveOptions) -> list:
-    """One frontier point, its fields in header order; the tradeoff keeps
-    its own solver budgets, so ``opts`` is unused."""
-    return [float(v) for v in astuple(secure.tradeoff_sweep(scenario, [eta])[0])]
-
-
-def _tradeoff_summary(rows: list[list]) -> list[tuple[str, object]]:
-    points = [secure.TradeoffPoint(*row) for row in rows]
+def _tradeoff_summary(points: list[secure.TradeoffPoint]) -> list[tuple[str, object]]:
     return [("experiment", "secure"), ("points", len(points)), *secure.frontier_facts(points).items()]
 
 
@@ -333,8 +330,8 @@ class _Experiment:
     run: Callable[[dict, object, solver.SolveOptions, Path], None]
     axis: str
     header: list[str]
-    row: Callable[[object, object, solver.SolveOptions], list]
-    summary: Callable[[list[list]], list[tuple[str, object]]] | None = None
+    row: Callable[[object, object, solver.SolveOptions], Sequence]
+    summary: Callable[[list], list[tuple[str, object]]] | None = None
 
 
 _EXPERIMENTS = {
@@ -366,7 +363,8 @@ _EXPERIMENTS = {
         ["eta", "fast_secure_bits", "fast_open_bits", "direct_secure_bits", "direct_open_bits",
          "baseline_secure_bits", "baseline_open_bits",
          "fast_objective_nats", "direct_objective_nats", "baseline_objective_nats"],
-        _tradeoff_row, _tradeoff_summary,
+        # the tradeoff keeps its own solver budgets, so the options go unused
+        lambda scenario, eta, _opts: secure.tradeoff_point(scenario, eta), _tradeoff_summary,
     ),
 }
 
@@ -396,7 +394,8 @@ def _cmd_sweep(args) -> int:
         if exp.axis in exp.keys:
             points.append((exp.build(dict(cfg["scenario"], **{exp.axis: value})), value))
         else:  # eta is no scenario key: the row applies it to the scenario's weights
-            points.append((exp.build(cfg["scenario"]), _eta(value)))
+            scenario = exp.build(cfg["scenario"])
+            points.append((scenario, _eta(scenario, value)))
     rows = [exp.row(scenario, value, opts) for scenario, value in points]
     _write_csv(out / "sweep.csv", exp.header, rows)
     if exp.summary is not None:

@@ -116,10 +116,7 @@ def steering_vector(n: int, theta: float) -> np.ndarray:
 
 def steering_derivative(n: int, theta: float) -> np.ndarray:
     """Entrywise angle derivative of :func:`steering_vector`."""
-    if n < 1:
-        raise InvalidInputError("need at least one antenna")
-    k = np.arange(n)
-    return -1j * math.pi * k * math.cos(theta) * np.exp(-1j * math.pi * k * math.sin(theta))
+    return -1j * math.pi * np.arange(n) * math.cos(theta) * steering_vector(n, theta)
 
 
 def response_matrix(scenario: RadarScenario, m: int, m_prime: int) -> np.ndarray:

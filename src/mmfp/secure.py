@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .fp_core import Fractions, MixedFpProblem, OuterFunction, affine_fractions
 from .lagrangian_dual import LogRatioMmProblem
-from .solver import IterationTrace, SolveOptions, box_set, grid_search, run_mm
+from .solver import IterationTrace, MmProblem, SolveOptions, box_set, grid_search, run_mm
 from .units import dbm_to_mw, nats_to_bits
 
 
@@ -208,14 +209,9 @@ def build_direct_problem(scenario: SecureScenario) -> MixedFpProblem:
     return MixedFpProblem(fractions, tuple(outers), box_set(0.0, scenario.p_max))
 
 
-def run_algorithm3(
-    scenario: SecureScenario,
-    opts: SolveOptions | None = None,
-    p0: np.ndarray | None = None,
-) -> tuple[np.ndarray, IterationTrace]:
-    """Direct power control from the max-power start (or ``p0``)."""
-    start = np.full(scenario.l_cells, scenario.p_max) if p0 is None else p0
-    return run_mm(build_direct_problem(scenario), start, opts)
+def run_algorithm3(scenario: SecureScenario, opts: SolveOptions | None = None) -> tuple[np.ndarray, IterationTrace]:
+    """Direct power control from the max-power start."""
+    return run_mm(build_direct_problem(scenario), np.full(scenario.l_cells, scenario.p_max), opts)
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +231,11 @@ def build_fast_problem(scenario: SecureScenario) -> LogRatioMmProblem:
     )
 
 
-def run_algorithm4(
-    scenario: SecureScenario,
-    opts: SolveOptions | None = None,
-    p0: np.ndarray | None = None,
-) -> tuple[np.ndarray, IterationTrace]:
+def run_algorithm4(scenario: SecureScenario, opts: SolveOptions | None = None) -> tuple[np.ndarray, IterationTrace]:
     """Fast power control: dual update, bracket update, box-constrained
-    concave maximization, repeated from the max-power start (or ``p0``).
-    The trace records the true weighted sum rate."""
-    start = np.full(scenario.l_cells, scenario.p_max) if p0 is None else p0
-    return run_mm(build_fast_problem(scenario), start, opts)
+    concave maximization, repeated from the max-power start. The trace
+    records the true weighted sum rate."""
+    return run_mm(build_fast_problem(scenario), np.full(scenario.l_cells, scenario.p_max), opts)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +273,13 @@ def oracle_grid_2d(scenario: SecureScenario) -> tuple[np.ndarray, float]:
 
 
 # ---------------------------------------------------------------------------
-# Tradeoff sweep
+# Tradeoff points
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+class TradeoffPoint(NamedTuple):
     """One weight setting of the secure-vs-open rate tradeoff (rates in
-    bits); the fields are in the order of the frontier CSV columns."""
+    bits), in the order of the frontier CSV columns."""
 
     eta: float
     fast_secure: float  # sum rate of eavesdropped cells, fast method
@@ -348,35 +338,34 @@ _SWEEP_OPTS = SolveOptions(outer_tol=1e-9, max_outer=150, max_inner=1500, accele
 _POLISH_OPTS = SolveOptions(outer_tol=1e-11, max_outer=3000, max_inner=10000, accelerate=True)
 
 
-def _solve_best(scenario: SecureScenario, runner) -> np.ndarray:
+def _solve_best(problem: MmProblem, scenario: SecureScenario, starts: list[np.ndarray]) -> np.ndarray:
+    """The best by weighted sum rate of MM on ``problem`` from each start,
+    then polished; the polish is kept unless it loses."""
     best_p = None
     best_val = -math.inf
-    for p0 in sweep_start_points(scenario):
-        p, _ = runner(scenario, _SWEEP_OPTS, p0=p0)
+    for p0 in starts:
+        p, _ = run_mm(problem, p0, _SWEEP_OPTS)
         val = weighted_sum_rate(scenario, p)
         if val > best_val:
             best_p, best_val = p, val
-    polished, _ = runner(scenario, _POLISH_OPTS, p0=best_p)
+    polished, _ = run_mm(problem, best_p, _POLISH_OPTS)
     return polished if weighted_sum_rate(scenario, polished) >= best_val else best_p
 
 
-def tradeoff_sweep(scenario: SecureScenario, etas) -> list[TradeoffPoint]:
-    """Sweep the open-cell weight ``eta``, solving with both methods (best
-    over the shared start set of :func:`sweep_start_points`) and the
-    peak-power scan baseline at each point. Points are independent of each
-    other and may be computed in parallel."""
-    points = []
-    for eta in etas:
-        w = scenario.w.copy()
-        w[scenario.k_eavesdropped:] = eta
-        sc = scenario.with_weights(w)
-        p_fast, p_dir = _solve_best(sc, run_algorithm4), _solve_best(sc, run_algorithm3)
-        p_base, base_obj = baseline_max_power_linear_search(sc)
-        # fields in order: each method's rate split, then each one's objective
-        splits = [r for p in (p_fast, p_dir, p_base) for r in _rate_split(sc, p)]
-        objectives = [weighted_sum_rate(sc, p_fast), weighted_sum_rate(sc, p_dir), base_obj]
-        points.append(TradeoffPoint(float(eta), *splits, *objectives))
-    return points
+def tradeoff_point(scenario: SecureScenario, eta: float) -> TradeoffPoint:
+    """The tradeoff at open-cell weight ``eta``: both methods (best over the
+    shared start set of :func:`sweep_start_points`) and the peak-power scan
+    baseline. Points are independent of each other."""
+    w = scenario.w.copy()
+    w[scenario.k_eavesdropped:] = eta
+    sc = scenario.with_weights(w)
+    starts = sweep_start_points(sc)
+    p_fast = _solve_best(build_fast_problem(sc), sc, starts)
+    p_dir = _solve_best(build_direct_problem(sc), sc, starts)
+    p_base, base_obj = baseline_max_power_linear_search(sc)
+    # fields in order: each method's rate split, then each one's objective
+    splits = [r for p in (p_fast, p_dir, p_base) for r in _rate_split(sc, p)]
+    return TradeoffPoint(float(eta), *splits, weighted_sum_rate(sc, p_fast), weighted_sum_rate(sc, p_dir), base_obj)
 
 
 def frontier_facts(points: list[TradeoffPoint]) -> dict[str, bool | float]:

@@ -539,20 +539,12 @@ def _seeded(base: int, draw):
     return lambda _rng: ([draw(np.random.default_rng(base + s)) for s in range(20)],)
 
 
-def _age_traces(scenarios) -> bool:
-    opts = solver.SolveOptions(max_outer=60)
-    return all(monotone(aoi.run_algorithm1(sc, opts)[1].objectives, -1.0) for sc in scenarios)
-
-
-def _secure_traces(scenarios) -> bool:
-    opts = solver.SolveOptions(max_outer=60, max_inner=2000)
-    runs = (secure.run_algorithm3, secure.run_algorithm4)
-    return all(monotone(run(sc, opts)[1].objectives) for sc in scenarios for run in runs)
-
-
-def _radar_traces(scenarios) -> bool:
-    opts = solver.SolveOptions(max_outer=60, max_inner=2000)
-    return all(monotone(radar.run_algorithm2(sc, opts)[1].objectives, -1.0) for sc in scenarios)
+def _monotone_traces(sign: float, runs, **limits):
+    """Row check: each of ``runs`` on each scenario, in that order, with
+    ``limits`` as solver options, gives a trace monotone in ``sign``'s
+    direction (see :func:`monotone`)."""
+    opts = solver.SolveOptions(**limits)
+    return lambda scenarios: all(monotone(run(sc, opts)[1].objectives, sign) for sc in scenarios for run in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +609,13 @@ CHECKS: tuple[Check, ...] = (
     Check("apps", "radar derivatives match finite differences", _random_radar_point, _radar_derivatives, 30),
     Check("apps", "age traces are monotone nonincreasing (20 seeds)",
           _seeded(1000, lambda r: aoi.AoiScenario(k=int(r.integers(1, 5)), mu=float(r.uniform(0.5, 2.0)))),
-          _age_traces, 1),
+          _monotone_traces(-1.0, (aoi.run_algorithm1,), max_outer=60), 1),
     Check("apps", "secure traces are monotone nondecreasing (20 seeds)",
-          _seeded(2000, random_secure_scenario), _secure_traces, 1),
+          _seeded(2000, random_secure_scenario),
+          _monotone_traces(1.0, (secure.run_algorithm3, secure.run_algorithm4), max_outer=60, max_inner=2000), 1),
     Check("apps", "radar bound traces are monotone nonincreasing (20 seeds)",
-          _seeded(3000, random_radar_scenario), _radar_traces, 1),
+          _seeded(3000, random_radar_scenario),
+          _monotone_traces(-1.0, (radar.run_algorithm2,), max_outer=60, max_inner=2000), 1),
     Check("apps", "secure rate bound dominates every point of its box", _random_secure_box, secure_bound_dominates, 500),
     Check("apps", "age bound lies below every age in its box", _random_age_box, age_bound_below, 500),
 )

@@ -95,7 +95,7 @@ def test_criterion_4_secure_tradeoff():
     t0 = time.perf_counter()
     scenario = secure.five_link_benchmark()
     etas = np.logspace(-3, 2, 26)
-    points = secure.tradeoff_sweep(scenario, etas)
+    points = [secure.tradeoff_point(scenario, eta) for eta in etas]
     facts = secure.frontier_facts(points)
     monotone = facts["open_rates_nondecreasing"] and facts["secure_rates_nonincreasing"]
     agreement = facts["max_method_gap_bits"]

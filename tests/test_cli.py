@@ -478,10 +478,11 @@ class TestSweepCommand:
         path = write_config(tmp_path, dict(SECURE_TWO_CELLS, sweep={"eta": [0.5, 2]}))
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
-        points = secure.tradeoff_sweep(cli._build_secure(SECURE_TWO_CELLS["scenario"]), [0.5, 2.0])
+        scenario = cli._build_secure(SECURE_TWO_CELLS["scenario"])
+        points = [secure.tradeoff_point(scenario, eta) for eta in (0.5, 2.0)]
         rows = read_csv(out / "sweep.csv")
         assert rows[0] == cli._EXPERIMENTS["secure"].header
-        assert rows[1:] == [[repr(float(v)) for v in astuple(p)] for p in points]
+        assert rows[1:] == [[repr(v) for v in p] for p in points]
         facts = {key: str(value) for key, value in secure.frontier_facts(points).items()}
         assert dict(read_csv(out / "summary.csv")[1:]) == {"experiment": "secure", "points": "2", **facts}
 
@@ -498,8 +499,12 @@ class TestSweepCommand:
             (AOI_SMALL, {"k": [1, 2, 2.5]}, "bad scenario"),
             (RADAR_SMALL, {"p_dbm": [5.0, 10.0, "x"]}, "bad scenario"),
             (SECURE_TWO_CELLS, {"eta": [0.5, 2.0, True]}, "bad eta values"),
+            (SECURE_TWO_CELLS, {"eta": [1.0, -1.0]}, "bad eta values: weights must be nonnegative"),
+            # the scenario's own weight check, which names every finite field
+            (SECURE_TWO_CELLS, {"eta": [1.0, math.nan]}, "bad eta values: gains, noise powers, power cap and weights"),
+            (SECURE_TWO_CELLS, {"eta": [1.0, math.inf]}, "bad eta values: gains, noise powers, power cap and weights"),
         ],
-        ids=["aoi-k", "radar-p_dbm", "secure-eta"],
+        ids=["aoi-k", "radar-p_dbm", "secure-eta", "secure-eta-negative", "secure-eta-nan", "secure-eta-inf"],
     )
     def test_bad_last_value_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch, body, values, message):
         def no_solve(*args):

@@ -20,7 +20,7 @@ from mmfp.secure import (
     run_algorithm4,
     secret_rate,
     sweep_start_points,
-    tradeoff_sweep,
+    tradeoff_point,
     two_link_benchmark,
     five_link_benchmark,
     weighted_sum_rate,
@@ -369,7 +369,7 @@ class TestTradeoffSweep:
 
     def test_three_point_sweep_properties(self):
         sc = five_link_benchmark()
-        pts = tradeoff_sweep(sc, [0.01, 1.0, 100.0])
+        pts = [tradeoff_point(sc, eta) for eta in (0.01, 1.0, 100.0)]
         opens = [p.fast_open for p in pts]
         secures = [p.fast_secure for p in pts]
         assert np.all(np.diff(opens) >= -1e-9)
@@ -379,6 +379,27 @@ class TestTradeoffSweep:
             assert p.direct_objective_nats >= p.baseline_objective_nats - 1e-9
             assert abs(p.fast_secure - p.direct_secure) <= 1e-2
             assert abs(p.fast_open - p.direct_open) <= 1e-2
+
+    def test_one_point_builds_each_problem_and_the_start_set_once(self, monkeypatch):
+        calls = dict.fromkeys(
+            ["build_fast_problem", "build_direct_problem", "sweep_start_points",
+             "baseline_max_power_linear_search", "run_mm"], 0,
+        )
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(secure, name, counted(name, getattr(secure, name)))
+        tradeoff_point(five_link_benchmark(), 1.0)
+        assert calls["build_fast_problem"] == calls["build_direct_problem"] == calls["sweep_start_points"] == 1
+        # once for the start set's argmax start, once for the baseline row
+        assert calls["baseline_max_power_linear_search"] <= 2
+        # seven per method: six distinct starts, then the polish
+        assert calls["run_mm"] == 14
 
 
 def test_both_problems_have_the_weighted_sum_rate_as_objective():
