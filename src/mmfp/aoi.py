@@ -129,7 +129,7 @@ def build_aoi_problem(scenario: AoiScenario) -> MixedFpProblem:
 
     floor = _RATE_FLOOR_REL * mu
     feasible = box_set(0.0, mu, in_domain=lambda x: bool(np.all(np.asarray(x) > floor)))
-    outers = (OuterFunction.neg_identity(1.0),) * (2 * k_sources)
+    outers = (OuterFunction("neg_identity", 1.0),) * (2 * k_sources)
     return MixedFpProblem(fractions, outers, feasible)
 
 

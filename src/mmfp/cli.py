@@ -389,13 +389,14 @@ def _cmd_sweep(args) -> int:
     # a sweep writes only each point's answer, not its trace: extrapolate
     opts = replace(opts, accelerate=True)
     # build every point, and check every value, before solving any
-    points = []
-    for value in cfg["sweep"][exp.axis]:
-        if exp.axis in exp.keys:
-            points.append((exp.build(dict(cfg["scenario"], **{exp.axis: value})), value))
-        else:  # eta is no scenario key: the row applies it to the scenario's weights
-            scenario = exp.build(cfg["scenario"])
-            points.append((scenario, _eta(scenario, value)))
+    values = cfg["sweep"][exp.axis]
+    if exp.axis in exp.keys:
+        points = [(exp.build(dict(cfg["scenario"], **{exp.axis: value})), value) for value in values]
+    else:  # eta is no scenario key: the row applies it to the scenario's weights
+        scenario = exp.build(cfg["scenario"])
+        points = [(scenario, _eta(scenario, value)) for value in values]
+        if scenario.k_eavesdropped == scenario.l_cells:
+            raise ConfigError("sweep.eta weights the open cells, and this scenario has no open cell: every cell is eavesdropped")
     rows = [exp.row(scenario, value, opts) for scenario, value in points]
     _write_csv(out / "sweep.csv", exp.header, rows)
     if exp.summary is not None:

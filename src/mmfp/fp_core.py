@@ -13,9 +13,9 @@ Two per-ratio decoupling devices remove the fractional coupling:
                                                   (tight at yt = sqrt(B)/A)
 
 ``[.]_+`` clamps a nonpositive bracket to an infinitesimal positive value so
-its reciprocal is IEEE ``+inf``; a decreasing outer then evaluates to its
-limit at infinity (``-inf`` for the unbounded-below kinds), which the MM
-driver treats as "reject this trial point", never as a crash.
+its reciprocal is IEEE ``+inf``. Both decreasing outers tend to ``-inf``
+there, so a clamped ratio of nonzero weight rejects the point, a signal the
+MM driver handles, never a crash; a clamped ratio of weight 0 adds 0.
 
 Holding the auxiliaries at their closed-form values for an anchor point
 turns the transformed objective into a minorizing surrogate that touches
@@ -58,20 +58,24 @@ def plus_part(a: float) -> float:
     return a if a > 0.0 else POSITIVE_UNDERFLOW
 
 
+def _check_ratio(A: float, B: float) -> None:
+    """Reject a ratio outside the transforms' domain ``A >= 0, B > 0``."""
+    if A < 0 or B <= 0:
+        raise InvalidInputError(f"need A >= 0 and B > 0, got A={A}, B={B}")
+
+
 def quad_surrogate(A: float, B: float, y: float) -> float:
     """Decoupled max-side value ``2*y*sqrt(A) - y**2 * B``.
 
     Never exceeds ``A/B``; equality holds exactly at ``y = sqrt(A)/B``.
     """
-    if A < 0 or B <= 0:
-        raise InvalidInputError(f"need A >= 0 and B > 0, got A={A}, B={B}")
+    _check_ratio(A, B)
     return 2.0 * y * math.sqrt(A) - y * y * B
 
 
 def opt_y(A: float, B: float) -> float:
     """Maximizer ``sqrt(A)/B`` of the max-side bracket over y."""
-    if A < 0 or B <= 0:
-        raise InvalidInputError(f"need A >= 0 and B > 0, got A={A}, B={B}")
+    _check_ratio(A, B)
     return math.sqrt(A) / B
 
 
@@ -81,8 +85,7 @@ def inv_quad_surrogate(A: float, B: float, y_tilde: float) -> float:
     Never falls below ``A/B``; equality holds at ``yt = sqrt(B)/A``. A
     nonpositive bracket yields ``+inf`` (clamp case), never an exception.
     """
-    if A < 0 or B <= 0:
-        raise InvalidInputError(f"need A >= 0 and B > 0, got A={A}, B={B}")
+    _check_ratio(A, B)
     return 1.0 / plus_part(2.0 * y_tilde * math.sqrt(B) - y_tilde * y_tilde * A)
 
 
@@ -92,8 +95,7 @@ def opt_y_tilde(A: float, B: float, eps: float = Y_TILDE_SAFEGUARD) -> float:
     ``eps > 0`` keeps the auxiliary finite as ``A -> 0+``; ``eps = 0`` gives
     the exact closed form, which needs ``A > 0``.
     """
-    if A < 0 or B <= 0:
-        raise InvalidInputError(f"need A >= 0 and B > 0, got A={A}, B={B}")
+    _check_ratio(A, B)
     if eps < 0:
         raise InvalidInputError("eps must be nonnegative")
     try:
@@ -132,31 +134,9 @@ class OuterFunction:
     def __post_init__(self):
         if self.kind not in _INCREASING_KINDS | _DECREASING_KINDS:
             raise InvalidInputError(f"unknown outer function kind {self.kind!r}")
-        if self.weight < 0:
-            raise InvalidInputError("outer function weight must be nonnegative")
+        if not 0.0 <= self.weight < math.inf:
+            raise InvalidInputError("outer function weight must be finite and nonnegative")
 
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def identity(cls, w: float = 1.0) -> "OuterFunction":
-        return cls("identity", w)
-
-    @classmethod
-    def log1p(cls, w: float = 1.0) -> "OuterFunction":
-        return cls("log1p", w)
-
-    @classmethod
-    def log1m(cls, w: float = 1.0) -> "OuterFunction":
-        return cls("log1m", w)
-
-    @classmethod
-    def neg_half_inverse(cls, w: float = 1.0) -> "OuterFunction":
-        return cls("neg_half_inverse", w)
-
-    @classmethod
-    def neg_identity(cls, w: float = 1.0) -> "OuterFunction":
-        return cls("neg_identity", w)
-
-    # -- behaviour ----------------------------------------------------
     @property
     def increasing(self) -> bool:
         return self.kind in _INCREASING_KINDS
@@ -192,16 +172,6 @@ class OuterFunction:
 
     def derivative(self, r: float) -> float:
         return self._checked(r)[1]
-
-    def limit_at_infinity(self) -> float:
-        """Limit of f(r) as r -> +inf (extended-real)."""
-        if self.kind == "neg_half_inverse":
-            return 0.0
-        if self.weight == 0.0:
-            return 0.0
-        if self.kind in ("log1m", "neg_identity"):
-            return -math.inf
-        return math.inf  # identity, log1p
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +293,10 @@ def _quadratic_transform(
                 return -math.inf, None
             bracket = 2.0 * y * math.sqrt(b) - y * y * a
             if bracket <= 0.0:
-                lim = outer.limit_at_infinity()
-                if lim == -math.inf:
+                # the clamped ratio is +inf, where a decreasing outer of
+                # nonzero weight tends to -inf and one of weight 0 adds 0
+                if outer.weight != 0.0:
                     return -math.inf, None
-                value += lim  # bounded outer: clamp contributes its limit
                 continue
             pair = outer._value_slope(1.0 / bracket)
             if pair is None:

@@ -40,10 +40,10 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def require_hermitian(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def require_hermitian(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M)
     scale = np.linalg.norm(M, "fro")
-    if np.linalg.norm(M - M.conj().T, "fro") > rel_tol * max(scale, 1e-300):
+    if np.linalg.norm(M - M.conj().T, "fro") > 1e-10 * max(scale, 1e-300):
         raise InvalidInputError("matrix is not Hermitian within tolerance")
     return M
 
@@ -98,7 +98,7 @@ def psd_sqrt(M: np.ndarray, ell: int | None = None) -> np.ndarray:
     must cover the numerical rank for the reconstruction to hold.
     """
     M = np.atleast_2d(np.asarray(M))
-    require_hermitian(M, rel_tol=1e-10)
+    require_hermitian(M)
     d = M.shape[0]
     ell = d if ell is None else int(ell)
     if not (1 <= ell <= d):
@@ -168,8 +168,8 @@ class MatrixOuter:
     def __post_init__(self):
         if self.kind not in _MATRIX_INCREASING | _MATRIX_DECREASING:
             raise InvalidInputError(f"unknown matrix outer kind {self.kind!r}")
-        if self.weight < 0:
-            raise InvalidInputError("weight must be nonnegative")
+        if not 0.0 <= self.weight < math.inf:
+            raise InvalidInputError("weight must be finite and nonnegative")
 
     @property
     def increasing(self) -> bool:
@@ -200,15 +200,13 @@ class MatrixRatioTerm:
     """One matrix ratio with numerator/denominator maps and an outer function.
 
     ``numerator(x)`` must be Hermitian PSD, ``denominator(x)`` Hermitian PD,
-    both d x d. ``ell`` fixes the square-root width (defaults to d). An
-    increasing outer puts the ratio on the max side, a decreasing one on the
-    min side.
+    both d x d; their square roots are d x d. An increasing outer puts the
+    ratio on the max side, a decreasing one on the min side.
     """
 
     numerator: Callable[[np.ndarray], np.ndarray]
     denominator: Callable[[np.ndarray], np.ndarray]
     outer: MatrixOuter
-    ell: int | None = None
 
 
 def is_strictly_pd(M: np.ndarray) -> bool:
@@ -222,7 +220,7 @@ def matrix_mixed_objective(terms: list[MatrixRatioTerm], x: np.ndarray) -> float
     """Sum of outer functions applied to the matrix ratios at ``x``."""
     total = 0.0
     for term in terms:
-        A_sqrt = psd_sqrt(term.numerator(x), term.ell)
+        A_sqrt = psd_sqrt(term.numerator(x))
         total += term.outer.evaluate(matrix_ratio(A_sqrt, term.denominator(x)))
     return total
 
@@ -244,15 +242,15 @@ def matrix_mixed_surrogate(
         A_x = term.numerator(x)
         B_x = term.denominator(x)
         if term.outer.increasing:
-            Y = opt_y(psd_sqrt(A_hat, term.ell), B_hat)
-            bracket = q_plus(psd_sqrt(A_x, term.ell), B_x, Y)
+            Y = opt_y(psd_sqrt(A_hat), B_hat)
+            bracket = q_plus(psd_sqrt(A_x), B_x, Y)
             try:
                 value += term.outer.evaluate(bracket)
             except DomainError:
                 return -math.inf
         else:
-            Y_tilde = opt_y_tilde(psd_sqrt(B_hat, term.ell), A_hat)
-            bracket = q_minus(psd_sqrt(B_x, term.ell), A_x, Y_tilde)
+            Y_tilde = opt_y_tilde(psd_sqrt(B_hat), A_hat)
+            bracket = q_minus(psd_sqrt(B_x), A_x, Y_tilde)
             if not is_strictly_pd(bracket):
                 return -math.inf
             value += term.outer.evaluate(np.linalg.inv(bracket))

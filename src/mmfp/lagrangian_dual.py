@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .fp_core import Fractions, OuterFunction, _closed_form_aux, _quadratic_transform
+from .fp_core import Fractions, OuterFunction, _check_ratio, _closed_form_aux, _quadratic_transform
 from .solver import FeasibleSet
 
 # Keep ln(1 - gamma_tilde) finite; the closed form can only approach 1 when
@@ -38,15 +38,13 @@ _GAMMA_TILDE_MAX = 1.0 - 1e-12
 
 def opt_gamma(A: float, B: float) -> float:
     """Maximizer ``A/B`` of the increasing-side zeta over its auxiliary."""
-    if A < 0 or B <= 0:
-        raise InvalidInputError(f"need A >= 0 and B > 0, got A={A}, B={B}")
+    _check_ratio(A, B)
     return A / B
 
 
 def opt_gamma_tilde(A: float, B: float) -> float:
     """Maximizer ``A/(A+B)`` of the decreasing-side zeta, clamped below 1."""
-    if A < 0 or B <= 0:
-        raise InvalidInputError(f"need A >= 0 and B > 0, got A={A}, B={B}")
+    _check_ratio(A, B)
     return min(A / (A + B), _GAMMA_TILDE_MAX)
 
 
@@ -129,7 +127,7 @@ class LogRatioMmProblem:
     A/(A+B)`` under an identity outer per max row and ``w(1-gt) * A/B``
     under a negated identity per min row (the factor is the outer's
     weight). A row of weight 0 gets an outer of weight 0: it adds an exact
-    0 with slope 0, and its clamp limit is 0. The quadratic transform of
+    0 with slope 0, and 0 when its bracket clamps. The quadratic transform of
     :mod:`mmfp.fp_core` then gives a concave, logarithm-free subproblem.
     Implements the driver protocol of :mod:`mmfp.solver`.
     """
@@ -144,8 +142,8 @@ class LogRatioMmProblem:
         maximize = np.asarray(self.maximize)
         if maximize.dtype != bool or weights.ndim != 1 or maximize.shape != weights.shape:
             raise InvalidInputError("maximize must be a boolean array with one entry per weight")
-        if np.any(weights < 0):
-            raise InvalidInputError("weights must be nonnegative")
+        if not np.all((weights >= 0) & (weights < math.inf)):
+            raise InvalidInputError("weights must be finite and nonnegative")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "maximize", maximize)
 
@@ -166,11 +164,11 @@ class LogRatioMmProblem:
             if mx:
                 g = opt_gamma(a, b)
                 const += w * (math.log1p(g) - g)
-                outers.append(OuterFunction.identity(w * (1.0 + g)))
+                outers.append(OuterFunction("identity", w * (1.0 + g)))
             else:
                 g = opt_gamma_tilde(a, b)
                 const += w * (math.log1p(-g) + g)
-                outers.append(OuterFunction.neg_identity(w * (1.0 - g)))
+                outers.append(OuterFunction("neg_identity", w * (1.0 - g)))
             gamma.append(g)
         y = _closed_form_aux(outers, A, np.where(self.maximize, A + B, B))
         return LogRatioAux(gamma=np.array(gamma), outers=tuple(outers), y=y, const=const)

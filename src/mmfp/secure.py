@@ -109,8 +109,9 @@ def two_link_benchmark() -> SecureScenario:
     )
 
 
-def five_link_benchmark(eta: float = 1.0) -> SecureScenario:
-    """Five cells, first two eavesdropped; cells 3-5 weighted by ``eta``."""
+def five_link_benchmark() -> SecureScenario:
+    """Five cells, first two eavesdropped, unit weights (experiment setup);
+    :func:`tradeoff_point` reweights the open cells 3-5."""
     diag = [1.0, 0.74, 0.85, 0.93, 0.61]
     h2 = np.full((5, 5), 0.1)
     np.fill_diagonal(h2, diag)
@@ -123,7 +124,7 @@ def five_link_benchmark(eta: float = 1.0) -> SecureScenario:
         sigma2=dbm_to_mw(-10.0),
         sigma2_tilde=dbm_to_mw(0.0),
         p_max=dbm_to_mw(10.0),
-        w=[1.0, 1.0, eta, eta, eta],
+        w=1.0,
     )
 
 
@@ -203,8 +204,8 @@ def _sinr_fractions(scenario: SecureScenario, whole_row_leakage: bool) -> Fracti
 def build_direct_problem(scenario: SecureScenario) -> MixedFpProblem:
     """Mixed FP with L increasing log terms (user SINRs) and K decreasing
     ones (whole-row leakage fractions)."""
-    outers = [OuterFunction.log1p(w) for w in scenario.w]
-    outers += [OuterFunction.log1m(w) for w in scenario.w[: scenario.k_eavesdropped]]
+    outers = [OuterFunction("log1p", w) for w in scenario.w]
+    outers += [OuterFunction("log1m", w) for w in scenario.w[: scenario.k_eavesdropped]]
     fractions = _sinr_fractions(scenario, whole_row_leakage=True)
     return MixedFpProblem(fractions, tuple(outers), box_set(0.0, scenario.p_max))
 

@@ -69,9 +69,9 @@ def random_mixed_problem(rng: np.random.Generator):
             rng.uniform(0.5, 2.0),
         ))
         if rng.random() < 0.5:
-            outers.append(fp_core.OuterFunction.log1p(float(rng.uniform(0.2, 2.0))))
+            outers.append(fp_core.OuterFunction("log1p", float(rng.uniform(0.2, 2.0))))
         else:
-            outers.append(fp_core.OuterFunction.neg_identity(float(rng.uniform(0.2, 2.0))))
+            outers.append(fp_core.OuterFunction("neg_identity", float(rng.uniform(0.2, 2.0))))
     a_lin, a_quad, b_lin, b_off = (np.array(c) for c in zip(*rows))
 
     def fractions(x):
@@ -251,8 +251,8 @@ def _outer_cases(_rng):
     return ([
         (outer, r)
         for r in (0.3, 1.0, 2.5)
-        for outer in (OF.identity(1.3), OF.log1p(0.7), *([OF.log1m(0.7)] if r < 1 else []),
-                      OF.neg_half_inverse(), OF.neg_identity(2.0))
+        for outer in (OF("identity", 1.3), OF("log1p", 0.7), *([OF("log1m", 0.7)] if r < 1 else []),
+                      OF("neg_half_inverse"), OF("neg_identity", 2.0))
     ],)
 
 

@@ -173,6 +173,33 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         assert calls == ["oracle_grid", "run_algorithm1"]
 
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("radar", {"p_dbm": -60.0}),
+            ("radar", {"p_dbm": 60.0}),
+            ("secure", {"p_dbm": -60.0}),
+            ("secure", {"p_dbm": 60.0}),
+            ("secure", {"w": [0.0, 0.0]}),
+            ("aoi", {"k": 1}),
+        ],
+        ids=["radar-minus60dbm", "radar-60dbm", "secure-minus60dbm", "secure-60dbm", "secure-zero-weights", "aoi-k1"],
+    )
+    def test_extreme_shipped_input_exits_0_with_finite_csvs(self, tmp_path, name, edit):
+        # no answer is asserted: only that the run ends cleanly, never in NaN
+        cfg = cli.load_config(CONFIG_DIR / f"{name}.yaml")
+        path = write_config(tmp_path, dict(cfg, scenario=dict(cfg["scenario"], **edit)))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        numbers = []
+        for csv_path in out.glob("*.csv"):
+            for cell in (c for row in read_csv(csv_path) for c in row):
+                try:
+                    numbers.append(float(cell))
+                except ValueError:
+                    pass
+        assert numbers and all(math.isfinite(v) for v in numbers)
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code = cli.main(
             ["run", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]
@@ -475,14 +502,17 @@ class TestSweepCommand:
         assert float(row[2]) <= float(start)
 
     def test_secure_sweeps_write_the_tradeoff_frontier(self, tmp_path):
-        path = write_config(tmp_path, dict(SECURE_TWO_CELLS, sweep={"eta": [0.5, 2]}))
+        # two cells, the first eavesdropped: eta weights the open second cell
+        body = dict(SECURE_TWO_CELLS["scenario"], ht2=[[0.5, 0.11]])
+        path = write_config(tmp_path, dict(SECURE_TWO_CELLS, scenario=body, sweep={"eta": [0.5, 2]}))
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
-        scenario = cli._build_secure(SECURE_TWO_CELLS["scenario"])
+        scenario = cli._build_secure(body)
         points = [secure.tradeoff_point(scenario, eta) for eta in (0.5, 2.0)]
         rows = read_csv(out / "sweep.csv")
         assert rows[0] == cli._EXPERIMENTS["secure"].header
         assert rows[1:] == [[repr(v) for v in p] for p in points]
+        assert rows[1][1:] != rows[2][1:]  # eta moves the answer
         facts = {key: str(value) for key, value in secure.frontier_facts(points).items()}
         assert dict(read_csv(out / "summary.csv")[1:]) == {"experiment": "secure", "points": "2", **facts}
 
@@ -503,8 +533,13 @@ class TestSweepCommand:
             # the scenario's own weight check, which names every finite field
             (SECURE_TWO_CELLS, {"eta": [1.0, math.nan]}, "bad eta values: gains, noise powers, power cap and weights"),
             (SECURE_TWO_CELLS, {"eta": [1.0, math.inf]}, "bad eta values: gains, noise powers, power cap and weights"),
+            # good values, but every cell is eavesdropped: eta would weight no cell
+            (SECURE_TWO_CELLS, {"eta": [0.5, 2.0, 100.0]}, "sweep.eta weights the open cells, and this scenario has no open cell"),
         ],
-        ids=["aoi-k", "radar-p_dbm", "secure-eta", "secure-eta-negative", "secure-eta-nan", "secure-eta-inf"],
+        ids=[
+            "aoi-k", "radar-p_dbm", "secure-eta", "secure-eta-negative", "secure-eta-nan", "secure-eta-inf",
+            "secure-eta-no-open-cell",
+        ],
     )
     def test_bad_last_value_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch, body, values, message):
         def no_solve(*args):

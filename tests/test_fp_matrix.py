@@ -185,6 +185,11 @@ class TestMatrixOuter:
         X = np.diag([2.0, 4.0])
         assert MatrixOuter("neg_half_inverse_trace", w).evaluate(X) == pytest.approx(-0.375 * w, rel=1e-12)
 
+    @pytest.mark.parametrize("w", [-1.0, math.nan, math.inf])
+    def test_weight_must_be_finite_and_nonnegative(self, w):
+        with pytest.raises(InvalidInputError, match="finite and nonnegative"):
+            MatrixOuter("trace", w)
+
     def test_logdet_rejects_negative_definite_argument(self):
         # a negative-definite I+X of even size has positive determinant;
         # the domain check must still fire
@@ -243,7 +248,7 @@ class TestMatrixMixedSurrogate:
             ]
             core_problem = fp_core.MixedFpProblem(
                 fp_core.affine_fractions([[a1]], [a0], [[b1]], [b0]),
-                (fp_core.OuterFunction.neg_identity(1.0),),
+                (fp_core.OuterFunction("neg_identity", 1.0),),
                 feasible=None,
             )
             x = np.array([rng.uniform(0.1, 2.0)])

@@ -251,8 +251,9 @@ class TestLogRatioMmProblem:
 
 def test_weight_validation():
     fractions = affine_fractions([[1.0]], [0.0], [[1.0]], [0.0])
-    with pytest.raises(InvalidInputError):
-        LogRatioMmProblem(fractions, [-0.5], [True], None)
+    for w in (-0.5, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="finite and nonnegative"):
+            LogRatioMmProblem(fractions, [w], [True], None)
     with pytest.raises(InvalidInputError):
         LogRatioMmProblem(fractions, [1.0], ["between"], None)
     with pytest.raises(InvalidInputError):

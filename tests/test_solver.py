@@ -371,14 +371,14 @@ def _two_affine_ratios(a, b, a0, b0):
     b0[1])`` under the negated identity, on the unit box."""
     return MixedFpProblem(
         affine_fractions([a, b], a0, [b, a], b0),
-        (OuterFunction.log1p(), OuterFunction.neg_identity()),
+        (OuterFunction("log1p"), OuterFunction("neg_identity")),
         box_set(np.zeros(2), np.ones(2)),
     )
 
 
 class TestRunMm:
     def test_single_max_ratio_hits_upper_bound(self):
-        problem = _ratio_problem(lambda t: (t, 1.0), _unit, OuterFunction.identity(), [0.0], [1.0])
+        problem = _ratio_problem(lambda t: (t, 1.0), _unit, OuterFunction("identity"), [0.0], [1.0])
         x, trace = run_mm(problem, np.array([0.1]))
         assert x[0] == pytest.approx(1.0, abs=1e-8)
         assert trace.records[-1].objective == pytest.approx(1.0, abs=1e-8)
@@ -386,7 +386,7 @@ class TestRunMm:
 
     def test_single_min_ratio_interior_optimum(self):
         problem = _ratio_problem(
-            _shifted_square, _unit, OuterFunction.neg_identity(), [0.0], [5.0]
+            _shifted_square, _unit, OuterFunction("neg_identity"), [0.0], [5.0]
         )
         x, _ = run_mm(problem, np.array([4.5]))
         assert x[0] == pytest.approx(2.0, abs=1e-5)
@@ -406,7 +406,7 @@ class TestRunMm:
 
     def test_trace_is_monotone(self):
         problem = _ratio_problem(
-            lambda t: (t * t, 2.0 * t), lambda t: (1.0 + t, 1.0), OuterFunction.log1p(), [0.0], [4.0]
+            lambda t: (t * t, 2.0 * t), lambda t: (1.0 + t, 1.0), OuterFunction("log1p"), [0.0], [4.0]
         )
         _, trace = run_mm(problem, np.array([0.5]))
         assert verify.monotone(trace.objectives)
@@ -553,17 +553,17 @@ class TestAcceleration:
 class TestStationarityResidual:
     def test_interior_maximum(self):
         problem = _ratio_problem(
-            _shifted_square, _unit, OuterFunction.neg_identity(), [0.0], [5.0]
+            _shifted_square, _unit, OuterFunction("neg_identity"), [0.0], [5.0]
         )
         assert stationarity_residual(problem, np.array([2.0])) <= 1e-6
 
     def test_boundary_optimum_with_inward_gradient(self):
-        problem = _ratio_problem(lambda t: (t, 1.0), _unit, OuterFunction.identity(), [0.0], [1.0])
+        problem = _ratio_problem(lambda t: (t, 1.0), _unit, OuterFunction("identity"), [0.0], [1.0])
         assert stationarity_residual(problem, np.array([1.0])) <= 1e-6
 
     def test_non_stationary_point_detected(self):
         problem = _ratio_problem(
-            _shifted_square, _unit, OuterFunction.neg_identity(), [0.0], [5.0]
+            _shifted_square, _unit, OuterFunction("neg_identity"), [0.0], [5.0]
         )
         assert stationarity_residual(problem, np.array([0.5])) > 0.01
 
