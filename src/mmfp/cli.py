@@ -250,17 +250,19 @@ def _aoi_row(scenario: aoi.AoiScenario, k, opts: solver.SolveOptions) -> list:
 
 def _solve_radar(scenario: radar.RadarScenario, opts: solver.SolveOptions):
     """Waveforms, trace, the initial and final bound sums with the relative
-    reduction, and the stationarity residual."""
+    reduction, the stationarity residual, and the certificate: the
+    scenario's ``crb_lower_bound`` and the final sum's ratio to it."""
     problem = radar.RadarMmProblem(scenario)
     waveforms, trace = problem.solve(opts)
     resid = solver.stationarity_residual(problem, radar.stack_waveforms(waveforms))
     first, last = trace.objectives[0], trace.objectives[-1]
     bounds = [float(first), float(last), float(1.0 - last / first)]
-    return waveforms, trace, bounds, float(resid)
+    floor = radar.crb_lower_bound(scenario)
+    return waveforms, trace, bounds, float(resid), [floor, float(last / floor)]
 
 
 def _run_radar(cfg: dict, scenario: radar.RadarScenario, opts: solver.SolveOptions, out: Path) -> None:
-    waveforms, trace, bounds, resid = _solve_radar(scenario, opts)
+    waveforms, trace, bounds, resid, certificate = _solve_radar(scenario, opts)
     _write_trace(out / "trace.csv", trace)
     rows = [
         ("experiment", "radar"),
@@ -272,12 +274,13 @@ def _run_radar(cfg: dict, scenario: radar.RadarScenario, opts: solver.SolveOptio
     rows += [
         (f"power_{m}", float(np.real(np.vdot(s, s)))) for m, s in enumerate(waveforms)
     ]
+    rows += zip(("crb_lower_bound", "bound_ratio"), certificate)
     _write_summary(out / "summary.csv", rows)
 
 
 def _radar_row(scenario: radar.RadarScenario, p_dbm, opts: solver.SolveOptions) -> list:
-    _, trace, bounds, resid = _solve_radar(scenario, opts)
-    return [float(p_dbm), *bounds, trace.outer_iterations, resid]
+    _, trace, bounds, resid, certificate = _solve_radar(scenario, opts)
+    return [float(p_dbm), *bounds, trace.outer_iterations, resid, *certificate]
 
 
 def _run_secure(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOptions, out: Path) -> None:
@@ -353,7 +356,7 @@ _EXPERIMENTS = {
         },
         _build_radar, _run_radar, "p_dbm",
         ["p_dbm", "initial_sum_crb", "final_sum_crb", "reduction",
-         "outer_iterations", "stationarity_residual"],
+         "outer_iterations", "stationarity_residual", "crb_lower_bound", "bound_ratio"],
         _radar_row,
     ),
     # the secure sweep is the tradeoff frontier along the open-cell weight

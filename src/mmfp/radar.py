@@ -244,9 +244,20 @@ class RadarMmProblem:
         return _bound(self._whitened(waveforms, m) for m in range(self.scenario.m_radars))
 
     def initial_waveforms(self) -> list[np.ndarray]:
-        """Flat max-power start; ``D_m s`` is zero there only where ``D_m``
-        is, and then no waveform gives radar m a finite bound."""
-        return [np.full(n, math.sqrt(power / n), dtype=complex) for n, power in zip(self.s_dims, self.scenario.power)]
+        """Max-power start. With at least as many samples as radars, radar m
+        sends ``sqrt(P_m) e_m kron u_m``: ``e_m`` is column m of the unitary
+        L x L DFT and ``u_m`` the top eigenvector of ``dG_mm^H dG_mm``. Every
+        interference vector into radar m is then orthogonal to its
+        derivative signal, and the start attains :func:`crb_lower_bound`.
+        Otherwise the start is flat; ``D_m s`` is zero there only where
+        ``D_m`` is, and then no waveform gives radar m a finite bound."""
+        sc = self.scenario
+        l, radars = sc.l_samples, range(sc.m_radars)
+        if l < len(radars):
+            return [np.full(n, math.sqrt(power / n), dtype=complex) for n, power in zip(self.s_dims, sc.power)]
+        # exponents reduced mod L, so no phase exceeds 2 pi
+        codes = np.exp(-2j * math.pi * (np.outer(np.arange(l), radars) % l) / l) / math.sqrt(l)
+        return [math.sqrt(sc.power[m]) * np.kron(codes[:, m], _top_eigenpair(sc, m)[1]) for m in radars]
 
     def _pack(self, z: np.ndarray) -> np.ndarray:
         """The waveforms of the stacked vector ``z`` as padded rows."""
@@ -339,6 +350,28 @@ def _bound(pairs) -> float:
         if j <= 0.0:
             return math.inf
         total += 1.0 / j
+    return total
+
+
+def _top_eigenpair(scenario: RadarScenario, m: int) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of ``dG_mm^H dG_mm`` and a unit eigenvector: the
+    most derivative-signal energy one sample's transmit vector can buy."""
+    dg = response_derivative(scenario, m)
+    w, u = np.linalg.eigh(dg.conj().T @ dg)
+    return float(w[-1]), u[:, -1]
+
+
+def crb_lower_bound(scenario: RadarScenario) -> float:
+    """``sum_m sigma_m^2 / (2 lambda_max(dG_mm^H dG_mm) P_m)``, below the sum
+    of bounds of every feasible waveform set: ``K_m >= sigma_m^2 I`` and
+    ``||D_m s_m||^2 <= lambda_max ||s_m||^2``. Infinite where a derivative
+    vanishes."""
+    total = 0.0
+    for m in range(scenario.m_radars):
+        lam = _top_eigenpair(scenario, m)[0]
+        if lam <= 0.0:
+            return math.inf
+        total += scenario.sigma2[m] / (2.0 * lam * scenario.power[m])
     return total
 
 

@@ -118,8 +118,12 @@ def random_secure_scenario(rng: np.random.Generator) -> secure.SecureScenario:
     )
 
 
-def random_radar_scenario(rng: np.random.Generator) -> radar.RadarScenario:
-    m = int(rng.integers(1, 3))
+def random_radar_scenario(
+    rng: np.random.Generator, m: int | None = None, l_samples: int | None = None
+) -> radar.RadarScenario:
+    """One or two radars and one or two samples, unless ``m`` and
+    ``l_samples`` are given; every draw has a finite bound."""
+    m = int(rng.integers(1, 3)) if m is None else m
     beta = tuple(
         tuple(complex(rng.uniform(0.3, 1.0), rng.uniform(-0.3, 0.3)) for _ in range(m))
         for _ in range(m)
@@ -131,8 +135,25 @@ def random_radar_scenario(rng: np.random.Generator) -> radar.RadarScenario:
         beta=beta,
         sigma2=tuple(float(rng.uniform(0.5, 2.0)) for _ in range(m)),
         power=tuple(float(rng.uniform(1.0, 20.0)) for _ in range(m)),
-        l_samples=int(rng.integers(1, 3)),
+        l_samples=int(rng.integers(1, 3)) if l_samples is None else l_samples,
     )
+
+
+def random_climbing_radar_scenario(rng: np.random.Generator) -> radar.RadarScenario:
+    """Two or three radars with fewer samples than radars: the MM start is
+    flat, so MM has to climb (with a sample per radar it starts at the
+    bound and maps once)."""
+    m = int(rng.integers(2, 4))
+    return random_radar_scenario(rng, m, int(rng.integers(1, m)))
+
+
+def flat_waveforms(sc: radar.RadarScenario) -> list[np.ndarray]:
+    """Each radar's budget spread evenly over its entries: the MM start when
+    L < M, written out for runs that must climb from it at L >= M too."""
+    return [
+        np.full(sc.waveform_length(m), math.sqrt(sc.power[m] / sc.waveform_length(m)), dtype=complex)
+        for m in range(sc.m_radars)
+    ]
 
 
 def random_waveforms(rng: np.random.Generator, sc: radar.RadarScenario) -> list[np.ndarray]:
@@ -515,6 +536,33 @@ def response_derivative_matches(sc: radar.RadarScenario, m: int) -> bool:
     return bool(np.all(np.abs(radar.response_derivative(sc, m) - fd) <= 1e-5 * (1 + np.abs(fd))))
 
 
+def _random_bound_case(rng: np.random.Generator):
+    """One to four radars with L from 1 to 2M, and projected random waveforms."""
+    m = int(rng.integers(1, 5))
+    problem = radar.RadarMmProblem(random_radar_scenario(rng, m, int(rng.integers(1, 2 * m + 1))))
+    z = problem.feasible.project(radar.stack_waveforms(random_waveforms(rng, problem.scenario)))
+    return problem, z
+
+
+def crb_above_bound(problem, z) -> bool:
+    """The sum of bounds at feasible waveforms is at least
+    :func:`radar.crb_lower_bound`, up to rounding."""
+    return bool(-problem.objective(z) >= radar.crb_lower_bound(problem.scenario) * (1 - 1e-12))
+
+
+def _random_coded_scenario(rng: np.random.Generator):
+    m = int(rng.integers(1, 5))
+    return (random_radar_scenario(rng, m, m + int(rng.integers(0, 3))),)
+
+
+def codes_attain_bound(sc) -> bool:
+    """With L >= M the orthogonal-code start's sum of bounds is
+    :func:`radar.crb_lower_bound` to 1e-12 relative."""
+    problem = radar.RadarMmProblem(sc)
+    bound = radar.crb_lower_bound(sc)
+    return bool(abs(problem.sum_crb(problem.initial_waveforms()) - bound) <= 1e-12 * bound)
+
+
 def _random_radar_point(rng: np.random.Generator):
     problem = radar.RadarMmProblem(random_radar_scenario(rng))
     return problem, problem.feasible.project(rng.standard_normal(problem.total_real_dim))
@@ -614,10 +662,12 @@ CHECKS: tuple[Check, ...] = (
           _seeded(2000, random_secure_scenario),
           _monotone_traces(1.0, (secure.run_algorithm3, secure.run_algorithm4), max_outer=60, max_inner=2000), 1),
     Check("apps", "radar bound traces are monotone nonincreasing (20 seeds)",
-          _seeded(3000, random_radar_scenario),
+          _seeded(3000, random_climbing_radar_scenario),
           _monotone_traces(-1.0, (radar.run_algorithm2,), max_outer=60, max_inner=2000), 1),
     Check("apps", "secure rate bound dominates every point of its box", _random_secure_box, secure_bound_dominates, 500),
     Check("apps", "age bound lies below every age in its box", _random_age_box, age_bound_below, 500),
+    Check("apps", "sum CRB never falls below its bound", _random_bound_case, crb_above_bound, 200),
+    Check("apps", "orthogonal codes attain the bound when L >= M", _random_coded_scenario, codes_attain_bound, 100),
 )
 
 

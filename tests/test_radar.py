@@ -10,6 +10,7 @@ from mmfp.radar import (
     RadarMmProblem,
     RadarScenario,
     benchmark_scenario,
+    crb_lower_bound,
     response_derivative,
     response_matrix,
     run_algorithm2,
@@ -35,6 +36,17 @@ def two_radar_scenario():
         beta=((1.0, 0.6 + 0.2j), (0.5 - 0.1j, 1.0)),
         sigma2=(1.0, 0.8), power=(5.0, 4.0), l_samples=2,
     )
+
+
+def mm_from_flat(sc, opts=None):
+    """Waveforms and bound-sum trace of MM from the flat start, checked to
+    have climbed. :func:`run_algorithm2` starts at the bound when L >= M,
+    as always at M = 1, and then maps once."""
+    problem = RadarMmProblem(sc)
+    z, trace = solver.run_mm(problem, stack_waveforms(verify.flat_waveforms(sc)), opts or solver.SolveOptions())
+    trace = trace.negated()
+    assert trace.outer_iterations > 2 and trace.objectives[-1] < trace.objectives[0]
+    return problem.split(z), trace
 
 
 class TestSteering:
@@ -347,11 +359,14 @@ class TestAuxAndSubproblem:
 
 
 def _fisher_positive_scenario(seed, m_radars):
-    """A :func:`random_large_scenario` whose every curvature is positive at
-    the start."""
+    """A :func:`random_large_scenario` with fewer samples than radars, so
+    that it starts flat and MM has to move, whose every curvature is
+    positive at the start."""
     rng = np.random.default_rng(seed)
     while True:
         sc = random_large_scenario(rng, m_radars)
+        if sc.l_samples >= m_radars:
+            continue
         problem = RadarMmProblem(sc)
         waveforms = problem.initial_waveforms()
         if all(problem.fisher(waveforms, m) > 0.0 for m in range(sc.m_radars)):
@@ -391,6 +406,14 @@ class TestOneSolvePerAnchor:
         moved = sum(r.inner_iterations > 0 for r in trace.records[1:])
         assert moved >= 2
         assert len(solves) == sc.m_radars * (moved + 1)
+
+    def test_code_start_solves_each_covariance_once(self, solves):
+        # with a sample per radar MM starts at the optimum and never moves
+        sc = replace(_fisher_positive_scenario(32, 3), l_samples=3)
+        solves.clear()
+        _, trace = run_algorithm2(sc, solver.SolveOptions(max_outer=40))
+        assert [r.inner_iterations for r in trace.records] == [0, 0]
+        assert len(solves) == sc.m_radars
 
     def test_objective_grad_after_the_objective_solves_nothing(self, solves):
         sc = two_radar_scenario()
@@ -448,7 +471,7 @@ class TestAlgorithm2:
     def test_single_radar_matches_eigen_oracle(self):
         sc = tiny_scenario(n_tx=(4,), n_rx=(6,), theta=(math.pi / 6,), power=(100.0,))
         opts = solver.SolveOptions(outer_tol=1e-13, inner_tol=1e-13, max_outer=3000)
-        waveforms, trace = run_algorithm2(sc, opts)
+        waveforms, trace = mm_from_flat(sc, opts)
         s = waveforms[0]
         d = np.kron(np.eye(1), response_derivative(sc, 0))
         w, U = np.linalg.eigh(d.conj().T @ d)
@@ -460,14 +483,14 @@ class TestAlgorithm2:
 
     def test_trace_monotone_and_powers_saturate(self):
         sc = two_radar_scenario()
-        waveforms, trace = run_algorithm2(sc)
+        waveforms, trace = mm_from_flat(sc)
         assert verify.monotone(trace.objectives, -1.0)
         for m, s in enumerate(waveforms):
             assert np.real(np.vdot(s, s)) <= sc.power[m] + 1e-9
 
     def test_lift_consistency_at_solution(self):
         sc = two_radar_scenario()
-        waveforms, _ = run_algorithm2(sc)
+        waveforms, _ = mm_from_flat(sc)
         assert verify.lift_reproduces_objective(sc, waveforms)
 
 
@@ -489,6 +512,73 @@ class TestStackHelpers:
             assert np.real(np.vdot(s, s)) <= sc.power[m] + 1e-9
             d = np.kron(np.eye(sc.l_samples), response_derivative(sc, m))
             assert np.linalg.norm(d @ s) > 0
+
+
+def _bounded_scenario(rng, m, l_samples):
+    """A :func:`random_large_scenario` with ``l_samples`` samples whose every
+    radar has a nonzero angle derivative, so its bound is finite."""
+    while True:
+        sc = replace(random_large_scenario(rng, m), l_samples=l_samples)
+        if math.isfinite(crb_lower_bound(sc)):
+            return sc
+
+
+class TestCodeStart:
+    """With ``L >= M`` radar m starts at ``sqrt(P_m) e_m kron u_m``; its
+    interference is orthogonal to its derivative signal, so the start is
+    the bound, and MM takes one map that does not move it."""
+
+    CASES = {"l-equals-m": (4, 4), "l-above-m": (3, 7), "one-radar": (1, 5)}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_start_attains_the_bound_at_full_power(self, case):
+        m, l_samples = self.CASES[case]
+        rng = np.random.default_rng(50 + m + l_samples)
+        scenarios = [_bounded_scenario(rng, m, l_samples) for _ in range(5)]
+        if case == "l-equals-m":
+            scenarios += [two_radar_scenario(), replace(benchmark_scenario(30.0), l_samples=5)]
+        for sc in scenarios:
+            assert verify.codes_attain_bound(sc)
+            for s, power in zip(RadarMmProblem(sc).initial_waveforms(), sc.power):
+                assert np.real(np.vdot(s, s)) == pytest.approx(power, rel=1e-12)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_run_algorithm2_maps_once_at_the_bound(self, case):
+        m, l_samples = self.CASES[case]
+        rng = np.random.default_rng(60 + m + l_samples)
+        for _ in range(3):
+            sc = _bounded_scenario(rng, m, l_samples)
+            waveforms, trace = run_algorithm2(sc)
+            bound = crb_lower_bound(sc)
+            assert trace.status == "converged"
+            assert [r.inner_iterations for r in trace.records] == [0, 0]
+            assert abs(trace.objectives[-1] - bound) <= 1e-12 * bound
+            assert abs(sum_crb(sc, waveforms) - bound) <= 1e-12 * bound
+
+    def test_fewer_samples_than_radars_start_flat_bitwise(self):
+        # the shipped radar configs have L = 4 < M = 5: their outputs rest on this
+        rng = np.random.default_rng(70)
+        scenarios = [benchmark_scenario(p) for p in (-60.0, 10.0, 30.0, 60.0)]
+        scenarios += [_bounded_scenario(rng, m, int(rng.integers(1, m))) for m in (2, 3, 5, 8)]
+        for sc in scenarios:
+            assert sc.l_samples < sc.m_radars
+            start = RadarMmProblem(sc).initial_waveforms()
+            assert [s.tobytes() for s in start] == [s.tobytes() for s in verify.flat_waveforms(sc)]
+
+    def test_bound_is_below_every_feasible_waveform_set(self):
+        # wider arrays, gains and budgets than the verify row draws
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            m = int(rng.integers(1, 5))
+            sc = _bounded_scenario(rng, m, int(rng.integers(1, 2 * m + 1)))
+            problem = RadarMmProblem(sc)
+            for waveforms in (verify.flat_waveforms(sc), verify.random_waveforms(rng, sc)):
+                assert verify.crb_above_bound(problem, problem.feasible.project(stack_waveforms(waveforms)))
+
+    def test_zero_derivative_bound_is_infinite(self):
+        sc = replace(two_radar_scenario(), beta=((1.0, 0.6 + 0.2j), (0.5 - 0.1j, 0.0)))
+        assert crb_lower_bound(sc) == math.inf
+        assert crb_lower_bound(tiny_scenario(n_tx=(1,), n_rx=(1,))) == math.inf
 
 
 def _flat_start_scenario(rng):
@@ -517,7 +607,8 @@ def _flat_start_scenario(rng):
 
 class TestFlatStart:
     """At the flat start every block of ``D_m s`` is a multiple of ``dG_mm
-    1``, which vanishes only where ``dG_mm`` does: no start can make a
+    1``, and at the code start ``D_m s_m`` is ``e_m kron dG_mm u_m``; each
+    vanishes only where ``dG_mm`` does: no start can make a
     zero-derivative radar's bound finite, so none is needed."""
 
     def test_derivative_signal_is_zero_only_where_the_derivative_is(self):

@@ -1,7 +1,7 @@
 from mmfp import cli, verify
 from mmfp.errors import MonotonicityError
 
-# the 26 rows of `mmfp verify`, in the order the CLI prints them
+# the 28 rows of `mmfp verify`, in the order the CLI prints them
 PINNED = [
     ("core", "max-side bound and tightness"),
     ("core", "min-side bound and tightness"),
@@ -29,6 +29,8 @@ PINNED = [
     ("apps", "radar bound traces are monotone nonincreasing (20 seeds)"),
     ("apps", "secure rate bound dominates every point of its box"),
     ("apps", "age bound lies below every age in its box"),
+    ("apps", "sum CRB never falls below its bound"),
+    ("apps", "orthogonal codes attain the bound when L >= M"),
 ]
 
 
