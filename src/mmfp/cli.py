@@ -68,15 +68,14 @@ def validate_config(cfg: dict, for_sweep: bool = False) -> dict:
     scenario = _require(cfg, "scenario", "")
     if not isinstance(scenario, dict):
         raise ConfigError("'scenario' must be a mapping")
-    schema = _EXPERIMENTS[experiment].keys
-    _reject_unknown(scenario, set(schema), "scenario.")
-    for key, required in schema.items():
+    exp = _EXPERIMENTS[experiment]
+    _reject_unknown(scenario, set(exp.keys), "scenario.")
+    for key, required in exp.keys.items():
         if required:
             _require(scenario, key, "scenario.")
-    if for_sweep and experiment == "secure" and "solver" in cfg:
+    if for_sweep and exp.fixed_budgets is not None and "solver" in cfg:
         raise ConfigError(
-            "'solver' does not apply to the secure sweep: it keeps fixed budgets, "
-            "secure._SWEEP_OPTS for each start and secure._POLISH_OPTS for the best one"
+            f"'solver' does not apply to the {experiment} sweep: it keeps fixed budgets, {exp.fixed_budgets}"
         )
     solver_cfg = cfg.get("solver", {})
     if not isinstance(solver_cfg, dict):
@@ -85,7 +84,7 @@ def validate_config(cfg: dict, for_sweep: bool = False) -> dict:
     oracle = cfg.get("oracle", False)
     if not isinstance(oracle, bool):
         raise ConfigError(f"'oracle' must be true or false, got {oracle!r}")
-    if oracle and (for_sweep or experiment == "radar"):
+    if oracle and (for_sweep or exp.oracle is None):
         raise ConfigError(_ORACLE_ONLY)
     if not for_sweep:
         if "sweep" in cfg:
@@ -94,11 +93,10 @@ def validate_config(cfg: dict, for_sweep: bool = False) -> dict:
     sweep = _require(cfg, "sweep", "")
     if not isinstance(sweep, dict):
         raise ConfigError("'sweep' must be a mapping")
-    axis = _EXPERIMENTS[experiment].axis
-    _reject_unknown(sweep, {axis}, "sweep.")
-    values = _require(sweep, axis, "sweep.")
+    _reject_unknown(sweep, {exp.axis}, "sweep.")
+    values = _require(sweep, exp.axis, "sweep.")
     if not isinstance(values, list) or not values:
-        raise ConfigError(f"'sweep.{axis}' must be a nonempty list")
+        raise ConfigError(f"'sweep.{exp.axis}' must be a nonempty list")
     return cfg
 
 
@@ -196,100 +194,80 @@ def _write_trace(path: Path, trace: solver.IterationTrace) -> None:
     )
 
 
-def _write_summary(path: Path, rows: list[tuple[str, object]]) -> None:
-    _write_csv(path, ["key", "value"], [[k, v] for k, v in rows])
+def _write_summary(out: Path, experiment: str, rows: list[tuple[str, object]]) -> None:
+    """``out/summary.csv``: the experiment's name, then ``rows``."""
+    _write_csv(out / "summary.csv", ["key", "value"], [["experiment", experiment], *([k, v] for k, v in rows)])
 
 
-def _oracle_value(cfg: dict, search: Callable, scenario) -> float | None:
-    """The grid oracle's value, or None unless the config asks for it; an
-    oracle that refuses the scenario is a config error, before any solve."""
-    if not cfg.get("oracle", False):
-        return None
+def _oracle_value(search: Callable, scenario) -> float:
+    """The grid oracle's value; an oracle that refuses the scenario is a
+    config error, before any solve."""
     try:
         return float(search(scenario)[1])
     except InvalidInputError as exc:
         raise ConfigError(f"{_ORACLE_ONLY}: {exc}") from exc
 
 
-def _solve_aoi(scenario: aoi.AoiScenario, opts: solver.SolveOptions):
+def _mm_rows(problem, x, trace: solver.IterationTrace) -> list[tuple[str, object]]:
+    """The MM account of one solve: its outer iterations, its stop status
+    and the stationarity residual at its answer ``x``."""
+    resid = solver.stationarity_residual(problem, x)
+    return [
+        ("outer_iterations", trace.outer_iterations), ("status", trace.status), ("stationarity_residual", float(resid)),
+    ]
+
+
+def _run_aoi(scenario: aoi.AoiScenario, opts: solver.SolveOptions, oracle_val: float | None):
     rates, trace = aoi.run_algorithm1(scenario, opts)
-    _, equal_val = aoi.baseline_equal_rate(scenario)
-    _, max_val = aoi.baseline_max_rate(scenario)
-    return rates, trace, float(equal_val), float(max_val)
-
-
-def _run_aoi(cfg: dict, scenario: aoi.AoiScenario, opts: solver.SolveOptions, out: Path) -> None:
-    oracle_val = _oracle_value(cfg, aoi.oracle_grid, scenario)
-    rates, trace, equal_val, max_val = _solve_aoi(scenario, opts)
-    _write_trace(out / "trace.csv", trace)
-    resid = solver.stationarity_residual(aoi.build_aoi_problem(scenario), rates)
+    final = float(trace.records[-1].objective)
     rows = [
-        ("experiment", "aoi"),
-        ("final_sum_aoi", float(trace.records[-1].objective)),
-        ("outer_iterations", trace.outer_iterations),
-        ("status", trace.status),
-        ("stationarity_residual", float(resid)),
-        ("baseline_equal_rate_sum_aoi", equal_val),
-        ("baseline_max_rate_sum_aoi", max_val),
+        ("final_sum_aoi", final),
+        *_mm_rows(aoi.build_aoi_problem(scenario), rates, trace),
+        ("baseline_equal_rate_sum_aoi", float(aoi.baseline_equal_rate(scenario)[1])),
+        ("baseline_max_rate_sum_aoi", float(aoi.baseline_max_rate(scenario)[1])),
     ]
     if oracle_val is not None:
-        gap = abs(trace.records[-1].objective - oracle_val) / oracle_val
-        rows += [("oracle_sum_aoi", oracle_val), ("oracle_gap_rel", float(gap))]
+        rows += [("oracle_sum_aoi", oracle_val), ("oracle_gap_rel", abs(final - oracle_val) / oracle_val)]
     rows += [(f"rate_{k}", float(rates[k])) for k in range(scenario.k)]
-    _write_summary(out / "summary.csv", rows)
+    return {"trace.csv": trace}, rows
 
 
 def _aoi_row(scenario: aoi.AoiScenario, k, opts: solver.SolveOptions) -> list:
-    _, trace, equal_val, max_val = _solve_aoi(scenario, opts)
-    alg = float(trace.records[-1].objective)
+    s = dict(_run_aoi(scenario, opts, None)[1])
+    alg, equal_val, max_val = s["final_sum_aoi"], s["baseline_equal_rate_sum_aoi"], s["baseline_max_rate_sum_aoi"]
     return [
         scenario.k, float(scenario.mu), alg, equal_val, max_val,
-        float(1 - alg / equal_val), float(1 - alg / max_val), trace.outer_iterations,
+        1 - alg / equal_val, 1 - alg / max_val, s["outer_iterations"],
     ]
 
 
-def _solve_radar(scenario: radar.RadarScenario, opts: solver.SolveOptions):
-    """Waveforms, trace, the initial and final bound sums with the relative
-    reduction, the stationarity residual, and the certificate: the
-    scenario's ``crb_lower_bound`` and the final sum's ratio to it."""
+def _run_radar(scenario: radar.RadarScenario, opts: solver.SolveOptions, _oracle_val: None):
+    """The bound sums at the start and the end with their relative
+    reduction, the MM account, each radar's power, and the certificate:
+    the scenario's ``crb_lower_bound`` and the final sum's ratio to it."""
     problem = radar.RadarMmProblem(scenario)
     waveforms, trace = problem.solve(opts)
-    resid = solver.stationarity_residual(problem, radar.stack_waveforms(waveforms))
     first, last = trace.objectives[0], trace.objectives[-1]
-    bounds = [float(first), float(last), float(1.0 - last / first)]
     floor = radar.crb_lower_bound(scenario)
-    return waveforms, trace, bounds, float(resid), [floor, float(last / floor)]
-
-
-def _run_radar(cfg: dict, scenario: radar.RadarScenario, opts: solver.SolveOptions, out: Path) -> None:
-    waveforms, trace, bounds, resid, certificate = _solve_radar(scenario, opts)
-    _write_trace(out / "trace.csv", trace)
     rows = [
-        ("experiment", "radar"),
-        *zip(("initial_sum_crb", "final_sum_crb", "reduction"), bounds),
-        ("outer_iterations", trace.outer_iterations),
-        ("status", trace.status),
-        ("stationarity_residual", resid),
+        ("initial_sum_crb", float(first)), ("final_sum_crb", float(last)), ("reduction", float(1.0 - last / first)),
+        *_mm_rows(problem, radar.stack_waveforms(waveforms), trace),
+        *((f"power_{m}", float(np.real(np.vdot(s, s)))) for m, s in enumerate(waveforms)),
+        ("crb_lower_bound", floor), ("bound_ratio", float(last / floor)),
     ]
-    rows += [
-        (f"power_{m}", float(np.real(np.vdot(s, s)))) for m, s in enumerate(waveforms)
-    ]
-    rows += zip(("crb_lower_bound", "bound_ratio"), certificate)
-    _write_summary(out / "summary.csv", rows)
+    return {"trace.csv": trace}, rows
 
 
-def _radar_row(scenario: radar.RadarScenario, p_dbm, opts: solver.SolveOptions) -> list:
-    _, trace, bounds, resid, certificate = _solve_radar(scenario, opts)
-    return [float(p_dbm), *bounds, trace.outer_iterations, resid, *certificate]
+# the radar sweep.csv columns after p_dbm: keys of the run's summary
+_RADAR_SWEEP_KEYS = ("initial_sum_crb", "final_sum_crb", "reduction", "outer_iterations",
+                     "stationarity_residual", "crb_lower_bound", "bound_ratio")
 
 
-def _run_secure(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOptions, out: Path) -> None:
-    oracle_val = _oracle_value(cfg, secure.oracle_grid_2d, scenario)
+def _run_secure(scenario: secure.SecureScenario, opts: solver.SolveOptions, oracle_val: float | None):
     solved = {"direct": secure.run_algorithm3(scenario, opts), "fast": secure.run_algorithm4(scenario, opts)}
     values = {name: secure.weighted_sum_rate(scenario, p) for name, (p, _) in solved.items()}
-    rows = [("experiment", "secure")]
+    rows = []
     for name, (_, trace) in solved.items():
-        _write_trace(out / f"trace_{name}.csv", trace)
         rows += [
             (f"{name}_objective_nats", float(values[name])),
             (f"{name}_objective_bits", float(nats_to_bits(values[name]))),
@@ -302,7 +280,7 @@ def _run_secure(cfg: dict, scenario: secure.SecureScenario, opts: solver.SolveOp
         rows.append(("oracle_objective_nats", oracle_val))
         rows += [(f"{name}_oracle_gap_nats", float(abs(v - oracle_val))) for name, v in values.items()]
     rows += [(f"{name}_power_{i}", float(v)) for name, (p, _) in solved.items() for i, v in enumerate(p)]
-    _write_summary(out / "summary.csv", rows)
+    return {f"trace_{name}.csv": trace for name, (_, trace) in solved.items()}, rows
 
 
 def _eta(scenario: secure.SecureScenario, value) -> float:
@@ -316,58 +294,47 @@ def _eta(scenario: secure.SecureScenario, value) -> float:
         raise ConfigError(f"bad eta values: {exc}") from exc
 
 
-def _tradeoff_summary(points: list[secure.TradeoffPoint]) -> list[tuple[str, object]]:
-    return [("experiment", "secure"), ("points", len(points)), *secure.frontier_facts(points).items()]
-
-
 @dataclass(frozen=True)
 class _Experiment:
     """What ``run``, ``sweep`` and :func:`validate_config` know of one
     experiment: its scenario keys (key -> required), the builder of its
-    model scenario, the ``run`` writer, the sweep axis, the ``sweep.csv``
-    header with the row of one sweep point, and what ``sweep`` writes to
-    ``summary.csv`` from all rows, if anything."""
+    model scenario, ``run``'s solve (traces by file name and summary rows,
+    given the oracle value), its grid oracle if it has one, the sweep axis,
+    the ``sweep.csv`` header with the row of one sweep point, what
+    ``sweep`` writes to ``summary.csv`` from all rows, if anything, and the
+    solver budgets of a sweep that keeps its own."""
 
     keys: dict[str, bool]
     build: Callable[[dict], object]
-    run: Callable[[dict, object, solver.SolveOptions, Path], None]
+    run: Callable[[object, solver.SolveOptions, float | None], tuple[dict, list[tuple[str, object]]]]
+    oracle: Callable[[object], tuple] | None
     axis: str
     header: list[str]
     row: Callable[[object, object, solver.SolveOptions], Sequence]
     summary: Callable[[list], list[tuple[str, object]]] | None = None
+    fixed_budgets: str | None = None
 
 
+# the model functions are looked up at call time, so patching them reaches the CLI
 _EXPERIMENTS = {
     "aoi": _Experiment(
-        {"k": True, "mu": True}, _build_aoi, _run_aoi, "k",
+        {"k": True, "mu": True}, _build_aoi, _run_aoi, lambda sc: aoi.oracle_grid(sc), "k",
         ["k", "mu", "alg_sum_aoi", "equal_rate_sum_aoi", "max_rate_sum_aoi",
          "reduction_vs_equal", "reduction_vs_max", "outer_iterations"],
         _aoi_row,
     ),
     "radar": _Experiment(
-        {
-            "l_samples": True,
-            "n_tx": True,
-            "n_rx": True,
-            "theta_pi": True,
-            "beta": False,
-            "sigma2_dbm": False,
-            "p_dbm": True,
-        },
-        _build_radar, _run_radar, "p_dbm",
-        ["p_dbm", "initial_sum_crb", "final_sum_crb", "reduction",
-         "outer_iterations", "stationarity_residual", "crb_lower_bound", "bound_ratio"],
-        _radar_row,
+        {"l_samples": True, "n_tx": True, "n_rx": True, "theta_pi": True, "beta": False, "sigma2_dbm": False, "p_dbm": True},
+        _build_radar, _run_radar, None, "p_dbm", ["p_dbm", *_RADAR_SWEEP_KEYS],
+        lambda sc, p_dbm, opts: [float(p_dbm), *map(dict(_run_radar(sc, opts, None)[1]).get, _RADAR_SWEEP_KEYS)],
     ),
     # the secure sweep is the tradeoff frontier along the open-cell weight
     "secure": _Experiment(
         {"h2": True, "ht2": True, "sigma2_dbm": True, "sigma2_tilde_dbm": True, "p_dbm": True, "w": False},
-        _build_secure, _run_secure, "eta",
-        ["eta", "fast_secure_bits", "fast_open_bits", "direct_secure_bits", "direct_open_bits",
-         "baseline_secure_bits", "baseline_open_bits",
-         "fast_objective_nats", "direct_objective_nats", "baseline_objective_nats"],
-        # the tradeoff keeps its own solver budgets, so the options go unused
-        lambda scenario, eta, _opts: secure.tradeoff_point(scenario, eta), _tradeoff_summary,
+        _build_secure, _run_secure, lambda sc: secure.oracle_grid_2d(sc), "eta", list(secure.TradeoffPoint._fields),
+        lambda sc, eta, _opts: secure.tradeoff_point(sc, eta),
+        lambda points: [("points", len(points)), *secure.frontier_facts(points).items()],
+        "secure._SWEEP_OPTS for each start and secure._POLISH_OPTS for the best one",
     ),
 }
 
@@ -383,7 +350,12 @@ def _start(args, for_sweep: bool):
 
 def _cmd_run(args) -> int:
     cfg, exp, opts, out = _start(args, for_sweep=False)
-    exp.run(cfg, exp.build(cfg["scenario"]), opts, out)
+    scenario = exp.build(cfg["scenario"])
+    oracle_val = _oracle_value(exp.oracle, scenario) if cfg.get("oracle", False) else None
+    traces, rows = exp.run(scenario, opts, oracle_val)
+    for name, trace in traces.items():
+        _write_trace(out / name, trace)
+    _write_summary(out, cfg["experiment"], rows)
     return 0
 
 
@@ -403,7 +375,7 @@ def _cmd_sweep(args) -> int:
     rows = [exp.row(scenario, value, opts) for scenario, value in points]
     _write_csv(out / "sweep.csv", exp.header, rows)
     if exp.summary is not None:
-        _write_summary(out / "summary.csv", exp.summary(rows))
+        _write_summary(out, cfg["experiment"], exp.summary(rows))
     return 0
 
 

@@ -148,6 +148,13 @@ def stack_waveforms(waveforms: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def flat_waveforms(scenario: RadarScenario) -> list[np.ndarray]:
+    """Each radar's budget spread evenly over its entries: the MM start when
+    L < M, and a start that MM has to climb from at L >= M too."""
+    lengths = [scenario.waveform_length(m) for m in range(scenario.m_radars)]
+    return [np.full(n, math.sqrt(power / n), dtype=complex) for n, power in zip(lengths, scenario.power)]
+
+
 @dataclass(frozen=True)
 class RadarAux:
     """Frozen auxiliaries, zero-padded to the longest waveform:
@@ -249,12 +256,13 @@ class RadarMmProblem:
         L x L DFT and ``u_m`` the top eigenvector of ``dG_mm^H dG_mm``. Every
         interference vector into radar m is then orthogonal to its
         derivative signal, and the start attains :func:`crb_lower_bound`.
-        Otherwise the start is flat; ``D_m s`` is zero there only where
-        ``D_m`` is, and then no waveform gives radar m a finite bound."""
+        Otherwise the start is :func:`flat_waveforms`; ``D_m s`` is zero
+        there only where ``D_m`` is, and then no waveform gives radar m a
+        finite bound."""
         sc = self.scenario
         l, radars = sc.l_samples, range(sc.m_radars)
         if l < len(radars):
-            return [np.full(n, math.sqrt(power / n), dtype=complex) for n, power in zip(self.s_dims, sc.power)]
+            return flat_waveforms(sc)
         # exponents reduced mod L, so no phase exceeds 2 pi
         codes = np.exp(-2j * math.pi * (np.outer(np.arange(l), radars) % l) / l) / math.sqrt(l)
         return [math.sqrt(sc.power[m]) * np.kron(codes[:, m], _top_eigenpair(sc, m)[1]) for m in radars]

@@ -279,16 +279,16 @@ def oracle_grid_2d(scenario: SecureScenario) -> tuple[np.ndarray, float]:
 
 
 class TradeoffPoint(NamedTuple):
-    """One weight setting of the secure-vs-open rate tradeoff (rates in
-    bits), in the order of the frontier CSV columns."""
+    """One weight setting of the secure-vs-open rate tradeoff; the field
+    names, in order, are the columns of the frontier CSV."""
 
     eta: float
-    fast_secure: float  # sum rate of eavesdropped cells, fast method
-    fast_open: float  # sum rate of the remaining cells, fast method
-    direct_secure: float
-    direct_open: float
-    baseline_secure: float
-    baseline_open: float
+    fast_secure_bits: float  # sum rate of eavesdropped cells, fast method
+    fast_open_bits: float  # sum rate of the remaining cells, fast method
+    direct_secure_bits: float
+    direct_open_bits: float
+    baseline_secure_bits: float
+    baseline_open_bits: float
     fast_objective_nats: float
     direct_objective_nats: float
     baseline_objective_nats: float
@@ -375,14 +375,15 @@ def frontier_facts(points: list[TradeoffPoint]) -> dict[str, bool | float]:
     along the sweep (to 1e-9 bits), the largest rate gap between the two
     methods in bits, and both methods at least matching the baseline's
     objective (to 1e-9 nats) at every point."""
-    opens = [p.fast_open for p in points]
-    secures = [p.fast_secure for p in points]
+    opens = [p.fast_open_bits for p in points]
+    secures = [p.fast_secure_bits for p in points]
     return {
         "open_rates_nondecreasing": bool(np.all(np.diff(opens) >= -1e-9)),
         "secure_rates_nonincreasing": bool(np.all(np.diff(secures) <= 1e-9)),
-        "max_method_gap_bits": float(
-            max(max(abs(p.fast_secure - p.direct_secure), abs(p.fast_open - p.direct_open)) for p in points)
-        ),
+        "max_method_gap_bits": float(max(
+            max(abs(p.fast_secure_bits - p.direct_secure_bits), abs(p.fast_open_bits - p.direct_open_bits))
+            for p in points
+        )),
         "dominates_baseline": all(
             p.fast_objective_nats >= p.baseline_objective_nats - 1e-9
             and p.direct_objective_nats >= p.baseline_objective_nats - 1e-9

@@ -141,19 +141,10 @@ def random_radar_scenario(
 
 def random_climbing_radar_scenario(rng: np.random.Generator) -> radar.RadarScenario:
     """Two or three radars with fewer samples than radars: the MM start is
-    flat, so MM has to climb (with a sample per radar it starts at the
-    bound and maps once)."""
+    :func:`radar.flat_waveforms`, so MM has to climb (with a sample per
+    radar it starts at the bound and maps once)."""
     m = int(rng.integers(2, 4))
     return random_radar_scenario(rng, m, int(rng.integers(1, m)))
-
-
-def flat_waveforms(sc: radar.RadarScenario) -> list[np.ndarray]:
-    """Each radar's budget spread evenly over its entries: the MM start when
-    L < M, written out for runs that must climb from it at L >= M too."""
-    return [
-        np.full(sc.waveform_length(m), math.sqrt(sc.power[m] / sc.waveform_length(m)), dtype=complex)
-        for m in range(sc.m_radars)
-    ]
 
 
 def random_waveforms(rng: np.random.Generator, sc: radar.RadarScenario) -> list[np.ndarray]:

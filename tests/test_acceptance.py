@@ -100,14 +100,14 @@ def test_criterion_4_secure_tradeoff():
     monotone = facts["open_rates_nondecreasing"] and facts["secure_rates_nonincreasing"]
     agreement = facts["max_method_gap_bits"]
     dominance = facts["dominates_baseline"]
-    opens = [p.fast_open for p in points]
-    secures = [p.fast_secure for p in points]
+    opens = [p.fast_open_bits for p in points]
+    secures = [p.fast_secure_bits for p in points]
     # qualitative check of the large open-rate gain over the baseline at
     # the 3.4-bits abscissa: both curves interpolated there (the scalarized
     # frontier jumps across it, so nearest-point evaluation is degenerate)
     fp_at = interp_curve(secures, opens, 3.4)
     base_at = interp_curve(
-        [p.baseline_secure for p in points], [p.baseline_open for p in points], 3.4
+        [p.baseline_secure_bits for p in points], [p.baseline_open_bits for p in points], 3.4
     )
     anecdote = fp_at >= 2.0 * base_at
     elapsed = time.perf_counter() - t0

@@ -445,7 +445,8 @@ class TestRunCommand:
             h2=cfg["scenario"]["h2"], ht2=cfg["scenario"]["ht2"],
             sigma2=[1.0, 10.0], sigma2_tilde=[10.0, 1.0], p_max=100.0, w=1.0,
         )
-        cli._run_secure(cfg, sc, solver.SolveOptions(), tmp_path)
+        _, rows = cli._run_secure(sc, solver.SolveOptions(), None)
+        cli._write_summary(tmp_path, "secure", rows)
         assert (out / "summary.csv").read_bytes() == (tmp_path / "summary.csv").read_bytes()
 
     def test_no_eavesdropper_takes_an_empty_noise_list(self, tmp_path):
@@ -602,6 +603,68 @@ class TestSweepCommand:
     def test_sweep_without_axis_exits_2(self, tmp_path):
         path = write_config(tmp_path, AOI_SMALL)
         assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+# every CSV column and summary key that `run` and a one-point `sweep` write,
+# in order; perfbench reads final_sum_aoi, final_sum_crb, outer_iterations,
+# alg_sum_aoi and each method's objective_nats and outer_iterations
+MM_KEYS = ["outer_iterations", "status", "stationarity_residual"]
+TRACE_HEADER = ["iter", "objective", "wall_ms", "inner_iters"]
+SECURE_METHOD_KEYS = ["objective_nats", "objective_bits", "outer_iterations", "iters_to_1e-6"]
+LAYOUTS = {
+    "aoi": (
+        dict(AOI_SMALL, scenario={"k": 3, "mu": 1.0}, oracle=True),
+        ["trace.csv"],
+        ["final_sum_aoi", *MM_KEYS, "baseline_equal_rate_sum_aoi", "baseline_max_rate_sum_aoi",
+         "oracle_sum_aoi", "oracle_gap_rel", "rate_0", "rate_1", "rate_2"],
+        dict(AOI_SMALL, sweep={"k": [3]}),
+        ["k", "mu", "alg_sum_aoi", "equal_rate_sum_aoi", "max_rate_sum_aoi",
+         "reduction_vs_equal", "reduction_vs_max", "outer_iterations"],
+        None,
+    ),
+    "radar": (
+        RADAR_TWO,
+        ["trace.csv"],
+        ["initial_sum_crb", "final_sum_crb", "reduction", *MM_KEYS, "power_0", "power_1",
+         "crb_lower_bound", "bound_ratio"],
+        dict(RADAR_TWO, sweep={"p_dbm": [10.0]}),
+        ["p_dbm", "initial_sum_crb", "final_sum_crb", "reduction", "outer_iterations",
+         "stationarity_residual", "crb_lower_bound", "bound_ratio"],
+        None,
+    ),
+    "secure": (
+        dict(SECURE_TWO_CELLS, oracle=True),
+        ["trace_direct.csv", "trace_fast.csv"],
+        [*(f"direct_{k}" for k in SECURE_METHOD_KEYS), *(f"fast_{k}" for k in SECURE_METHOD_KEYS),
+         "baseline_objective_nats", "oracle_objective_nats", "direct_oracle_gap_nats", "fast_oracle_gap_nats",
+         "direct_power_0", "direct_power_1", "fast_power_0", "fast_power_1"],
+        # the first cell eavesdropped, so eta weights the open second cell
+        dict(SECURE_TWO_CELLS, scenario=dict(SECURE_TWO_CELLS["scenario"], ht2=[[0.5, 0.11]]), sweep={"eta": [1.0]}),
+        ["eta", "fast_secure_bits", "fast_open_bits", "direct_secure_bits", "direct_open_bits",
+         "baseline_secure_bits", "baseline_open_bits",
+         "fast_objective_nats", "direct_objective_nats", "baseline_objective_nats"],
+        ["points", "open_rates_nondecreasing", "secure_rates_nonincreasing", "max_method_gap_bits",
+         "dominates_baseline"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_output_layout_is_pinned(tmp_path, name):
+    run_body, traces, summary_keys, sweep_body, sweep_header, sweep_summary_keys = LAYOUTS[name]
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, run_body)), "--out", str(run_out)]) == 0
+    assert sorted(p.name for p in run_out.iterdir()) == sorted([*traces, "summary.csv"])
+    assert all(read_csv(run_out / t)[0] == TRACE_HEADER for t in traces)
+    assert read_csv(run_out / "summary.csv")[0] == ["key", "value"]
+    assert [k for k, _ in read_csv(run_out / "summary.csv")[1:]] == ["experiment", *summary_keys]
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path, sweep_body)), "--out", str(sweep_out)]) == 0
+    assert read_csv(sweep_out / "sweep.csv")[0] == sweep_header
+    assert len(read_csv(sweep_out / "sweep.csv")) == 2
+    if sweep_summary_keys is None:
+        assert not (sweep_out / "summary.csv").exists()
+    else:
+        assert [k for k, _ in read_csv(sweep_out / "summary.csv")[1:]] == ["experiment", *sweep_summary_keys]
 
 
 def test_verify_command_runs_a_suite(capsys):

@@ -11,6 +11,7 @@ from mmfp.radar import (
     RadarScenario,
     benchmark_scenario,
     crb_lower_bound,
+    flat_waveforms,
     response_derivative,
     response_matrix,
     run_algorithm2,
@@ -43,7 +44,7 @@ def mm_from_flat(sc, opts=None):
     have climbed. :func:`run_algorithm2` starts at the bound when L >= M,
     as always at M = 1, and then maps once."""
     problem = RadarMmProblem(sc)
-    z, trace = solver.run_mm(problem, stack_waveforms(verify.flat_waveforms(sc)), opts or solver.SolveOptions())
+    z, trace = solver.run_mm(problem, stack_waveforms(flat_waveforms(sc)), opts or solver.SolveOptions())
     trace = trace.negated()
     assert trace.outer_iterations > 2 and trace.objectives[-1] < trace.objectives[0]
     return problem.split(z), trace
@@ -563,7 +564,7 @@ class TestCodeStart:
         for sc in scenarios:
             assert sc.l_samples < sc.m_radars
             start = RadarMmProblem(sc).initial_waveforms()
-            assert [s.tobytes() for s in start] == [s.tobytes() for s in verify.flat_waveforms(sc)]
+            assert [s.tobytes() for s in start] == [s.tobytes() for s in flat_waveforms(sc)]
 
     def test_bound_is_below_every_feasible_waveform_set(self):
         # wider arrays, gains and budgets than the verify row draws
@@ -572,7 +573,7 @@ class TestCodeStart:
             m = int(rng.integers(1, 5))
             sc = _bounded_scenario(rng, m, int(rng.integers(1, 2 * m + 1)))
             problem = RadarMmProblem(sc)
-            for waveforms in (verify.flat_waveforms(sc), verify.random_waveforms(rng, sc)):
+            for waveforms in (flat_waveforms(sc), verify.random_waveforms(rng, sc)):
                 assert verify.crb_above_bound(problem, problem.feasible.project(stack_waveforms(waveforms)))
 
     def test_zero_derivative_bound_is_infinite(self):

@@ -370,15 +370,15 @@ class TestTradeoffSweep:
     def test_three_point_sweep_properties(self):
         sc = five_link_benchmark()
         pts = [tradeoff_point(sc, eta) for eta in (0.01, 1.0, 100.0)]
-        opens = [p.fast_open for p in pts]
-        secures = [p.fast_secure for p in pts]
+        opens = [p.fast_open_bits for p in pts]
+        secures = [p.fast_secure_bits for p in pts]
         assert np.all(np.diff(opens) >= -1e-9)
         assert np.all(np.diff(secures) <= 1e-9)
         for p in pts:
             assert p.fast_objective_nats >= p.baseline_objective_nats - 1e-9
             assert p.direct_objective_nats >= p.baseline_objective_nats - 1e-9
-            assert abs(p.fast_secure - p.direct_secure) <= 1e-2
-            assert abs(p.fast_open - p.direct_open) <= 1e-2
+            assert abs(p.fast_secure_bits - p.direct_secure_bits) <= 1e-2
+            assert abs(p.fast_open_bits - p.direct_open_bits) <= 1e-2
 
     def test_one_point_builds_each_problem_and_the_start_set_once(self, monkeypatch):
         calls = dict.fromkeys(

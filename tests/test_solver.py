@@ -466,7 +466,7 @@ def _accelerated_cases(draws: int):
         # from the flat start: with L >= M the MM start is the bound, where
         # no extrapolation is tried
         sc = verify.random_radar_scenario(rng)
-        yield radar.RadarMmProblem(sc), radar.stack_waveforms(verify.flat_waveforms(sc))
+        yield radar.RadarMmProblem(sc), radar.stack_waveforms(radar.flat_waveforms(sc))
 
 
 class _Recorder:
