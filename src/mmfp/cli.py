@@ -341,17 +341,17 @@ _EXPERIMENTS = {
 
 def _start(args, for_sweep: bool):
     """Validated config, its experiment, the solver options and the output
-    directory, shared by ``run`` and ``sweep``."""
+    directory, shared by ``run`` and ``sweep``. Each makes the directory
+    once every check has passed, so a config that exits 2 leaves none."""
     cfg = validate_config(load_config(args.config), for_sweep=for_sweep)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, _EXPERIMENTS[cfg["experiment"]], _solve_options(cfg), out
+    return cfg, _EXPERIMENTS[cfg["experiment"]], _solve_options(cfg), Path(args.out)
 
 
 def _cmd_run(args) -> int:
     cfg, exp, opts, out = _start(args, for_sweep=False)
     scenario = exp.build(cfg["scenario"])
     oracle_val = _oracle_value(exp.oracle, scenario) if cfg.get("oracle", False) else None
+    out.mkdir(parents=True, exist_ok=True)
     traces, rows = exp.run(scenario, opts, oracle_val)
     for name, trace in traces.items():
         _write_trace(out / name, trace)
@@ -372,6 +372,7 @@ def _cmd_sweep(args) -> int:
         points = [(scenario, _eta(scenario, value)) for value in values]
         if scenario.k_eavesdropped == scenario.l_cells:
             raise ConfigError("sweep.eta weights the open cells, and this scenario has no open cell: every cell is eavesdropped")
+    out.mkdir(parents=True, exist_ok=True)
     rows = [exp.row(scenario, value, opts) for scenario, value in points]
     _write_csv(out / "sweep.csv", exp.header, rows)
     if exp.summary is not None:

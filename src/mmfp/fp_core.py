@@ -6,10 +6,12 @@ A mixed fractional program maximizes
 
 where each outer function ``f_n`` is concave and either increasing (the
 ratio is to be *maximized*) or decreasing (the ratio is to be *minimized*).
-Two per-ratio decoupling devices remove the fractional coupling:
+One per-ratio device, the quadratic transform, removes the fractional
+coupling on both sides:
 
 * max side:  ``A/B  ->  2*y*sqrt(A) - y**2 * B``      (tight at y = sqrt(A)/B)
-* min side:  ``A/B  ->  1 / [2*yt*sqrt(B) - yt**2 * A]_+``
+* min side:  the max-side bracket of the flipped ratio ``B/A``, reciprocated:
+             ``A/B  ->  1 / [2*yt*sqrt(B) - yt**2 * A]_+``
                                                   (tight at yt = sqrt(B)/A)
 
 ``[.]_+`` clamps a nonpositive bracket to an infinitesimal positive value so
@@ -42,13 +44,15 @@ from .solver import FeasibleSet
 # limit semantics of the positive-part clamp.
 POSITIVE_UNDERFLOW = 5e-324
 
-# ``eps`` of the min-side auxiliary ``sqrt(B)/(A + eps)``: keeps it finite
-# as ``A -> 0+``.
+# Offset in the min-side auxiliary ``sqrt(B)/(A + Y_TILDE_SAFEGUARD)``:
+# keeps it finite as ``A -> 0+``.
 Y_TILDE_SAFEGUARD = 1e-12
 
-# Absolute floor applied inside *gradients* of 2*y*sqrt(A(x)) terms; the
-# derivative is unbounded as A -> 0+ and a finite cap keeps line searches
-# numerically sane without affecting values.
+# Absolute floor applied inside *gradients* of max-side 2*y*sqrt(A(x))
+# terms; the derivative is unbounded as A -> 0+ and a finite cap keeps line
+# searches numerically sane without affecting values. The min side floors
+# its flipped ``sqrt(B)`` at POSITIVE_UNDERFLOW instead: a denominator can
+# fall below 1e-24 on a working input.
 _SQRT_GRAD_FLOOR = 1e-24
 
 
@@ -89,19 +93,15 @@ def inv_quad_surrogate(A: float, B: float, y_tilde: float) -> float:
     return 1.0 / plus_part(2.0 * y_tilde * math.sqrt(B) - y_tilde * y_tilde * A)
 
 
-def opt_y_tilde(A: float, B: float, eps: float = Y_TILDE_SAFEGUARD) -> float:
-    """Safeguarded minimizer ``sqrt(B) / (A + eps)`` of the min-side value.
+def opt_y_tilde(A: float, B: float) -> float:
+    """Safeguarded min-side auxiliary ``sqrt(B) / (A + Y_TILDE_SAFEGUARD)``.
 
-    ``eps > 0`` keeps the auxiliary finite as ``A -> 0+``; ``eps = 0`` gives
-    the exact closed form, which needs ``A > 0``.
+    The exact auxiliary is the max-side ``opt_y(B, A)`` of the flipped
+    ratio, which needs ``A > 0``; the safeguard keeps it finite as ``A ->
+    0+``.
     """
     _check_ratio(A, B)
-    if eps < 0:
-        raise InvalidInputError("eps must be nonnegative")
-    try:
-        return math.sqrt(B) / (A + eps)
-    except ZeroDivisionError:
-        raise InvalidInputError("the exact min-side auxiliary needs A > 0") from None
+    return math.sqrt(B) / (A + Y_TILDE_SAFEGUARD)
 
 
 # ---------------------------------------------------------------------------
@@ -266,46 +266,45 @@ def _quadratic_transform(
     """``value`` plus the transformed ratios, with the gradient in ``x``.
 
     ``A``, ``B`` and their Jacobians ``JA``, ``JB`` are evaluated at ``x``;
-    ``aux`` comes from :func:`_closed_form_aux`. A ratio under an
-    increasing outer contributes ``f(2*y*sqrt(A) - y**2 * B)``, one under a
-    decreasing outer ``f(1 / [2*y*sqrt(B) - y**2 * A]_+)``, its ``y`` then
-    being the min-side ``y_tilde``. The gradient
-    is ``JA.T @ cA + JB.T @ cB`` with one coefficient per ratio in each of
-    ``cA`` and ``cB``. Returns ``(-inf, None)`` as soon as a ratio leaves
-    its domain (reject signal).
+    ``aux`` comes from :func:`_closed_form_aux`. Every ratio is bracketed
+    as ``2*y*sqrt(top) - y**2 * bottom`` with ``(top, bottom)`` = ``(A,
+    B)`` under an increasing outer, which takes ``f(bracket)``, and ``(B,
+    A)`` under a decreasing one, which takes ``f(1 / [bracket]_+)``, its
+    ``y`` then being the min-side ``y_tilde``. The gradient is ``JA.T @ cA
+    + JB.T @ cB`` with one coefficient per ratio in each of ``cA`` and
+    ``cB``. Returns ``(-inf, None)`` as soon as a ratio leaves its domain
+    (reject signal).
     """
     n = len(outers)
     cA = [0.0] * n
     cB = [0.0] * n
     for i, (outer, a, b, y) in enumerate(zip(outers, A.tolist(), B.tolist(), aux.tolist())):
-        if outer.increasing:
-            if a < 0:
+        increasing = outer.increasing
+        top, bottom = (a, b) if increasing else (b, a)
+        if top < 0:
+            return -math.inf, None
+        bracket = 2.0 * y * math.sqrt(top) - y * y * bottom
+        if increasing:
+            pair = outer._value_slope(bracket)
+        elif bracket <= 0.0:
+            # the clamped ratio is +inf, where a decreasing outer of
+            # nonzero weight tends to -inf and one of weight 0 adds 0
+            if outer.weight != 0.0:
                 return -math.inf, None
-            pair = outer._value_slope(2.0 * y * math.sqrt(a) - y * y * b)
-            if pair is None:
-                return -math.inf, None
-            coeff = y / math.sqrt(max(a, _SQRT_GRAD_FLOOR)) if y != 0.0 else 0.0
-            value += pair[0]
-            cA[i] = pair[1] * coeff
-            cB[i] = -pair[1] * y * y
+            continue
         else:
-            if b < 0:
-                return -math.inf, None
-            bracket = 2.0 * y * math.sqrt(b) - y * y * a
-            if bracket <= 0.0:
-                # the clamped ratio is +inf, where a decreasing outer of
-                # nonzero weight tends to -inf and one of weight 0 adds 0
-                if outer.weight != 0.0:
-                    return -math.inf, None
-                continue
             pair = outer._value_slope(1.0 / bracket)
-            if pair is None:
-                return -math.inf, None
-            # d f(1/bracket) = -f' / bracket**2 * d bracket
-            s = -pair[1] / (bracket * bracket)
-            value += pair[0]
-            cA[i] = -s * y * y
-            cB[i] = s * y / math.sqrt(max(b, POSITIVE_UNDERFLOW))
+        if pair is None:
+            return -math.inf, None
+        value += pair[0]
+        # d f(1/bracket) = -f' / bracket**2 * d bracket
+        slope = pair[1] if increasing else -pair[1] / (bracket * bracket)
+        root = math.sqrt(max(top, _SQRT_GRAD_FLOOR if increasing else POSITIVE_UNDERFLOW))
+        # d bracket = y / sqrt(top) * d top - y**2 * d bottom; each side
+        # keeps its rounding order, which the shipped answers depend on
+        c_top = slope * (y / root) if increasing else slope * y / root
+        c_bottom = -slope * y * y
+        cA[i], cB[i] = (c_top, c_bottom) if increasing else (c_bottom, c_top)
     return value, JA.T @ cA + JB.T @ cB
 
 

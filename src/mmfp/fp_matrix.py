@@ -6,9 +6,11 @@ brackets become
 
 * max side:  ``Q+ = sqrtA(x)^H Y + Y^H sqrtA(x) - Y^H B(x) Y``
              (PSD-dominated by the ratio; tight at ``Y = B^{-1} sqrtA``)
-* min side:  ``Q- = sqrtB(x)^H Yt + Yt^H sqrtB(x) - Yt^H A(x) Yt``
-             (tight at ``Yt = A^{-1} sqrtB``; the surrogate feeds ``(Q-)^{-1}``
-             to the decreasing outer and requires ``Q- > 0``)
+* min side:  ``Q- = sqrtB(x)^H Yt + Yt^H sqrtB(x) - Yt^H A(x) Yt``, the
+             max-side bracket of the flipped ratio: ``q_plus`` and ``opt_y``
+             on ``(sqrtB, A)`` (tight at ``Yt = A^{-1} sqrtB``; the
+             surrogate feeds ``(Q-)^{-1}`` to the decreasing outer and
+             requires ``Q- > 0``)
 
 Decreasing outers must satisfy the spectral identity
 ``f((sqrtA^H B^{-1} sqrtA)^{-1}) = f(sqrtB^H A^{-1} sqrtB)``
@@ -75,19 +77,9 @@ def q_plus(A_sqrt: np.ndarray, B: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return hermitize(cross + cross.conj().T - Y.conj().T @ B @ Y)
 
 
-def q_minus(B_sqrt: np.ndarray, A: np.ndarray, Y_tilde: np.ndarray) -> np.ndarray:
-    """Min-side bracket ``sqrtB^H Yt + Yt^H sqrtB - Yt^H A Yt``."""
-    return q_plus(B_sqrt, A, Y_tilde)
-
-
 def opt_y(A_sqrt: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Bracket-maximizing auxiliary ``B^{-1} sqrtA`` (PSD order)."""
     return _solve_pd(B, np.atleast_2d(np.asarray(A_sqrt)))
-
-
-def opt_y_tilde(B_sqrt: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Min-side auxiliary ``A^{-1} sqrtB``."""
-    return _solve_pd(A, np.atleast_2d(np.asarray(B_sqrt)))
 
 
 def psd_sqrt(M: np.ndarray, ell: int | None = None) -> np.ndarray:
@@ -231,27 +223,26 @@ def matrix_mixed_surrogate(
     """Minorizing surrogate for the matrix mixed objective, anchored at
     ``anchor``.
 
+    Every term is bracketed by ``q_plus`` at the ``opt_y`` of the anchor,
+    a max-side term on its ratio, a min-side term on the flipped ratio.
     Max-side terms contribute ``f(Q+)``; min-side terms contribute
     ``f((Q-)^{-1})`` and require ``Q-`` strictly positive definite, else the
     point is rejected with ``-inf`` (line-search signal).
     """
     value = 0.0
     for term in terms:
-        A_hat = term.numerator(anchor)
-        B_hat = term.denominator(anchor)
-        A_x = term.numerator(x)
-        B_x = term.denominator(x)
+        top, bottom = term.numerator, term.denominator
+        if not term.outer.increasing:
+            top, bottom = bottom, top
+        Y = opt_y(psd_sqrt(top(anchor)), bottom(anchor))
+        bracket = q_plus(psd_sqrt(top(x)), bottom(x), Y)
         if term.outer.increasing:
-            Y = opt_y(psd_sqrt(A_hat), B_hat)
-            bracket = q_plus(psd_sqrt(A_x), B_x, Y)
             try:
                 value += term.outer.evaluate(bracket)
             except DomainError:
                 return -math.inf
+        elif not is_strictly_pd(bracket):
+            return -math.inf
         else:
-            Y_tilde = opt_y_tilde(psd_sqrt(B_hat), A_hat)
-            bracket = q_minus(psd_sqrt(B_x), A_x, Y_tilde)
-            if not is_strictly_pd(bracket):
-                return -math.inf
             value += term.outer.evaluate(np.linalg.inv(bracket))
     return value

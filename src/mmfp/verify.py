@@ -286,14 +286,14 @@ def bracket_below_ratio(A, B, Y) -> bool:
 
 
 def _brackets_tight(A, B) -> bool:
-    As, Bs = fp_matrix.psd_sqrt(A), fp_matrix.psd_sqrt(B)
-    pairs = (
-        (fp_matrix.q_plus(As, B, fp_matrix.opt_y(As, B)), fp_matrix.matrix_ratio(As, B)),
-        (fp_matrix.q_minus(Bs, A, fp_matrix.opt_y_tilde(Bs, A)), fp_matrix.matrix_ratio(Bs, A)),
-    )
-    return all(
-        np.linalg.norm(q - ratio, "fro") <= 1e-10 * max(np.linalg.norm(ratio, "fro"), 1e-12) for q, ratio in pairs
-    )
+    """``q_plus`` is tight at ``opt_y`` on the ratio (``Q+``) and on its
+    flip (the min side's ``Q-``)."""
+    def tight(top, bottom) -> bool:
+        s = fp_matrix.psd_sqrt(top)
+        q, ratio = fp_matrix.q_plus(s, bottom, fp_matrix.opt_y(s, bottom)), fp_matrix.matrix_ratio(s, bottom)
+        return np.linalg.norm(q - ratio, "fro") <= 1e-10 * max(np.linalg.norm(ratio, "fro"), 1e-12)
+
+    return tight(A, B) and tight(B, A)
 
 
 def spectral_identity(As, Bs, kinds=("trace", "logdet")) -> bool:
@@ -305,13 +305,13 @@ def _scalar_reduction(A, B, y) -> bool:
     mB = np.array([[B]], dtype=complex)
     sA = fp_matrix.psd_sqrt(mA)
     sB = fp_matrix.psd_sqrt(mB)
-    yt = fp_core.opt_y_tilde(A, B, 0.0)
-    bracket = fp_matrix.q_minus(sB, mA, np.array([[yt]]))[0, 0].real
+    yt = fp_core.opt_y(B, A)
+    bracket = fp_matrix.q_plus(sB, mA, np.array([[yt]]))[0, 0].real
     pairs = [
         (fp_matrix.matrix_ratio(sA, mB)[0, 0].real, A / B),
         (fp_matrix.q_plus(sA, mB, np.array([[y]]))[0, 0].real, fp_core.quad_surrogate(A, B, y)),
         (fp_matrix.opt_y(sA, mB)[0, 0].real, fp_core.opt_y(A, B)),
-        (fp_matrix.opt_y_tilde(sB, mA)[0, 0].real, yt),
+        (fp_matrix.opt_y(sB, mA)[0, 0].real, yt),
         (1.0 / bracket, fp_core.inv_quad_surrogate(A, B, yt)),
     ]
     return all(abs(u - v) <= 1e-12 * (1 + abs(v)) for u, v in pairs)

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from mmfp import aoi, cli, radar, secure, solver, verify
-from mmfp.errors import ConfigError
+from mmfp.errors import ConfigError, DomainError, MonotonicityError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -603,6 +603,67 @@ class TestSweepCommand:
     def test_sweep_without_axis_exits_2(self, tmp_path):
         path = write_config(tmp_path, AOI_SMALL)
         assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("run", "experiment: [aoi", "cannot parse config"),
+        ("run", yaml.safe_dump([AOI_SMALL]), "config must be a mapping"),
+        ("run", yaml.safe_dump(dict(AOI_SMALL, scenario=[2, 1.0])), "'scenario' must be a mapping"),
+        ("run", yaml.safe_dump(dict(AOI_SMALL, solver=[60])), "'solver' must be a mapping"),
+        ("sweep", yaml.safe_dump(dict(AOI_SMALL, sweep=[2, 3])), "'sweep' must be a mapping"),
+        ("sweep", yaml.safe_dump(dict(AOI_SMALL, sweep={"k": []})), "'sweep.k' must be a nonempty list"),
+    ],
+    ids=["yaml-parse-error", "config-list", "scenario-list", "solver-list", "sweep-list", "sweep-empty"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, command, text, message):
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("run", dict(AOI_SMALL, scenario={"k": 2, "mu": -1.0})),
+        ("sweep", dict(AOI_SMALL, sweep={"k": [3, 0]})),
+        ("run", dict(AOI_SMALL, scenario={"k": 4, "mu": 1.0}, oracle=True)),
+    ],
+    ids=["scenario", "sweep-point", "oracle"],
+)
+def test_config_that_exits_2_makes_no_output_directory(tmp_path, command, body):
+    # the scenario, every sweep point and the oracle are checked before --out is made
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MonotonicityError("objective decreased"), "invariant violation: objective decreased"),
+        (DomainError("ratio 0 outside domain"), "error: ratio 0 outside domain"),
+    ],
+    ids=["monotonicity", "other-mmfp-error"],
+)
+def test_solve_error_exits_3(tmp_path, capsys, monkeypatch, error, message):
+    def fail(scenario, opts):
+        raise error
+
+    monkeypatch.setattr(aoi, "run_algorithm1", fail)
+    path = write_config(tmp_path, AOI_SMALL)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_output_under_a_regular_file_exits_4(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    path = write_config(tmp_path, AOI_SMALL)
+    assert cli.main(["run", "--config", str(path), "--out", str(blocker / "out")]) == 4
+    assert "i/o error:" in capsys.readouterr().err
 
 
 # every CSV column and summary key that `run` and a one-point `sweep` write,

@@ -112,8 +112,11 @@ class TestInvQuadSurrogate:
 
 
 class TestOptYTilde:
+    # the exact min-side auxiliary sqrt(B)/A is the max-side opt_y(B, A) of
+    # the flipped ratio; opt_y_tilde is its safeguarded form
     def test_exact_limit_form(self):
-        assert opt_y_tilde(1.0, 4.0, 0.0) == 2.0
+        assert opt_y(4.0, 1.0) == 2.0
+        assert inv_quad_surrogate(1.0, 4.0, opt_y(4.0, 1.0)) == 0.25
 
     def test_safeguard_engages(self):
         assert opt_y_tilde(0.0, 1.0) == 1.0 / fp_core.Y_TILDE_SAFEGUARD
@@ -121,13 +124,10 @@ class TestOptYTilde:
     def test_plain_value(self):
         assert opt_y_tilde(3.0, 9.0) == pytest.approx(1.0)
 
-    def test_negative_eps_rejected(self):
-        with pytest.raises(InvalidInputError):
-            opt_y_tilde(1.0, 1.0, -1e-3)
-
     def test_exact_form_at_zero_numerator_rejected(self):
+        # the flipped ratio's denominator is 0
         with pytest.raises(InvalidInputError):
-            opt_y_tilde(0.0, 1.0, 0.0)
+            opt_y(1.0, 0.0)
 
 
 def _constant(A, B):
@@ -207,6 +207,20 @@ class TestMixedSurrogate:
         assert value == -math.inf
         assert value <= problem.objective(np.array([4.0]))
 
+    @pytest.mark.parametrize(
+        "outer, fractions",
+        [
+            ("identity", affine_fractions([[1.0]], [-2.0], [[0.0]], [1.0])),  # (x - 2) / 1
+            ("neg_identity", affine_fractions([[0.0]], [1.0], [[1.0]], [-2.0])),  # 1 / (x - 2)
+        ],
+        ids=["max-side-numerator", "min-side-denominator"],
+    )
+    def test_negative_top_rejects_on_either_side(self, outer, fractions):
+        # the bracket's square-root argument, A on the max side and B on the
+        # min side, is 2 at the anchor and -1 at the query
+        problem = _identity_box_problem(fractions, [OuterFunction(outer)])
+        assert problem.surrogate(np.array([1.0]), problem.update_aux(np.array([4.0]))) == (-math.inf, None)
+
 
 class TestOuterFunction:
     @pytest.mark.parametrize(
@@ -260,7 +274,7 @@ class TestOuterFunction:
             opt_y(2.0, 8.0),
             opt_y(1.0, 0.5),
         ]
-        assert aux[0] != opt_y_tilde(1.0, 4.0, 0.0)  # the safeguard is in effect
+        assert aux[0] != opt_y(4.0, 1.0)  # the safeguard is in effect
         x = np.array([1.0])
         expected = sum(o.evaluate(a / b) for o, a, b in zip(problem.outers, A, B))
         assert problem.surrogate(x, aux)[0] == pytest.approx(expected, rel=1e-12)

@@ -13,9 +13,7 @@ from mmfp.fp_matrix import (
     matrix_mixed_surrogate,
     matrix_ratio,
     opt_y,
-    opt_y_tilde,
     psd_sqrt,
-    q_minus,
     q_plus,
 )
 from mmfp.verify import random_pd
@@ -62,20 +60,21 @@ class TestBrackets:
         with pytest.raises(InvalidInputError):
             q_plus(np.eye(2), np.eye(2), np.zeros((3, 2)))
 
+    # the min-side bracket Q- is q_plus on the flipped ratio (sqrtB, A)
     def test_q_minus_tight_at_optimum(self):
         rng = np.random.default_rng(3)
         A = random_pd(rng, 2)
         B = random_pd(rng, 2)
         Bs = psd_sqrt(B)
-        assert np.allclose(
-            q_minus(Bs, A, opt_y_tilde(Bs, A)), matrix_ratio(Bs, A), atol=1e-10
-        )
+        assert np.allclose(q_plus(Bs, A, opt_y(Bs, A)), matrix_ratio(Bs, A), atol=1e-10)
 
     def test_q_minus_scalar(self):
-        assert q_minus(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))[0, 0] == pytest.approx(1.0)
+        # A/B = 4: Q- at Yt = sqrt(B)/A is the flipped ratio 1/4
+        Bs, A = np.array([[1.0]]), np.array([[4.0]])
+        assert q_plus(Bs, A, opt_y(Bs, A))[0, 0] == pytest.approx(0.25)
 
     def test_q_minus_zero_auxiliary_not_pd(self):
-        bracket = q_minus(np.eye(2), np.eye(2), np.zeros((2, 2)))
+        bracket = q_plus(np.eye(2), np.eye(2), np.zeros((2, 2)))
         assert not is_strictly_pd(bracket)
 
     def test_bracket_never_exceeds_ratio(self):
@@ -100,15 +99,16 @@ class TestAuxiliaries:
         out = opt_y(np.eye(2), np.diag([1.0, 2.0]))
         assert np.allclose(out, np.diag([1.0, 0.5]))
 
+    # the min-side auxiliary Yt = A^{-1} sqrtB is opt_y on the flipped ratio
     def test_opt_y_tilde_scalar(self):
-        assert opt_y_tilde(np.array([[2.0]]), np.array([[4.0]]))[0, 0] == pytest.approx(0.5)
+        assert opt_y(np.array([[2.0]]), np.array([[4.0]]))[0, 0] == pytest.approx(0.5)
 
     def test_opt_y_tilde_identity(self):
         F = np.array([[1.0, 0.2], [0.0, 0.7]])
-        assert np.allclose(opt_y_tilde(F, np.eye(2)), F)
+        assert np.allclose(opt_y(F, np.eye(2)), F)
 
     def test_opt_y_tilde_diagonal(self):
-        out = opt_y_tilde(np.eye(2), np.diag([2.0, 4.0]))
+        out = opt_y(np.eye(2), np.diag([2.0, 4.0]))
         assert np.allclose(out, np.diag([0.5, 0.25]))
 
 
@@ -198,15 +198,16 @@ class TestMatrixOuter:
             MatrixOuter("logdet", 1.0).evaluate(X)
 
     def test_side_follows_outer_monotonicity(self):
-        # a decreasing outer is bracketed by q_minus, an increasing one by q_plus
+        # a decreasing outer is bracketed by q_plus on the flipped ratio, an
+        # increasing one by q_plus on the ratio
         rng = np.random.default_rng(10)
         a0, a1 = random_pd(rng, 2, 1.0), random_pd(rng, 2, 0.0)
         b0, b1 = random_pd(rng, 2, 1.0), random_pd(rng, 2, 0.0)
         num = lambda x: a0 + float(x[0]) * a1
         den = lambda x: b0 + float(x[0]) * b1
         x, anchor = np.array([1.2]), np.array([0.6])
-        y_tilde = opt_y_tilde(psd_sqrt(den(anchor)), num(anchor))
-        q_min = q_minus(psd_sqrt(den(x)), num(x), y_tilde)
+        y_tilde = opt_y(psd_sqrt(den(anchor)), num(anchor))
+        q_min = q_plus(psd_sqrt(den(x)), num(x), y_tilde)
         y = opt_y(psd_sqrt(num(anchor)), den(anchor))
         q_max = q_plus(psd_sqrt(num(x)), den(x), y)
         for kind, expected in (

@@ -142,6 +142,15 @@ class TestLogRatioSurrogate:
             anchor = rng.uniform(0.1, 3.0, dim)
             assert verify.dual_sandwich(problem, x, anchor)
 
+    def test_zero_weight_row_is_dropped(self):
+        # the dead row's ratio 1e300/1e-300 overflows to inf, so its zeta
+        # would be 0 * ln(1 + inf) = nan; dropped, it adds nothing
+        dead = ([0.0], 1e300, [0.0], 1e-300, 0.0, True)
+        live = ([1.0], 0.0, [0.0], 1.0, 1.0, True)
+        x, anchor = np.array([3.0]), np.array([1.0])
+        value = log_ratio_surrogate(_log_ratio_problem([dead, live]), x, anchor)
+        assert value == log_ratio_surrogate(_log_ratio_problem([live]), x, anchor) == pytest.approx(math.log(2.0) + 0.5)
+
     def test_zeta_depends_on_x_only_through_fractions(self):
         # with the auxiliary frozen, subtracting the fraction term leaves a
         # constant in x

@@ -316,6 +316,14 @@ class TestMaximizeSubproblem:
                 _quadratic(np.array([1.0])), feasible, np.array([0.2]), SolveOptions()
             )
 
+    def test_non_finite_start_objective_raises(self):
+        # an in-domain start whose value is -inf (a surrogate's reject
+        # signal) has no ascent to measure from
+        with pytest.raises(InvalidStartError, match="non-finite objective"):
+            maximize_subproblem(
+                lambda x: (-math.inf, None), box_set(0.0, 1.0), np.array([0.5]), SolveOptions()
+            )
+
     def test_accepted_iterates_stay_in_domain(self):
         # objective finite only on the guarded half-box; line search must
         # never step outside it
@@ -377,6 +385,15 @@ def _two_affine_ratios(a, b, a0, b0):
 
 
 class TestRunMm:
+    def test_out_of_domain_start_raises(self):
+        problem = MixedFpProblem(
+            affine_fractions([[1.0]], [0.0], [[0.0]], [1.0]),
+            (OuterFunction("identity"),),
+            FeasibleSet(project=box_set(0.0, 1.0).project, in_domain=lambda x: bool(x[0] > 0.5)),
+        )
+        with pytest.raises(InvalidStartError, match="initial point is outside the open domain"):
+            run_mm(problem, np.array([0.2]))
+
     def test_single_max_ratio_hits_upper_bound(self):
         problem = _ratio_problem(lambda t: (t, 1.0), _unit, OuterFunction("identity"), [0.0], [1.0])
         x, trace = run_mm(problem, np.array([0.1]))
@@ -587,6 +604,9 @@ def test_iterations_to_relative_convergence():
     # a zero objective that stays zero has converged, as in run_mm's stall test
     zeros = IterationTrace(records=[IterationRecord(i, 0.0, 0.0, 1) for i in range(3)])
     assert iterations_to_relative_convergence(zeros, 1e-6) == 1
+    # a trace that never stalls gives its last outer index
+    climbing = IterationTrace(records=[IterationRecord(i, 2.0**i, 0.0, 1) for i in range(4)])
+    assert iterations_to_relative_convergence(climbing, 1e-6) == 3
 
 
 def test_solve_options_validation():
