@@ -122,13 +122,18 @@ def build_aoi_problem(scenario: AoiScenario) -> MixedFpProblem:
 
     def fractions(x: np.ndarray):
         _, rhat = _loads(x, mu)
-        A = np.column_stack([rhat**2 + 3 * rhat + 1, (rhat + 1) ** 2]).ravel()
-        B = np.column_stack([mu * (1 + rhat), x]).ravel()
-        dA = np.column_stack([2 * rhat + 3, 2 * (rhat + 1)]).ravel() / mu
+        A, B, dA = np.empty((3, 2 * k_sources))
+        A[0::2] = rhat**2 + 3 * rhat + 1
+        A[1::2] = (rhat + 1) ** 2
+        B[0::2] = mu * (1 + rhat)
+        B[1::2] = x
+        dA[0::2] = 2 * rhat + 3
+        dA[1::2] = 2 * (rhat + 1)
+        dA /= mu
         return A, B, dA[:, None] * earlier, jac_b
 
     floor = _RATE_FLOOR_REL * mu
-    feasible = box_set(0.0, mu, in_domain=lambda x: bool(np.all(np.asarray(x) > floor)))
+    feasible = box_set(0.0, mu, in_domain=lambda x: bool((np.asarray(x) > floor).all()))
     outers = (OuterFunction("neg_identity", 1.0),) * (2 * k_sources)
     return MixedFpProblem(fractions, outers, feasible)
 

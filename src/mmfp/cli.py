@@ -32,12 +32,15 @@ from .units import dbm_to_mw, nats_to_bits
 # extrapolation is chosen by the command
 _SOLVER_KEYS = {f.name for f in fields(solver.SolveOptions)} - {"accelerate"}
 _ORACLE_ONLY = "'oracle: true' applies only to 'mmfp run' on a scenario its grid oracle can search"
+# libyaml's parser where PyYAML was built with it: the same safe
+# constructor, so the same objects, parsed about ten times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_config(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -138,23 +141,14 @@ def _build_radar(scenario: dict) -> radar.RadarScenario:
         beta = real("beta", scenario.get("beta", 1.0))
         rows = [[beta] * m] * m if isinstance(beta, float) else beta
         beta = tuple(tuple(complex(v) for v in row) for row in rows)
-        sc = radar.RadarScenario(
+        # the scenario also refuses a radar whose angle derivative vanishes
+        return radar.RadarScenario(
             n_tx=n_tx, n_rx=n_rx, theta=theta, beta=beta,
             sigma2=_mw_per_entry(scenario.get("sigma2_dbm", 0.0), m, "sigma2_dbm"),
             power=_mw_per_entry(scenario["p_dbm"], m, "p_dbm"), l_samples=scenario["l_samples"],
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
-    for m in range(sc.m_radars):
-        # |dG_mm| <= pi*(n_tx+n_rx)*|cos theta_m|*|G_mm|, so this fires at
-        # endfire, where cos(pi/2) = 6e-17 leaves rounding in the derivative
-        scale = math.pi * (sc.n_tx[m] + sc.n_rx[m]) * np.linalg.norm(radar.response_matrix(sc, m, m))
-        if np.linalg.norm(radar.response_derivative(sc, m)) <= 1e-12 * scale:
-            raise ConfigError(
-                f"bad scenario: the angle derivative of radar {m}'s response is zero to rounding "
-                "(zero self-gain, one antenna on both arrays, or an endfire angle): its bound is infinite"
-            )
-    return sc
 
 
 def _build_secure(scenario: dict) -> secure.SecureScenario:

@@ -54,6 +54,8 @@ class RadarScenario:
 
     ``beta[m, m']`` is the complex reflection gain from radar ``m'`` into
     radar ``m``; ``sigma2`` and ``power`` are in mW; ``theta`` in radians.
+    A radar whose angle derivative is zero to rounding is refused: no
+    waveform gives it a finite bound.
     """
 
     n_tx: tuple[int, ...]
@@ -82,6 +84,15 @@ class RadarScenario:
             raise InvalidInputError("angles, gains, noise powers and power budgets must be finite")
         if min(self.sigma2) <= 0 or min(self.power) <= 0:
             raise InvalidInputError("noise powers and power budgets must be positive")
+        for r in range(m):
+            # |dG_rr| <= pi*(n_tx+n_rx)*|cos theta_r|*|G_rr|, so this fires at
+            # endfire, where cos(pi/2) = 6e-17 leaves rounding in the derivative
+            scale = math.pi * (self.n_tx[r] + self.n_rx[r]) * np.linalg.norm(response_matrix(self, r, r))
+            if np.linalg.norm(response_derivative(self, r)) <= 1e-12 * scale:
+                raise InvalidInputError(
+                    f"the angle derivative of radar {r}'s response is zero to rounding "
+                    "(zero self-gain, one antenna on both arrays, or an endfire angle): its bound is infinite"
+                )
 
     @property
     def m_radars(self) -> int:
@@ -158,15 +169,14 @@ def flat_waveforms(scenario: RadarScenario) -> list[np.ndarray]:
 @dataclass(frozen=True)
 class RadarAux:
     """Frozen auxiliaries, zero-padded to the longest waveform:
-    ``affine[m] = D_m^H Y_m``; ``cross[m, m'] = T_mm'^H Y_m``, zero at
-    ``m' = m``; ``rows[m', m] = conj(cross[m, m'])`` but ``rows[m', m'] =
-    conj(affine[m'])``, the rows the dots with ``s_m'`` take; ``noise[m] =
-    sigma_m^2 ||Y_m||^2``.
+    ``linear[0, m] = D_m^H Y_m``; ``linear[1 + m, m'] = T_mm'^H Y_m``, zero
+    at ``m' = m``; ``rows[m', m] = conj(linear[1 + m, m'])`` but ``rows[m',
+    m'] = conj(linear[0, m'])``, the rows the dots with ``s_m'`` take;
+    ``noise[m] = sigma_m^2 ||Y_m||^2``.
     """
 
     Y: list[np.ndarray]
-    affine: np.ndarray
-    cross: np.ndarray
+    linear: np.ndarray
     rows: np.ndarray
     noise: list[float]
 
@@ -193,11 +203,22 @@ class RadarMmProblem:
         ends = np.cumsum([2 * d for d in self.s_dims]).tolist()
         starts = [0, *ends[:-1]]
         self.total_real_dim = ends[-1]
-        # row m of the padded (M, D) waveform array holds s_m, whose parts sit
-        # at z[_re[m]] and z[_im[m]]; padding indexes an appended zero
+        # row m of the padded (M, D) waveform array holds s_m; entries 2k and
+        # 2k + 1 of its float view are Re and Im s_m[k], at z[_interleave[m,
+        # 2k]] and z[_interleave[m, 2k + 1]]; padding indexes the zero that
+        # ends _z. _gather is the inverse: the float-view entry of each z.
         dims, k = np.array(self.s_dims)[:, None], np.arange(max(self.s_dims))
         first = np.array(starts)[:, None] + k
-        self._re, self._im = (np.where(k < dims, i, self.total_real_dim) for i in (first, first + dims))
+        parts = np.stack([first, first + dims], axis=2)
+        self._interleave = np.where((k < dims)[..., None], parts, self.total_real_dim).reshape(len(dims), -1)
+        flat = self._interleave.ravel()
+        ok = flat < self.total_real_dim
+        self._gather = np.empty(self.total_real_dim, dtype=np.intp)
+        self._gather[flat[ok]] = np.flatnonzero(ok)
+        self._z = np.zeros(self.total_real_dim + 1)
+        # (first, stop, length) of each run of adjacent radars of one length
+        cuts = [m for m in radars[1:] if self.s_dims[m] != self.s_dims[m - 1]]
+        self._runs = [(a, b, self.s_dims[a]) for a, b in zip([0, *cuts], [*cuts, len(radars)])]
         self.feasible = block_ball_set(list(zip(starts, ends)), list(scenario.power))
         # the (v_m, K_m^{-1} v_m) pairs of the last stacked point solved, by
         # its bytes: run_mm asks for the objective and then the auxiliaries
@@ -257,8 +278,7 @@ class RadarMmProblem:
         interference vector into radar m is then orthogonal to its
         derivative signal, and the start attains :func:`crb_lower_bound`.
         Otherwise the start is :func:`flat_waveforms`; ``D_m s`` is zero
-        there only where ``D_m`` is, and then no waveform gives radar m a
-        finite bound."""
+        there only where ``D_m`` is, which the scenario refuses."""
         sc = self.scenario
         l, radars = sc.l_samples, range(sc.m_radars)
         if l < len(radars):
@@ -269,8 +289,8 @@ class RadarMmProblem:
 
     def _pack(self, z: np.ndarray) -> np.ndarray:
         """The waveforms of the stacked vector ``z`` as padded rows."""
-        zz = np.append(np.asarray(z, dtype=float), 0.0)
-        return zz[self._re] + 1j * zz[self._im]
+        self._z[:-1] = z
+        return self._z[self._interleave].view(complex)
 
     def split(self, z: np.ndarray) -> list[np.ndarray]:
         return [s[:d] for s, d in zip(self._pack(z), self.s_dims)]
@@ -290,8 +310,8 @@ class RadarMmProblem:
     def update_aux(self, z: np.ndarray) -> RadarAux:
         radars = range(self.scenario.m_radars)
         Y = [y for _, y in self._solved(z)]
-        affine = np.zeros(self._re.shape, dtype=complex)
-        cross = np.zeros((len(Y), *self._re.shape), dtype=complex)
+        linear = np.zeros((len(Y) + 1, len(Y), max(self.s_dims)), dtype=complex)
+        affine, cross = linear[0], linear[1:]
         for m in radars:
             affine[m, : self.s_dims[m]] = self.D[m].conj().T @ Y[m]
             for mp, t in self.T[m].items():
@@ -299,15 +319,21 @@ class RadarMmProblem:
         rows = cross.transpose(1, 0, 2).conj()
         rows[radars, radars] = affine.conj()
         noise = [self.scenario.sigma2[m] * float(np.real(np.vdot(Y[m], Y[m]))) for m in radars]
-        return RadarAux(Y=Y, affine=affine, cross=cross, rows=rows, noise=noise)
+        return RadarAux(Y=Y, linear=linear, rows=rows, noise=noise)
 
     def _brackets(self, z: np.ndarray, aux: RadarAux) -> tuple[np.ndarray, np.ndarray]:
         """Per-radar brackets ``q_m`` at the stacked waveforms ``z`` and the
         dots they use, ``dots[m, m', 0] = rows[m', m] . s_m'``."""
         # for each m', M dots of length d_m', each the BLAS dot np.vdot
-        # takes; padded to D or as one gemv they would round differently
+        # takes; padded to D or as one gemv they would round differently.
+        # A run of adjacent radars with one length stacks its dots in one
+        # matmul, which takes that dot for each of them.
+        S = self._pack(z)
         dots = np.concatenate(
-            [np.matmul(r[:, None, :d], s[:d, None]) for r, s, d in zip(aux.rows, self._pack(z), self.s_dims)],
+            [
+                np.matmul(aux.rows[a:b, :, None, :d], S[a:b, None, :d, None])[..., 0].swapaxes(0, 1)
+                for a, b, d in self._runs
+            ],
             axis=1,
         )
         q = np.empty(len(aux.noise))
@@ -320,21 +346,21 @@ class RadarMmProblem:
 
     def surrogate(self, z: np.ndarray, aux: RadarAux) -> tuple[float, np.ndarray | None]:
         q, dots = self._brackets(z, aux)
-        if np.any(q <= 0.0):
+        if (q <= 0.0).any():
             return -math.inf, None
-        value = float(np.sum(-0.5 / q))
+        value = float((-0.5 / q).sum())
         weights = 0.5 / (q * q)  # d(-1/(2q))/dq
-        # row m' of the complex gradient is w_m' affine[m'] minus, in
-        # ascending m, w_m cross[m, m'] dots[m, m'] (zero at m = m')
-        terms = weights[:, None, None] * aux.cross
-        terms *= dots
-        grad_c = weights[:, None] * aux.affine
-        for term in terms:
-            grad_c -= term
-        grad = np.empty(self.total_real_dim + 1)
-        grad[self._re] = grad_c.real
-        grad[self._im] = grad_c.imag
-        return value, 2.0 * grad[:-1]
+        # row m' of the complex gradient is w_m' linear[0, m'] minus, in
+        # ascending m, w_m linear[1 + m, m'] dots[m, m'] (zero at m = m'):
+        # one sequential subtract.reduce down the stacked terms
+        scale = np.empty((len(q) + 1, len(q), 1))
+        scale[0, :, 0] = weights
+        scale[1:] = weights[:, None, None]
+        terms = scale * aux.linear
+        terms[1:] *= dots
+        grad = np.subtract.reduce(terms).view(float).ravel()[self._gather]
+        grad *= 2.0  # on the floats: a complex product would make inf * 0 = nan
+        return value, grad
 
     def solve(self, opts: SolveOptions) -> tuple[list[np.ndarray], IterationTrace]:
         """Alternating waveform design from :meth:`initial_waveforms`; the

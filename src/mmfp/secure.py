@@ -70,19 +70,19 @@ class SecureScenario:
         if self.ht2.shape[0] > self.h2.shape[0]:
             raise InvalidInputError("cannot have more eavesdroppers than cells")
         arrays = (self.h2, self.ht2, self.sigma2, self.sigma2_tilde, self.w)
-        if not (all(np.all(np.isfinite(a)) for a in arrays) and math.isfinite(self.p_max)):
+        if not (all(np.isfinite(a).all() for a in arrays) and math.isfinite(self.p_max)):
             raise InvalidInputError("gains, noise powers, power cap and weights must be finite")
-        if np.any(self.h2 < 0) or np.any(self.ht2 < 0):
+        if (self.h2 < 0).any() or (self.ht2 < 0).any():
             raise InvalidInputError("channel gains must be nonnegative")
-        if np.any(np.diag(self.h2) <= 0):
+        if (self.h2.diagonal() <= 0).any():
             raise InvalidInputError("direct-link gains must be positive")
-        if self.ht2.size and np.any(self.ht2[np.arange(self.ht2.shape[0]), np.arange(self.ht2.shape[0])] <= 0):
+        if (self.ht2.diagonal() <= 0).any():  # eavesdropper k sits in cell k
             raise InvalidInputError("eavesdropper self-cell gains must be positive")
-        if np.any(self.sigma2 <= 0) or np.any(self.sigma2_tilde <= 0):
+        if (self.sigma2 <= 0).any() or (self.sigma2_tilde <= 0).any():
             raise InvalidInputError("noise powers must be positive")
         if self.p_max <= 0:
             raise InvalidInputError("power cap must be positive")
-        if np.any(self.w < 0):
+        if (self.w < 0).any():
             raise InvalidInputError("weights must be nonnegative")
 
     @property
@@ -142,11 +142,11 @@ def _sinrs(
     smallest over each box: every SINR rises with its own power and falls
     with the others'."""
     lo = p_rows if lo_rows is None else lo_rows
-    kk = np.arange(scenario.k_eavesdropped)
-    gain, gain_t = np.diag(scenario.h2), scenario.ht2[kk, kk]
+    k = scenario.k_eavesdropped  # eavesdropper k sits in cell k
+    gain, gain_t = scenario.h2.diagonal(), scenario.ht2.diagonal()
     interference = lo @ scenario.h2.T - lo * gain  # (batch, L): power seen at user i from the others
-    leakage = p_rows @ scenario.ht2.T - p_rows[:, kk] * gain_t
-    return p_rows * gain / (interference + scenario.sigma2), lo[:, kk] * gain_t / (leakage + scenario.sigma2_tilde)
+    leakage = p_rows @ scenario.ht2.T - p_rows[:, :k] * gain_t
+    return p_rows * gain / (interference + scenario.sigma2), lo[:, :k] * gain_t / (leakage + scenario.sigma2_tilde)
 
 
 def _rates(scenario: SecureScenario, p_rows: np.ndarray, lo_rows: np.ndarray | None = None) -> np.ndarray:
@@ -189,7 +189,7 @@ def _sinr_fractions(scenario: SecureScenario, whole_row_leakage: bool) -> Fracti
     ``gains[k, k] * p_k`` over noise plus the power received from the other
     transmitters (from all of them on the eavesdropper rows with
     ``whole_row_leakage``)."""
-    gains = np.vstack([scenario.h2, scenario.ht2])
+    gains = np.concatenate([scenario.h2, scenario.ht2])
     rows = np.arange(gains.shape[0])
     cols = np.concatenate([np.arange(scenario.l_cells), np.arange(scenario.k_eavesdropped)])
     own = np.zeros_like(gains)

@@ -116,7 +116,7 @@ def block_ball_set(blocks: list[tuple[int, int]], radii_sq: list[float]) -> Feas
         out = np.asarray(x, dtype=float).copy()
         for (a, b), r2 in zip(blocks, radii_sq):
             seg = out[a:b]
-            nrm_sq = float(seg @ seg)  # the BLAS dot np.vdot takes
+            nrm_sq = float(seg.dot(seg))  # the BLAS dot np.vdot and @ take, dispatched faster
             if nrm_sq > r2:  # project_ball's scaling, in place
                 seg *= math.sqrt(r2 / nrm_sq)
         return out
@@ -239,7 +239,7 @@ def maximize_subproblem(
     if not math.isfinite(f):
         raise InvalidStartError("subproblem start has non-finite objective")
 
-    t = step0 if step0 is not None else 1.0 / (1.0 + float(np.linalg.norm(g)))
+    t = step0 if step0 is not None else 1.0 / (1.0 + math.sqrt(float(g.dot(g))))  # np.linalg.norm(g)
     t = min(max(t, _STEP_MIN), _STEP_MAX)
     window = [f] * _NONMONOTONE_WINDOW
     x_best, f_best = x, f
@@ -249,7 +249,9 @@ def maximize_subproblem(
 
     for iters in range(1, opts.max_inner + 1):
         r = x - feasible.project(x + g)
-        residual = math.sqrt(float(r @ r))  # np.linalg.norm's sqrt(dot(r, r))
+        # np.linalg.norm's sqrt(dot(r, r)); ndarray.dot is the BLAS dot @
+        # takes, dispatched faster
+        residual = math.sqrt(float(r.dot(r)))
         if residual <= opts.inner_tol * (1.0 + abs(f)):
             converged = True
             iters -= 1
@@ -260,15 +262,16 @@ def maximize_subproblem(
         f_ref = min(window)  # ascent mirror of the descent reference
         accepted = False
         tt = t
-        x_old, g_old = x, g
+        g_old = g
         for _ in range(_MAX_BACKTRACKS):
             trial = feasible.project(x + tt * g)
             d = trial - x
-            if float(d @ d) == 0.0:
+            dd = float(d.dot(d))
+            if dd == 0.0:
                 break
             if feasible.in_domain(trial):
                 ft, gt = objective(trial)
-                if math.isfinite(ft) and ft >= f_ref + _ARMIJO_C * float(g @ d):
+                if math.isfinite(ft) and ft >= f_ref + _ARMIJO_C * float(g.dot(d)):
                     x, f, g = trial, ft, gt
                     accepted = True
                     break
@@ -281,12 +284,10 @@ def maximize_subproblem(
             if f > f_best + 1e-13 * (1.0 + abs(f_best)):
                 last_gain = iters
             x_best, f_best = x, f
-        # spectral step from the accepted move
-        dx = x - x_old
-        dg = g - g_old
-        denom = -float(dx @ dg)  # >= 0 for concave objectives
+        # spectral step from the accepted move, which is the last trial's d
+        denom = -float(d.dot(g - g_old))  # >= 0 for concave objectives
         if denom > 0:
-            t = float(dx @ dx) / denom
+            t = dd / denom
         else:
             t = tt * 2.0
         t = min(max(t, _STEP_MIN), _STEP_MAX)

@@ -405,10 +405,16 @@ def total_age_order_sensitive(lam: np.ndarray) -> bool:
 
 
 def leakage_rewrite(sc, p, i) -> bool:
-    """Cell i's rate equals the direct method's objective with weight on cell i alone."""
+    """Cell i's rate equals the direct method's objective with weight on cell
+    i alone: on the direct method's fractions, the log1p outer of its user
+    row plus, for an eavesdropped cell, the log1m outer of its whole-row
+    leakage row; the rows of weight 0 would add zeros."""
     a = secure.secret_rate(sc, p, i)
-    direct = secure.build_direct_problem(sc.with_weights(np.arange(sc.l_cells) == i))
-    return abs(a - direct.objective(p)) <= 1e-12 * (1 + abs(a))
+    A, B, _, _ = secure._sinr_fractions(sc, whole_row_leakage=True)(np.asarray(p, dtype=float))
+    b = 0.0
+    for kind, r in [("log1p", i), ("log1m", sc.l_cells + i)][: 1 + (i < sc.k_eavesdropped)]:
+        b += fp_core.OuterFunction(kind).evaluate(A[r] / B[r])
+    return abs(a - b) <= 1e-12 * (1 + abs(a))
 
 
 def secure_surrogates_tight(sc, p) -> bool:

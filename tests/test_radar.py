@@ -82,12 +82,13 @@ class TestSteering:
 
 class TestResponse:
     def test_scalar(self):
-        sc = tiny_scenario(n_rx=(1,))
-        sc2 = RadarScenario(
-            n_tx=(1,), n_rx=(1,), theta=(0.0,), beta=((2.0,),),
-            sigma2=(1.0,), power=(1.0,), l_samples=1,
+        # one receive antenna on radar 0 and one transmit antenna on radar 1:
+        # the cross response from 1 into 0 is 1 x 1
+        sc = RadarScenario(
+            n_tx=(2, 1), n_rx=(1, 2), theta=(0.0, 0.0), beta=((1.0, 2.0), (1.0, 1.0)),
+            sigma2=(1.0, 1.0), power=(1.0, 1.0), l_samples=1,
         )
-        assert np.allclose(response_matrix(sc2, 0, 0), [[2.0]])
+        assert np.allclose(response_matrix(sc, 0, 1), [[2.0]])
 
     def test_broadside_all_ones(self):
         sc = tiny_scenario(theta=(0.0, 0.0), n_tx=(2, 2), n_rx=(2, 2),
@@ -101,12 +102,13 @@ class TestResponse:
                 assert np.linalg.matrix_rank(response_matrix(sc, m, mp)) == 1
 
     def test_derivative_single_antenna_is_zero(self):
-        sc = tiny_scenario(n_rx=(1,))
-        assert np.allclose(response_derivative(sc, 0), [[0.0]])
+        # a constant response: the scenario refuses the radar
+        with pytest.raises(InvalidInputError, match="angle derivative of radar 0's response is zero"):
+            tiny_scenario(n_rx=(1,))
 
     def test_derivative_vanishes_at_endfire(self):
-        sc = tiny_scenario(theta=(math.pi / 2,), n_tx=(2,), n_rx=(2,))
-        assert np.allclose(response_derivative(sc, 0), np.zeros((2, 2)), atol=1e-12)
+        with pytest.raises(InvalidInputError, match="angle derivative of radar 0's response is zero"):
+            tiny_scenario(theta=(math.pi / 2,), n_tx=(2,), n_rx=(2,))
 
     def test_derivative_matches_finite_difference(self):
         sc = two_radar_scenario()
@@ -116,16 +118,23 @@ class TestResponse:
 
 def random_large_scenario(rng, m):
     """M radars with unequal array sizes in 1..16 and L in 1..8, wider than
-    :func:`verify.random_radar_scenario` draws."""
-    return RadarScenario(
-        n_tx=tuple(int(v) for v in rng.integers(1, 17, m)),
-        n_rx=tuple(int(v) for v in rng.integers(1, 17, m)),
-        theta=tuple(float(v) for v in rng.uniform(0.1, 1.3, m)),
-        beta=tuple(tuple(complex(*rng.uniform([0.3, -0.5], [1.5, 0.5])) for _ in range(m)) for _ in range(m)),
-        sigma2=tuple(float(v) for v in rng.uniform(0.5, 2.0, m)),
-        power=tuple(float(v) for v in 10 ** rng.uniform(-1, 2, m)),
-        l_samples=int(rng.integers(1, 9)),
-    )
+    :func:`verify.random_radar_scenario` draws. A draw the scenario refuses
+    (a radar with one antenna on both arrays) is drawn again."""
+    while True:
+        try:
+            return RadarScenario(
+                n_tx=tuple(int(v) for v in rng.integers(1, 17, m)),
+                n_rx=tuple(int(v) for v in rng.integers(1, 17, m)),
+                theta=tuple(float(v) for v in rng.uniform(0.1, 1.3, m)),
+                beta=tuple(
+                    tuple(complex(*rng.uniform([0.3, -0.5], [1.5, 0.5])) for _ in range(m)) for _ in range(m)
+                ),
+                sigma2=tuple(float(v) for v in rng.uniform(0.5, 2.0, m)),
+                power=tuple(float(v) for v in 10 ** rng.uniform(-1, 2, m)),
+                l_samples=int(rng.integers(1, 9)),
+            )
+        except InvalidInputError:
+            pass
 
 
 def per_pair_surrogate(problem, aux, z):
@@ -177,18 +186,20 @@ class TestFisherInformation:
 
     def test_zero_derivative_gives_infinite_bound(self):
         # single-antenna arrays have a constant response: the angle
-        # derivative is exactly zero
-        problem = RadarMmProblem(tiny_scenario(n_rx=(1,)))
-        s = [np.array([1.0 + 0j])]
+        # derivative is exactly zero, and the scenario refuses the radar
+        with pytest.raises(InvalidInputError, match="angle derivative of radar 0's response is zero"):
+            tiny_scenario(n_rx=(1,))
+        # a zero waveform has a zero derivative signal
+        problem = RadarMmProblem(tiny_scenario())
+        s = [np.array([0j])]
         assert problem.fisher(s, 0) == 0.0
         assert problem.sum_crb(s) == math.inf
 
     def test_endfire_bound_is_effectively_infinite(self):
-        # cos(pi/2) is 6e-17 in floats, so the curvature is astronomically
-        # small rather than exactly zero
-        sc = tiny_scenario(theta=(math.pi / 2,))
-        s = [np.array([1.0 + 0j])]
-        assert sum_crb(sc, s) > 1e25
+        # cos(pi/2) is 6e-17 in floats, so the curvature would be
+        # astronomically small rather than exactly zero: refused as zero
+        with pytest.raises(InvalidInputError, match="angle derivative of radar 0's response is zero"):
+            tiny_scenario(theta=(math.pi / 2,))
 
     def test_quadratic_power_scaling_without_interference(self):
         problem = RadarMmProblem(tiny_scenario(power=(100.0,)))
@@ -208,13 +219,15 @@ class TestAuxAndSubproblem:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_bound_and_auxiliaries_equal_the_dense_solve_bitwise(self, m):
         # fisher, sum_crb and update_aux share one solve; each must be the
-        # dense per-radar K_m^{-1} D_m s_m to the bit. Radar 0 of every
-        # other draw has one antenna on each array, a zero derivative signal
+        # dense per-radar K_m^{-1} D_m s_m to the bit. Every other draw
+        # would give radar 0 one antenna on each array, a zero derivative
+        # signal, which the scenario refuses
         rng = np.random.default_rng(40 + m)
         for draw in range(6):
             sc = random_large_scenario(rng, m)
             if draw % 2:
-                sc = replace(sc, n_tx=(1, *sc.n_tx[1:]), n_rx=(1, *sc.n_rx[1:]))
+                with pytest.raises(InvalidInputError, match="angle derivative of radar 0's response is zero"):
+                    replace(sc, n_tx=(1, *sc.n_tx[1:]), n_rx=(1, *sc.n_rx[1:]))
             problem = RadarMmProblem(sc)
             waveforms = verify.random_waveforms(rng, sc)
             aux = problem.update_aux(stack_waveforms(waveforms))
@@ -227,8 +240,6 @@ class TestAuxAndSubproblem:
                 assert problem.fisher(waveforms, r) == j
                 bound = bound + 1.0 / j if j > 0.0 else math.inf
             assert problem.sum_crb(waveforms) == bound
-            if draw % 2:
-                assert problem.fisher(waveforms, 0) == 0.0 and bound == math.inf
 
     def test_aux_matches_matrix_module_auxiliary(self):
         # Y = K^{-1} v is the width-1 case of the matrix auxiliary B^{-1} sqrtA
@@ -358,7 +369,7 @@ def _fisher_positive_scenario(seed, m_radars):
 def _same_aux(a, b):
     return (
         all(x.tobytes() == y.tobytes() for x, y in zip(a.Y, b.Y))
-        and all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("affine", "cross", "rows"))
+        and all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("linear", "rows"))
         and a.noise == b.noise
     )
 
@@ -436,9 +447,9 @@ class TestOneSolvePerAnchor:
         # value equality: the off-block zeros of np.kron may carry a sign
         rng = np.random.default_rng(12)
         single = tiny_scenario(
-            theta=(0.3, 0.9), n_tx=(1, 1), n_rx=(1, 3), sigma2=(1.0, 1.0), power=(1.0, 1.0), l_samples=3
+            theta=(0.3, 0.9), n_tx=(1, 1), n_rx=(2, 3), sigma2=(1.0, 1.0), power=(1.0, 1.0), l_samples=3
         )
-        scenarios = [benchmark_scenario(), tiny_scenario(n_rx=(1,)), single]
+        scenarios = [benchmark_scenario(), tiny_scenario(n_tx=(2,), n_rx=(1,)), single]
         for sc in scenarios + [random_large_scenario(rng, 3) for _ in range(5)]:
             problem = RadarMmProblem(sc)
             eye = np.eye(sc.l_samples)
@@ -487,6 +498,17 @@ class TestStackHelpers:
         for a, b in zip(waveforms, back):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_split_inverts_stack_bitwise_at_unequal_lengths(self, m):
+        rng = np.random.default_rng(80 + m)
+        for _ in range(5):
+            problem = RadarMmProblem(random_large_scenario(rng, m))
+            waveforms = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in problem.s_dims]
+            # the interleave copies floats: signed zeros and infinities survive
+            waveforms[-1][0] = complex(-0.0, -math.inf)
+            back = problem.split(stack_waveforms(waveforms))
+            assert [s.tobytes() for s in back] == [s.tobytes() for s in waveforms]
+
     def test_initial_waveforms_are_feasible_and_nondegenerate(self):
         sc = benchmark_scenario(30.0)
         waveforms = RadarMmProblem(sc).initial_waveforms()
@@ -497,12 +519,9 @@ class TestStackHelpers:
 
 
 def _bounded_scenario(rng, m, l_samples):
-    """A :func:`random_large_scenario` with ``l_samples`` samples whose every
-    radar has a nonzero angle derivative, so its bound is finite."""
-    while True:
-        sc = replace(random_large_scenario(rng, m), l_samples=l_samples)
-        if math.isfinite(crb_lower_bound(sc)):
-            return sc
+    """A :func:`random_large_scenario` with ``l_samples`` samples; the
+    scenario refuses a radar whose bound is infinite."""
+    return replace(random_large_scenario(rng, m), l_samples=l_samples)
 
 
 class TestCodeStart:
@@ -558,15 +577,20 @@ class TestCodeStart:
                 assert verify.crb_above_bound(problem, problem.feasible.project(stack_waveforms(waveforms)))
 
     def test_zero_derivative_bound_is_infinite(self):
-        sc = replace(two_radar_scenario(), beta=((1.0, 0.6 + 0.2j), (0.5 - 0.1j, 0.0)))
+        with pytest.raises(InvalidInputError, match="angle derivative of radar 1's response is zero"):
+            replace(two_radar_scenario(), beta=((1.0, 0.6 + 0.2j), (0.5 - 0.1j, 0.0)))
+        with pytest.raises(InvalidInputError, match="angle derivative of radar 0's response is zero"):
+            tiny_scenario(n_tx=(1,), n_rx=(1,))
+        # a self-gain this small passes, but its bound overflows
+        sc = replace(two_radar_scenario(), beta=((1.0, 0.6 + 0.2j), (0.5 - 0.1j, 1e-160)))
         assert crb_lower_bound(sc) == math.inf
-        assert crb_lower_bound(tiny_scenario(n_tx=(1,), n_rx=(1,))) == math.inf
 
 
 def _flat_start_scenario(rng):
     """M radars with 1..6 antennas per array, often one on an array, and
     half the angles at ``sin(theta) = 2j / N_T``, where the transmit
-    steering vector sums to zero; a self-gain is sometimes zero."""
+    steering vector sums to zero; a self-gain is sometimes zero, and the
+    scenario then refuses the draw."""
     m = int(rng.integers(1, 4))
     n_tx = tuple(int(v) for v in rng.choice([1, 1, 2, 3, 4, 5, 6], m))
     n_rx = tuple(int(v) for v in rng.choice([1, 1, 2, 3, 4, 5, 6], m))
@@ -590,20 +614,22 @@ def _flat_start_scenario(rng):
 class TestFlatStart:
     """At the flat start every block of ``D_m s`` is a multiple of ``dG_mm
     1``, and at the code start ``D_m s_m`` is ``e_m kron dG_mm u_m``; each
-    vanishes only where ``dG_mm`` does: no start can make a
-    zero-derivative radar's bound finite, so none is needed."""
+    vanishes only where ``dG_mm`` does, which the scenario refuses: no
+    start can make a zero-derivative radar's bound finite, so none is
+    needed."""
 
     def test_derivative_signal_is_zero_only_where_the_derivative_is(self):
         rng = np.random.default_rng(17)
-        seen = {"zero": 0, "tx_null": 0, "one_antenna": 0}
+        seen = {"refused": 0, "tx_null": 0, "one_antenna": 0}
         for _ in range(400):
-            sc = _flat_start_scenario(rng)
+            try:
+                sc = _flat_start_scenario(rng)
+            except InvalidInputError:
+                seen["refused"] += 1
+                continue
             problem = RadarMmProblem(sc)
             for m, (d, s) in enumerate(zip(problem.D, problem.initial_waveforms())):
                 scale = np.linalg.norm(d, "fro") * np.linalg.norm(s)
-                if scale == 0.0:
-                    seen["zero"] += 1
-                    continue
                 assert np.linalg.norm(d @ s) >= 1e-6 * scale, (sc, m)
                 n = sc.n_tx[m]
                 seen["tx_null"] += n > 1 and abs(np.sum(steering_vector(n, sc.theta[m]))) < 1e-9
@@ -612,12 +638,9 @@ class TestFlatStart:
         assert min(seen.values()) >= 20, seen
 
     def test_zero_self_gain_bound_is_infinite_from_any_start(self):
-        sc = replace(two_radar_scenario(), beta=((1.0, 0.6 + 0.2j), (0.5 - 0.1j, 0.0)))
-        problem = RadarMmProblem(sc)
-        rng = np.random.default_rng(3)
-        for waveforms in (problem.initial_waveforms(), verify.random_waveforms(rng, sc)):
-            assert problem.fisher(waveforms, 1) == 0.0
-            assert problem.sum_crb(waveforms) == math.inf
+        # so the scenario refuses it
+        with pytest.raises(InvalidInputError, match="angle derivative of radar 1's response is zero"):
+            replace(two_radar_scenario(), beta=((1.0, 0.6 + 0.2j), (0.5 - 0.1j, 0.0)))
 
 
 def test_scenario_validation():
@@ -626,6 +649,25 @@ def test_scenario_validation():
     with pytest.raises(InvalidInputError):
         RadarScenario(n_tx=(1, 1), n_rx=(1,), theta=(0.0,), beta=((1.0,),),
                       sigma2=(1.0,), power=(1.0,), l_samples=1)
+
+
+@pytest.mark.parametrize(
+    "radar, change",
+    [
+        (0, {"n_tx": (1, 2), "n_rx": (1, 2)}),
+        (1, {"theta": (0.3, -math.pi / 2)}),
+        (1, {"beta": ((1.0, 1.0), (1.0, 0.0))}),
+    ],
+    ids=["one-antenna-arrays", "endfire", "zero-self-gain"],
+)
+def test_scenario_refuses_a_radar_whose_bound_is_infinite(radar, change):
+    # the library refuses what the CLI refuses, before any solve
+    base = dict(
+        n_tx=(2, 2), n_rx=(2, 2), theta=(0.3, 0.6), beta=((1.0, 1.0), (1.0, 1.0)),
+        sigma2=(1.0, 1.0), power=(1.0, 1.0), l_samples=1,
+    )
+    with pytest.raises(InvalidInputError, match=f"angle derivative of radar {radar}'s response is zero"):
+        RadarScenario(**{**base, **change})
 
 
 @pytest.mark.parametrize(

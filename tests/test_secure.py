@@ -61,12 +61,14 @@ class TestRates:
 
     def test_leakage_rewrite_checks_the_direct_problem(self, monkeypatch):
         # leakage rows without the own signal in their denominator: the
-        # rewrite no longer holds, so the row checks the problem it builds
-        def own_signal_dropped(sc):
-            problem = build_direct_problem(sc)
-            return dataclasses.replace(problem, fractions=secure._sinr_fractions(sc, whole_row_leakage=False))
+        # rewrite no longer holds, so the row checks the direct method's
+        # live fractions
+        sinr_fractions = secure._sinr_fractions
 
-        monkeypatch.setattr(secure, "build_direct_problem", own_signal_dropped)
+        def own_signal_dropped(sc, whole_row_leakage):
+            return sinr_fractions(sc, whole_row_leakage=False)
+
+        monkeypatch.setattr(secure, "_sinr_fractions", own_signal_dropped)
         rng = np.random.default_rng(0)
         failed = 0
         for _ in range(200):

@@ -4,11 +4,19 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from mmfp import radar, secure, solver, verify
+from mmfp import aoi, radar, secure, solver, verify
 from mmfp.errors import DomainError, InvalidInputError, InvalidStartError, MonotonicityError
 from mmfp.fp_core import MixedFpProblem, OuterFunction, affine_fractions
 from mmfp.solver import (
+    _ARMIJO_C,
+    _BACKTRACK_FACTOR,
+    _MAX_BACKTRACKS,
+    _NONMONOTONE_WINDOW,
+    _STALL_LIMIT,
+    _STEP_MAX,
+    _STEP_MIN,
     FeasibleSet,
+    InnerResult,
     IterationRecord,
     IterationTrace,
     SolveOptions,
@@ -349,6 +357,145 @@ class TestMaximizeSubproblem:
         x0 = np.array([0.9, 0.9])
         x, _ = maximize_subproblem(fn, feasible, x0, SolveOptions(max_inner=3))
         assert fn(x)[0] >= fn(x0)[0]
+
+
+def _reference_maximize_subproblem(objective, feasible, x0, opts, step0=None):
+    """:func:`maximize_subproblem` before its step reused the last trial's
+    move and ``d @ d``, verbatim but for this docstring: the bits it pins."""
+    x = np.asarray(x0, dtype=float).copy()
+    if not feasible.in_domain(x):
+        raise InvalidStartError("subproblem start is outside the open domain")
+    f, g = objective(x)
+    if not math.isfinite(f):
+        raise InvalidStartError("subproblem start has non-finite objective")
+
+    t = step0 if step0 is not None else 1.0 / (1.0 + float(np.linalg.norm(g)))
+    t = min(max(t, _STEP_MIN), _STEP_MAX)
+    window = [f] * _NONMONOTONE_WINDOW
+    x_best, f_best = x, f
+    last_gain = 0
+    converged = False
+    iters = 0
+
+    for iters in range(1, opts.max_inner + 1):
+        r = x - feasible.project(x + g)
+        residual = math.sqrt(float(r @ r))  # np.linalg.norm's sqrt(dot(r, r))
+        if residual <= opts.inner_tol * (1.0 + abs(f)):
+            converged = True
+            iters -= 1
+            break
+        if iters - last_gain > _STALL_LIMIT:
+            break
+
+        f_ref = min(window)  # ascent mirror of the descent reference
+        accepted = False
+        tt = t
+        x_old, g_old = x, g
+        for _ in range(_MAX_BACKTRACKS):
+            trial = feasible.project(x + tt * g)
+            d = trial - x
+            if float(d @ d) == 0.0:
+                break
+            if feasible.in_domain(trial):
+                ft, gt = objective(trial)
+                if math.isfinite(ft) and ft >= f_ref + _ARMIJO_C * float(g @ d):
+                    x, f, g = trial, ft, gt
+                    accepted = True
+                    break
+            tt *= _BACKTRACK_FACTOR
+        if not accepted:
+            break
+        window.pop(0)
+        window.append(f)
+        if f > f_best:
+            if f > f_best + 1e-13 * (1.0 + abs(f_best)):
+                last_gain = iters
+            x_best, f_best = x, f
+        # spectral step from the accepted move
+        dx = x - x_old
+        dg = g - g_old
+        denom = -float(dx @ dg)  # >= 0 for concave objectives
+        if denom > 0:
+            t = float(dx @ dx) / denom
+        else:
+            t = tt * 2.0
+        t = min(max(t, _STEP_MIN), _STEP_MAX)
+
+    if f_best > f:
+        x = x_best
+        converged = False
+    return x, InnerResult(iterations=iters, converged=converged, step=t)
+
+
+def _subproblem_runs():
+    """Seeded ``(problem, start, max_outer)`` MM runs of every application
+    whose subproblems backtrack, reject trials with ``-inf`` and stop on a
+    stall. The secure starts are late iterates of the plain runs from the
+    second ``_accelerated_cases`` draw, where the inner solve crawls."""
+    (direct, full), (fast, _), (climbing, flat) = list(_accelerated_cases(2))[7:10]
+    p = float(full[0])
+    yield aoi.build_aoi_problem(aoi.AoiScenario(k=6, mu=1.5)), np.full(6, 0.25), 20
+    yield direct, np.array([1.2610488386979167e-15, p, p, 0.8719026955327588]), 3
+    yield direct, np.array([2.4005624976018325e-13, p, p, 0.8719026955509551]), 3
+    yield fast, np.array([3.8630732577276316e-13, p, p, 0.8060075108111963]), 2
+    yield fast, full, 8
+    yield climbing, flat, 30
+    sc = radar.benchmark_scenario(10.0)
+    yield radar.RadarMmProblem(sc), radar.stack_waveforms(radar.flat_waveforms(sc)), 4
+
+
+class _Logged:
+    """An objective and a feasible set that log their calls in order:
+    ``("P", projection)`` and ``("O", point, value)``."""
+
+    def __init__(self, objective, feasible):
+        self.log = []
+        self._objective, self._feasible = objective, feasible
+        self.feasible = FeasibleSet(project=self._project, in_domain=feasible.in_domain)
+
+    def _project(self, x):
+        out = self._feasible.project(x)
+        self.log.append(("P", out.copy()))
+        return out
+
+    def objective(self, x):
+        value, grad = self._objective(x)
+        self.log.append(("O", x.copy(), value))
+        return value, grad
+
+
+class TestSameBitsAsReference:
+    def test_matches_the_reference_copy_bitwise(self, monkeypatch):
+        seen = {"subproblems": 0, "backtracks": 0, "rejected": 0, "stalls": 0}
+        current = solver.maximize_subproblem
+
+        def both(objective, feasible, x0, opts, step0=None):
+            runs = []
+            for impl in (current, _reference_maximize_subproblem):
+                logged = _Logged(objective, feasible)
+                runs.append((*impl(logged.objective, logged.feasible, x0, opts, step0), logged.log))
+            (x, info, log), (x_ref, info_ref, log_ref) = runs
+            assert x.tobytes() == x_ref.tobytes()
+            assert (info.iterations, info.converged) == (info_ref.iterations, info_ref.converged)
+            assert info.step.hex() == info_ref.step.hex()
+            assert [e[0] for e in log] == [e[0] for e in log_ref]
+            assert all(a[-1].tobytes() == b[-1].tobytes() for a, b in zip(log, log_ref) if a[0] == "P")
+            values = [e[2] for e in log if e[0] == "O"]
+            seen["subproblems"] += 1
+            seen["backtracks"] += len(values) - 1 > info.iterations
+            seen["rejected"] += -math.inf in values
+            # the stall test is the one exit taken right after a residual
+            # projection that does not meet the tolerance
+            if [e[0] for e in log[-2:]] == ["O", "P"] and info.iterations < opts.max_inner:
+                (_, x_last, f_last), (_, projected) = log[-2:]
+                residual = math.sqrt(float((x_last - projected) @ (x_last - projected)))
+                seen["stalls"] += residual > opts.inner_tol * (1.0 + abs(f_last))
+            return x, info
+
+        monkeypatch.setattr(solver, "maximize_subproblem", both)
+        for problem, start, max_outer in _subproblem_runs():
+            run_mm(problem, start, SolveOptions(max_outer=max_outer))
+        assert min(seen.values()) >= 2, seen
 
 
 def _ratio_problem(num, den, outer, lo, hi):
