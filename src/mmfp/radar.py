@@ -183,21 +183,21 @@ class RadarAux:
 
 class RadarMmProblem:
     """The radar bound-sum program over the stacked real waveform
-    coordinates: its sample-space lifts, the bound and the driver protocol.
+    coordinates: its responses, the bound and the driver protocol.
 
-    ``T[m]`` maps each other radar ``m'`` (ascending) to the cross lift
-    ``I_L kron G_mm'``; only cross lifts enter a covariance. ``D[m] = I_L
-    kron dG_mm`` is the derivative lift. Both are built once here.
+    The problem keeps each radar's ``N_R x N_T`` responses, not their
+    sample-space lifts: :meth:`lifts` builds one radar's lifts when they
+    are needed, and a new point is solved one radar at a time, so at most
+    one radar's lifts are alive at once.
     """
 
     def __init__(self, scenario: RadarScenario):
         self.scenario = scenario
         radars = range(scenario.m_radars)
-        self.T = [
-            {mp: self._lift(response_matrix(scenario, m, mp)) for mp in [*radars[:m], *radars[m + 1 :]]}
-            for m in radars
+        self._responses = [
+            {mp: response_matrix(scenario, m, mp) for mp in [*radars[:m], *radars[m + 1 :]]} for m in radars
         ]
-        self.D = [self._lift(response_derivative(scenario, m)) for m in radars]
+        self._derivatives = [response_derivative(scenario, m) for m in radars]
         self.s_dims = [scenario.waveform_length(m) for m in radars]
         # block layout of the stacked real decision vector [Re s_m; Im s_m]
         ends = np.cumsum([2 * d for d in self.s_dims]).tolist()
@@ -220,56 +220,83 @@ class RadarMmProblem:
         cuts = [m for m in radars[1:] if self.s_dims[m] != self.s_dims[m - 1]]
         self._runs = [(a, b, self.s_dims[a]) for a, b in zip([0, *cuts], [*cuts, len(radars)])]
         self.feasible = block_ball_set(list(zip(starts, ends)), list(scenario.power))
-        # the (v_m, K_m^{-1} v_m) pairs of the last stacked point solved, by
-        # its bytes: run_mm asks for the objective and then the auxiliaries
-        # at the same point
+        # the (v_m, K_m^{-1} v_m) pairs and the auxiliary rows of the last
+        # stacked point solved, by its bytes: run_mm asks for the objective
+        # and then the auxiliaries at the same point
         self._solved_key: bytes | None = None
         self._solved_pairs: list[tuple[np.ndarray, np.ndarray]] = []
+        self._solved_linear: np.ndarray | None = None
 
     def _lift(self, g: np.ndarray) -> np.ndarray:
         """``I_L kron g``: ``g`` in each of the L diagonal blocks of zeros."""
         l, (r, c) = self.scenario.l_samples, g.shape
         out = np.zeros((l, r, l, c), dtype=complex)
-        out[np.arange(l), :, np.arange(l), :] = g
+        np.einsum("iaib->iab", out)[...] = g  # a writeable view of the blocks out[i, :, i, :]
         return out.reshape(l * r, l * c)
+
+    def lifts(self, m: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """Radar m's derivative lift ``D_m = I_L kron dG_mm`` and its cross
+        lifts ``{m': I_L kron G_mm'}`` over each other radar (ascending);
+        only cross lifts enter a covariance."""
+        return self._lift(self._derivatives[m]), {mp: self._lift(g) for mp, g in self._responses[m].items()}
 
     def covariance(self, waveforms: list[np.ndarray], m: int) -> np.ndarray:
         """Interference-plus-noise covariance ``K_m`` of the waveforms."""
-        K = self.scenario.sigma2[m] * np.eye(self.D[m].shape[0], dtype=complex)
+        return self._covariance(waveforms, m, self.lifts(m)[1])
+
+    def _covariance(self, waveforms: list[np.ndarray], m: int, cross: dict[int, np.ndarray]) -> np.ndarray:
+        K = self.scenario.sigma2[m] * np.eye(self.scenario.l_samples * self.scenario.n_rx[m], dtype=complex)
         uu = np.empty_like(K)
-        for mp, t in self.T[m].items():
+        for mp, t in cross.items():
             u = t @ waveforms[mp]
             K += np.outer(u, u.conj(), out=uu)
         return K
 
-    def _whitened(self, waveforms: list[np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:
+    def _whitened(
+        self, waveforms: list[np.ndarray], m: int, d: np.ndarray, cross: dict[int, np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Radar m's derivative signal ``v = D_m s_m`` and ``K_m^{-1} v``,
         the one solve behind both the bound and the auxiliaries."""
-        v = self.D[m] @ waveforms[m]
-        return v, np.linalg.solve(self.covariance(waveforms, m), v)
+        v = d @ waveforms[m]
+        return v, np.linalg.solve(self._covariance(waveforms, m, cross), v)
 
-    def _solved(self, z: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Every radar's :meth:`_whitened` pair at the stacked point ``z``,
-        solved once per point; the pairs are read-only, as callers share
-        them."""
+    def _solve_radar(self, waveforms: list[np.ndarray], m: int, linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Radar m's :meth:`_whitened` pair, with its auxiliary rows written
+        into ``linear`` (see :class:`RadarAux`); its lifts die on return."""
+        d, cross = self.lifts(m)
+        v, y = self._whitened(waveforms, m, d, cross)
+        # (y^H D)^H is D^H y to the bit on these lifts, without a conjugated
+        # copy of each lift
+        yc = y.conj()
+        linear[0, m, : self.s_dims[m]] = (yc @ d).conj()
+        for mp, t in cross.items():
+            linear[1 + m, mp, : self.s_dims[mp]] = (yc @ t).conj()
+        return v, y
+
+    def _solved(self, z: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """Every radar's :meth:`_whitened` pair at the stacked point ``z`` and
+        the auxiliary rows, solved once per point; both are read-only, as
+        callers share them."""
         key = np.asarray(z, dtype=float).tobytes()
         if key != self._solved_key:
             waveforms = self.split(z)
-            pairs = [self._whitened(waveforms, m) for m in range(self.scenario.m_radars)]
+            linear = np.zeros((len(waveforms) + 1, len(waveforms), max(self.s_dims)), dtype=complex)
+            pairs = [self._solve_radar(waveforms, m, linear) for m in range(self.scenario.m_radars)]
             for v, y in pairs:
                 v.flags.writeable = y.flags.writeable = False
-            self._solved_key, self._solved_pairs = key, pairs
-        return self._solved_pairs
+            linear.flags.writeable = False
+            self._solved_key, self._solved_pairs, self._solved_linear = key, pairs, linear
+        return self._solved_pairs, self._solved_linear
 
     def fisher(self, waveforms: list[np.ndarray], m: int) -> float:
         """Likelihood curvature ``2 v^H K^{-1} v`` in radar m's arrival angle;
         zero when the derivative signal vanishes (the bound is then
         infinite)."""
-        return _curvature(*self._whitened(waveforms, m))
+        return _curvature(*self._whitened(waveforms, m, *self.lifts(m)))
 
     def sum_crb(self, waveforms: list[np.ndarray]) -> float:
         """Sum of the per-radar estimator-variance lower bounds ``1/J_m``."""
-        return _bound(self._whitened(waveforms, m) for m in range(self.scenario.m_radars))
+        return _bound(self._whitened(waveforms, m, *self.lifts(m)) for m in range(self.scenario.m_radars))
 
     def initial_waveforms(self) -> list[np.ndarray]:
         """Max-power start. With at least as many samples as radars, radar m
@@ -296,7 +323,7 @@ class RadarMmProblem:
         return [s[:d] for s, d in zip(self._pack(z), self.s_dims)]
 
     def objective(self, z: np.ndarray) -> float:
-        return -_bound(self._solved(z))  # maximization convention
+        return -_bound(self._solved(z)[0])  # maximization convention
 
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
         """Gradient of :meth:`objective`: the surrogate is a smooth
@@ -309,15 +336,10 @@ class RadarMmProblem:
 
     def update_aux(self, z: np.ndarray) -> RadarAux:
         radars = range(self.scenario.m_radars)
-        Y = [y for _, y in self._solved(z)]
-        linear = np.zeros((len(Y) + 1, len(Y), max(self.s_dims)), dtype=complex)
-        affine, cross = linear[0], linear[1:]
-        for m in radars:
-            affine[m, : self.s_dims[m]] = self.D[m].conj().T @ Y[m]
-            for mp, t in self.T[m].items():
-                cross[m, mp, : self.s_dims[mp]] = t.conj().T @ Y[m]
-        rows = cross.transpose(1, 0, 2).conj()
-        rows[radars, radars] = affine.conj()
+        pairs, linear = self._solved(z)
+        Y = [y for _, y in pairs]
+        rows = linear[1:].transpose(1, 0, 2).conj()
+        rows[radars, radars] = linear[0].conj()
         noise = [self.scenario.sigma2[m] * float(np.real(np.vdot(Y[m], Y[m]))) for m in radars]
         return RadarAux(Y=Y, linear=linear, rows=rows, noise=noise)
 
@@ -389,10 +411,32 @@ def _bound(pairs) -> float:
 
 def _top_eigenpair(scenario: RadarScenario, m: int) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of ``dG_mm^H dG_mm`` and a unit eigenvector: the
-    most derivative-signal energy one sample's transmit vector can buy."""
-    dg = response_derivative(scenario, m)
-    w, u = np.linalg.eigh(dg.conj().T @ dg)
-    return float(w[-1]), u[:, -1]
+    most derivative-signal energy one sample's transmit vector can buy.
+
+    ``dG_mm = beta C V^T`` with ``C = [da_R, a_R]`` and ``V = [a_T, da_T]``,
+    so its nonzero eigenpairs are those of the 2 x 2 matrix ``|beta|^2 P``,
+    ``P = (C^H C)(V^T conj(V))``: for ``P a = mu a`` the eigenvector is
+    ``conj(V) a``. Scalar arithmetic, with no LAPACK eigensolver.
+    """
+    n_r, n_t, theta = scenario.n_rx[m], scenario.n_tx[m], scenario.theta[m]
+    # both arrays steer to theta_m: each vector is a head of the longer one
+    a, da = steering_vector(max(n_r, n_t), theta), steering_derivative(max(n_r, n_t), theta)
+    a_r, da_r, a_t, da_t = a[:n_r], da[:n_r], a[:n_t], da[:n_t]
+    # C^H C = [[c00, c01], [conj(c01), c11]] and V^T conj(V) = [[v00, v01], [conj(v01), v11]]
+    c00, c11, v00, v11 = (float(np.vdot(x, x).real) for x in (da_r, a_r, a_t, da_t))
+    c01, v01 = complex(np.vdot(da_r, a_r)), complex(np.vdot(da_t, a_t))
+    p00, p01 = c00 * v00 + c01 * v01.conjugate(), c00 * v01 + c01 * v11
+    p10, p11 = c01.conjugate() * v00 + c11 * v01.conjugate(), c01.conjugate() * v01 + c11 * v11
+    # half the trace, and det P = det(C^H C) det(V^T conj(V)), both real
+    t = 0.5 * (c00 * v00 + c11 * v11) + (c01 * v01.conjugate()).real
+    det = (c00 * c11 - abs(c01) ** 2) * (v00 * v11 - abs(v01) ** 2)
+    mu = t + math.sqrt(max(t * t - det, 0.0))
+    # either row of P - mu I gives the eigenvector; the longer is the better
+    # conditioned, and the only nonzero one when P has rank 1 (one antenna)
+    row0, row1 = (p01, mu - p00), (mu - p11, p10)
+    a0, a1 = row0 if abs(row0[0]) ** 2 + abs(row0[1]) ** 2 >= abs(row1[0]) ** 2 + abs(row1[1]) ** 2 else row1
+    u = a_t.conj() * a0 + da_t.conj() * a1
+    return abs(complex(scenario.beta[m][m])) ** 2 * mu, u / np.linalg.norm(u)
 
 
 def crb_lower_bound(scenario: RadarScenario) -> float:

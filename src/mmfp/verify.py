@@ -504,8 +504,9 @@ def lift_reproduces_objective(sc, waveforms) -> bool:
     problem = radar.RadarMmProblem(sc)
     lifts = [np.outer(s, s.conj()) for s in waveforms]
     lifted = 0.0
-    for m, d in enumerate(problem.D):
-        K = sc.sigma2[m] * np.eye(d.shape[0]) + sum(t @ lifts[mp] @ t.conj().T for mp, t in problem.T[m].items())
+    for m in range(sc.m_radars):
+        d, cross = problem.lifts(m)
+        K = sc.sigma2[m] * np.eye(d.shape[0]) + sum(t @ lifts[mp] @ t.conj().T for mp, t in cross.items())
         v = d @ waveforms[m]
         j = 2.0 * float(np.real(v.conj() @ np.linalg.solve(K, v)))
         lifted += 1.0 / j if j > 0.0 else math.inf

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from mmfp.errors import DomainError, InvalidInputError
 from mmfp.radar import (
     RadarMmProblem,
     RadarScenario,
+    _top_eigenpair,
     benchmark_scenario,
     crb_lower_bound,
     flat_waveforms,
@@ -142,8 +145,9 @@ def per_pair_surrogate(problem, aux, z):
     scalar ``abs(d) ** 2`` and every subtraction in ascending radar order."""
     waveforms = problem.split(z)
     radars = range(len(waveforms))
-    affine = [problem.D[m].conj().T @ aux.Y[m] for m in radars]
-    cross = [{mp: t.conj().T @ aux.Y[m] for mp, t in problem.T[m].items()} for m in radars]
+    lifts = [problem.lifts(m) for m in radars]
+    affine = [d.conj().T @ aux.Y[m] for m, (d, _) in enumerate(lifts)]
+    cross = [{mp: t.conj().T @ aux.Y[m] for mp, t in lifts[m][1].items()} for m in radars]
     dots = [{mp: np.vdot(a, waveforms[mp]) for mp, a in cross[m].items()} for m in radars]
     q = np.empty(len(waveforms))
     for m in radars:
@@ -233,7 +237,7 @@ class TestAuxAndSubproblem:
             aux = problem.update_aux(stack_waveforms(waveforms))
             bound = 0.0
             for r in range(m):
-                v = problem.D[r] @ waveforms[r]
+                v = problem.lifts(r)[0] @ waveforms[r]
                 y = np.linalg.solve(problem.covariance(waveforms, r), v)
                 j = 2.0 * float(np.real(v.conj() @ y))
                 assert aux.Y[r].tobytes() == y.tobytes()
@@ -442,6 +446,8 @@ class TestOneSolvePerAnchor:
         aux = problem.update_aux(problem.feasible.project(np.ones(problem.total_real_dim)))
         with pytest.raises(ValueError):
             aux.Y[0][0] = 0.0
+        with pytest.raises(ValueError):
+            aux.linear[0, 0, 0] = 0.0
 
     def test_lifts_equal_the_kronecker_products(self):
         # value equality: the off-block zeros of np.kron may carry a sign
@@ -454,10 +460,76 @@ class TestOneSolvePerAnchor:
             problem = RadarMmProblem(sc)
             eye = np.eye(sc.l_samples)
             for m in range(sc.m_radars):
-                assert np.array_equal(problem.D[m], np.kron(eye, response_derivative(sc, m)))
-                assert sorted(problem.T[m]) == [mp for mp in range(sc.m_radars) if mp != m]
-                for mp, t in problem.T[m].items():
+                d, cross = problem.lifts(m)
+                assert np.array_equal(d, np.kron(eye, response_derivative(sc, m)))
+                assert sorted(cross) == [mp for mp in range(sc.m_radars) if mp != m]
+                for mp, t in cross.items():
                     assert np.array_equal(t, np.kron(eye, response_matrix(sc, m, mp)))
+
+
+def _eight_radar_scenario():
+    """M = L = 8 radars with 16 antennas on each array, the size of the
+    benchmark's radar sets: all their lifts together take 16 MB."""
+    rng = np.random.default_rng(30)
+    m = 8
+    beta = rng.uniform(0.5, 1.5, (m, m)) * np.exp(2j * math.pi * rng.uniform(size=(m, m)))
+    return RadarScenario(
+        n_tx=(16,) * m, n_rx=(16,) * m, theta=tuple(float(v) for v in rng.uniform(-1.4, 1.4, m)),
+        beta=tuple(tuple(complex(v) for v in row) for row in beta),
+        sigma2=(1.0,) * m, power=(10.0,) * m, l_samples=8,
+    )
+
+
+class TestTransientLifts:
+    """The problem keeps the responses, not their lifts: each new point
+    builds one radar's lifts, takes what it needs of them and drops them
+    before the next radar's."""
+
+    @pytest.mark.parametrize("draw", ["benchmark", "one-radar", "four-radars"])
+    def test_each_point_builds_each_lift_once_one_radar_at_a_time(self, monkeypatch, draw):
+        rng = np.random.default_rng(31)
+        sc = {"benchmark": benchmark_scenario, "one-radar": lambda: random_large_scenario(rng, 1),
+              "four-radars": lambda: random_large_scenario(rng, 4)}[draw]()
+        built, alive = [], []
+        lift = RadarMmProblem._lift
+
+        def counted(problem, g):
+            alive.append(sum(ref() is not None for ref in built))
+            out = lift(problem, g)
+            built.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(RadarMmProblem, "_lift", counted)
+        problem = RadarMmProblem(sc)
+        assert built == []
+        m = sc.m_radars
+        for point in range(1, 3):
+            z = problem.feasible.project(rng.standard_normal(problem.total_real_dim))
+            problem.objective(z)
+            problem.update_aux(z)
+            problem.objective_grad(z)
+            # M derivative and M(M - 1) cross lifts; when one is built, only
+            # the lifts already built for the same radar are alive
+            assert len(built) == point * m * m
+            assert alive == [k % m for k in range(point * m * m)]
+            assert all(ref() is None for ref in built)
+
+    def test_lifts_do_not_outlive_a_point(self):
+        # kept for the problem's life, the lifts took 16.9 MB after construction
+        sc = _eight_radar_scenario()
+        z = np.random.default_rng(32).standard_normal(2 * sum(sc.waveform_length(m) for m in range(8)))
+        tracemalloc.start()
+        try:
+            problem = RadarMmProblem(sc)
+            built = tracemalloc.get_traced_memory()[0]
+            z = problem.feasible.project(z)
+            problem.objective(z)
+            problem.update_aux(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built < 1e6
+        assert peak < 6e6
 
 
 class TestAlgorithm2:
@@ -585,6 +657,38 @@ class TestCodeStart:
         sc = replace(two_radar_scenario(), beta=((1.0, 0.6 + 0.2j), (0.5 - 0.1j, 1e-160)))
         assert crb_lower_bound(sc) == math.inf
 
+    def test_top_eigenpair_matches_the_hermitian_eigensolver(self):
+        # the 2 x 2 closed form against LAPACK; one antenna on either array
+        # leaves dG_mm rank 1
+        rng = np.random.default_rng(72)
+        rank_one = 0
+        for _ in range(400):
+            n_tx, n_rx = (int(v) for v in rng.integers(1, 17, 2))
+            if n_tx == n_rx == 1:
+                continue
+            sc = tiny_scenario(theta=(float(rng.uniform(-1.5, 1.5)),), n_tx=(n_tx,), n_rx=(n_rx,))
+            sc = replace(sc, beta=((complex(*rng.uniform(-2.0, 2.0, 2)),),))
+            dg = response_derivative(sc, 0)
+            h = dg.conj().T @ dg
+            lam, u = _top_eigenpair(sc, 0)
+            top = np.linalg.eigvalsh(h)[-1]
+            assert abs(lam - top) <= 1e-13 * top
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-14
+            assert np.linalg.norm(h @ u - lam * u) <= 1e-13 * lam
+            rank_one += min(n_tx, n_rx) == 1
+        assert rank_one >= 20
+
+    def test_the_bound_and_the_code_start_call_no_eigensolver(self, monkeypatch):
+        # the first LAPACK eigensolver call in a process pages in about 1 MB
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolver was called")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        sc = replace(benchmark_scenario(30.0), l_samples=5)
+        waveforms, trace = run_algorithm2(sc)
+        assert trace.objectives[-1] == pytest.approx(crb_lower_bound(sc), rel=1e-12)
+
 
 def _flat_start_scenario(rng):
     """M radars with 1..6 antennas per array, often one on an array, and
@@ -628,7 +732,8 @@ class TestFlatStart:
                 seen["refused"] += 1
                 continue
             problem = RadarMmProblem(sc)
-            for m, (d, s) in enumerate(zip(problem.D, problem.initial_waveforms())):
+            for m, s in enumerate(problem.initial_waveforms()):
+                d = problem.lifts(m)[0]
                 scale = np.linalg.norm(d, "fro") * np.linalg.norm(s)
                 assert np.linalg.norm(d @ s) >= 1e-6 * scale, (sc, m)
                 n = sc.n_tx[m]
