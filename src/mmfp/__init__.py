@@ -1,6 +1,6 @@
 """Unified max/min/mixed fractional programming toolkit.
 
-Subpackages:
+Modules:
 
 * :mod:`mmfp.fp_core` -- scalar ratio transforms and the mixed problem type
 * :mod:`mmfp.fp_matrix` -- matrix-ratio extension

@@ -89,16 +89,6 @@ def avg_aoi(source: int, rates, mu: float) -> float:
     return float(_ages(np.asarray(rates, dtype=float)[None], mu)[0, source])
 
 
-def avg_aoi_decomposed(source: int, rates, mu: float) -> tuple[float, float]:
-    """The two-fraction split of :func:`avg_aoi`; the parts sum to it exactly."""
-    rho, rho_hat = _loads(rates, mu)
-    r = rho[source]
-    h = rho_hat[source]
-    first = (h * h + 3 * h + 1) / (mu * (1 + h))
-    second = math.inf if r <= 0 else (h + 1) ** 2 / (mu * r)
-    return first, second
-
-
 def sum_aoi(rates, mu: float) -> float:
     """Total average age across all sources."""
     return float(_sum_aoi_batch(np.asarray(rates, dtype=float)[None], mu)[0])

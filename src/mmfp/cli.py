@@ -260,12 +260,13 @@ _RADAR_SWEEP_KEYS = ("initial_sum_crb", "final_sum_crb", "reduction", "outer_ite
 def _run_secure(scenario: secure.SecureScenario, opts: solver.SolveOptions, oracle_val: float | None):
     solved = {"direct": secure.run_algorithm3(scenario, opts), "fast": secure.run_algorithm4(scenario, opts)}
     values = {name: secure.weighted_sum_rate(scenario, p) for name, (p, _) in solved.items()}
+    problems = {"direct": secure.build_direct_problem(scenario), "fast": secure.build_fast_problem(scenario)}
     rows = []
-    for name, (_, trace) in solved.items():
+    for name, (p, trace) in solved.items():
         rows += [
             (f"{name}_objective_nats", float(values[name])),
             (f"{name}_objective_bits", float(nats_to_bits(values[name]))),
-            (f"{name}_outer_iterations", trace.outer_iterations),
+            *((f"{name}_{key}", v) for key, v in _mm_rows(problems[name], p, trace)),
             (f"{name}_iters_to_1e-6", solver.iterations_to_relative_convergence(trace, 1e-6)),
         ]
     _, base_val = secure.baseline_max_power_linear_search(scenario)

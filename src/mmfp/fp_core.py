@@ -204,26 +204,31 @@ class MixedFpProblem:
             raise InvalidInputError("a mixed FP problem needs at least one ratio")
 
     # -- true objective ------------------------------------------------
-    def objective(self, x: np.ndarray) -> float:
-        A, B, _, _ = self.fractions(np.asarray(x, dtype=float))
+    def _outer_terms(self, A: np.ndarray, B: np.ndarray) -> tuple[float, list[float]]:
+        """The objective ``sum_n f_n(A_n/B_n)`` and each outer's slope, in
+        ratio order; a ratio with ``A < 0``, ``B <= 0`` or outside its
+        outer's domain raises :class:`DomainError` naming its index."""
         total = 0.0
-        for i, (outer, a, b) in enumerate(zip(self.outers, A.tolist(), B.tolist())):
+        slopes = []  # one per ratio so far: its length is the index at hand
+        for outer, a, b in zip(self.outers, A.tolist(), B.tolist()):
             if a < 0 or b <= 0:
-                raise DomainError(
-                    f"ratio {i}: need A >= 0 and B > 0, got A={a}, B={b}", term_index=i
-                )
+                raise DomainError(f"ratio {len(slopes)}: need A >= 0 and B > 0, got A={a}, B={b}", term_index=len(slopes))
             r = a / b
             pair = outer._value_slope(r)
             if pair is None:
-                raise DomainError(
-                    f"ratio {i}: {r} outside domain of {outer.kind}", term_index=i
-                )
-            total += pair[0]
-        return total
+                raise DomainError(f"ratio {len(slopes)}: {r} outside domain of {outer.kind}", term_index=len(slopes))
+            value, slope = pair
+            total += value
+            slopes.append(slope)
+        return total, slopes
+
+    def objective(self, x: np.ndarray) -> float:
+        A, B, _, _ = self.fractions(np.asarray(x, dtype=float))
+        return self._outer_terms(A, B)[0]
 
     def objective_grad(self, x: np.ndarray) -> np.ndarray:
         A, B, JA, JB = self.fractions(np.asarray(x, dtype=float))
-        slopes = np.array([o.derivative(a / b) for o, a, b in zip(self.outers, A, B)]) / B
+        slopes = np.array(self._outer_terms(A, B)[1]) / B
         return JA.T @ slopes - JB.T @ (slopes * A / B)
 
     # -- auxiliary update and surrogate -----------------------------------

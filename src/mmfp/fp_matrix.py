@@ -82,28 +82,26 @@ def opt_y(A_sqrt: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _solve_pd(B, np.atleast_2d(np.asarray(A_sqrt)))
 
 
-def psd_sqrt(M: np.ndarray, ell: int | None = None) -> np.ndarray:
-    """d x l factor ``F`` with ``F F^H = M`` via Hermitian eigendecomposition.
+def psd_sqrt(M: np.ndarray) -> np.ndarray:
+    """Square d x d factor ``F`` with ``F F^H = M`` via Hermitian
+    eigendecomposition, its columns in descending eigenvalue order.
 
-    Eigenvalues in ``[-1e-12 * ||M||_F, 0)`` are clamped to zero; anything
-    more negative raises :class:`NotPsdError`. ``ell`` defaults to ``d`` and
-    must cover the numerical rank for the reconstruction to hold.
+    Eigenvalues in ``[-1e-9 * ||M||_F, 0)`` are clamped to zero; anything
+    more negative raises :class:`NotPsdError`.
     """
     M = np.atleast_2d(np.asarray(M))
     require_hermitian(M)
-    d = M.shape[0]
-    ell = d if ell is None else int(ell)
-    if not (1 <= ell <= d):
-        raise InvalidInputError(f"ell must lie in [1, {d}], got {ell}")
+    if M.shape[0] < 1:
+        raise InvalidInputError("need a nonempty matrix")
     scale = np.linalg.norm(M, "fro")
     w, U = np.linalg.eigh(hermitize(M))
     if w.min() < -1e-9 * max(scale, 1e-300):
         raise NotPsdError(f"eigenvalue {w.min()} too negative for a PSD matrix")
     w = np.clip(w, 0.0, None)
-    order = np.argsort(w)[::-1][:ell]  # keep the ell largest
+    order = np.argsort(w)[::-1]
     F = U[:, order] * np.sqrt(w[order])
     if np.linalg.norm(F @ F.conj().T - M, "fro") > 1e-10 * max(scale, 1e-300):
-        raise InvalidInputError(f"ell={ell} is below the numerical rank of the matrix")
+        raise InvalidInputError("the factor does not reproduce the matrix")
     return F
 
 

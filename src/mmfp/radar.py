@@ -252,19 +252,14 @@ class RadarMmProblem:
             K += np.outer(u, u.conj(), out=uu)
         return K
 
-    def _whitened(
-        self, waveforms: list[np.ndarray], m: int, d: np.ndarray, cross: dict[int, np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Radar m's derivative signal ``v = D_m s_m`` and ``K_m^{-1} v``,
-        the one solve behind both the bound and the auxiliaries."""
-        v = d @ waveforms[m]
-        return v, np.linalg.solve(self._covariance(waveforms, m, cross), v)
-
     def _solve_radar(self, waveforms: list[np.ndarray], m: int, linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Radar m's :meth:`_whitened` pair, with its auxiliary rows written
-        into ``linear`` (see :class:`RadarAux`); its lifts die on return."""
+        """Radar m's derivative signal ``v = D_m s_m`` and ``K_m^{-1} v``, the
+        one solve behind the bound and the auxiliaries, with its auxiliary
+        rows written into ``linear`` (see :class:`RadarAux`); its lifts die
+        on return."""
         d, cross = self.lifts(m)
-        v, y = self._whitened(waveforms, m, d, cross)
+        v = d @ waveforms[m]
+        y = np.linalg.solve(self._covariance(waveforms, m, cross), v)
         # (y^H D)^H is D^H y to the bit on these lifts, without a conjugated
         # copy of each lift
         yc = y.conj()
@@ -274,9 +269,9 @@ class RadarMmProblem:
         return v, y
 
     def _solved(self, z: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-        """Every radar's :meth:`_whitened` pair at the stacked point ``z`` and
-        the auxiliary rows, solved once per point; both are read-only, as
-        callers share them."""
+        """Every radar's :meth:`_solve_radar` pair at the stacked point ``z``
+        and the auxiliary rows, solved once per point; both are read-only,
+        as callers share them."""
         key = np.asarray(z, dtype=float).tobytes()
         if key != self._solved_key:
             waveforms = self.split(z)
@@ -289,14 +284,15 @@ class RadarMmProblem:
         return self._solved_pairs, self._solved_linear
 
     def fisher(self, waveforms: list[np.ndarray], m: int) -> float:
-        """Likelihood curvature ``2 v^H K^{-1} v`` in radar m's arrival angle;
-        zero when the derivative signal vanishes (the bound is then
-        infinite)."""
-        return _curvature(*self._whitened(waveforms, m, *self.lifts(m)))
+        """Likelihood curvature ``2 v^H K^{-1} v`` in radar m's arrival angle,
+        from the pairs the objective reads; zero when the derivative signal
+        vanishes (the bound is then infinite)."""
+        return _curvature(*self._solved(stack_waveforms(waveforms))[0][m])
 
     def sum_crb(self, waveforms: list[np.ndarray]) -> float:
-        """Sum of the per-radar estimator-variance lower bounds ``1/J_m``."""
-        return _bound(self._whitened(waveforms, m, *self.lifts(m)) for m in range(self.scenario.m_radars))
+        """Sum of the per-radar estimator-variance lower bounds ``1/J_m``:
+        minus :meth:`objective` at the stacked waveforms."""
+        return _bound(self._solved(stack_waveforms(waveforms))[0])
 
     def initial_waveforms(self) -> list[np.ndarray]:
         """Max-power start. With at least as many samples as radars, radar m

@@ -395,9 +395,12 @@ def _fraction_only(A1, B1, A2, B2, w, g, gt) -> bool:
 
 
 def age_split(src, lam, mu) -> bool:
+    """Source ``src``'s age is the sum of its two fractions, rows ``2 src``
+    and ``2 src + 1`` of the AoI problem MM runs."""
     whole = aoi.avg_aoi(src, lam, mu)
-    parts = aoi.avg_aoi_decomposed(src, lam, mu)
-    return abs(whole - (parts[0] + parts[1])) <= 1e-12 * (1 + abs(whole))
+    A, B, _, _ = aoi.build_aoi_problem(aoi.AoiScenario(len(lam), mu)).fractions(np.asarray(lam, dtype=float))
+    parts = A[2 * src] / B[2 * src] + A[2 * src + 1] / B[2 * src + 1]
+    return abs(whole - parts) <= 1e-12 * (1 + abs(whole))
 
 
 def total_age_order_sensitive(lam: np.ndarray) -> bool:

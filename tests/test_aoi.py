@@ -9,7 +9,6 @@ from mmfp.aoi import (
     AoiScenario,
     _sum_aoi_batch,
     avg_aoi,
-    avg_aoi_decomposed,
     baseline_equal_rate,
     baseline_max_rate,
     build_aoi_problem,
@@ -35,12 +34,19 @@ class TestAvgAoi:
         assert avg_aoi(0, [0.0, 1.0], 1.0) == math.inf
 
 
+def _fraction_rows(source: int, rates, mu: float) -> tuple[float, float]:
+    """Source ``source``'s two fractions, rows ``2 source`` and ``2 source +
+    1`` of the AoI problem."""
+    A, B, _, _ = build_aoi_problem(AoiScenario(k=len(rates), mu=mu)).fractions(np.asarray(rates, dtype=float))
+    return A[2 * source] / B[2 * source], A[2 * source + 1] / B[2 * source + 1]
+
+
 class TestDecomposition:
     def test_first_source(self):
-        assert avg_aoi_decomposed(0, [1.0], 1.0) == pytest.approx((1.0, 1.0))
+        assert _fraction_rows(0, [1.0], 1.0) == pytest.approx((1.0, 1.0))
 
     def test_second_source(self):
-        assert avg_aoi_decomposed(1, [1.0, 1.0], 1.0) == pytest.approx((2.5, 4.0))
+        assert _fraction_rows(1, [1.0, 1.0], 1.0) == pytest.approx((2.5, 4.0))
 
     def test_parts_sum_to_whole(self):
         rng = np.random.default_rng(0)
@@ -53,17 +59,16 @@ class TestProblemConstruction:
         assert len(build_aoi_problem(AoiScenario(k=1, mu=1.0)).outers) == 2
 
     def test_fractions_reproduce_the_decomposition(self):
-        # rows 2k and 2k+1 are source k's two fractions, in order
+        # rows 2k and 2k+1 are source k's two fractions, in order, and they
+        # sum to its age
         rng = np.random.default_rng(2)
         for _ in range(200):
             k = int(rng.integers(1, 8))
             mu = float(rng.uniform(0.2, 3.0))
             lam = rng.uniform(0.01, 1.0, k) * mu
-            A, B, _, _ = build_aoi_problem(AoiScenario(k=k, mu=mu)).fractions(lam)
             for src in range(k):
-                first, second = avg_aoi_decomposed(src, lam, mu)
-                assert A[2 * src] / B[2 * src] == pytest.approx(first, rel=1e-12)
-                assert A[2 * src + 1] / B[2 * src + 1] == pytest.approx(second, rel=1e-12)
+                first, second = _fraction_rows(src, lam, mu)
+                assert first + second == pytest.approx(avg_aoi(src, lam, mu), rel=1e-12)
 
     def test_objective_is_negative_total_age(self):
         problem = build_aoi_problem(AoiScenario(k=2, mu=1.0))

@@ -671,7 +671,7 @@ def test_output_under_a_regular_file_exits_4(tmp_path, capsys):
 # alg_sum_aoi and each method's objective_nats and outer_iterations
 MM_KEYS = ["outer_iterations", "status", "stationarity_residual"]
 TRACE_HEADER = ["iter", "objective", "wall_ms", "inner_iters"]
-SECURE_METHOD_KEYS = ["objective_nats", "objective_bits", "outer_iterations", "iters_to_1e-6"]
+SECURE_METHOD_KEYS = ["objective_nats", "objective_bits", *MM_KEYS, "iters_to_1e-6"]
 LAYOUTS = {
     "aoi": (
         dict(AOI_SMALL, scenario={"k": 3, "mu": 1.0}, oracle=True),

@@ -169,6 +169,25 @@ class TestMixedObjective:
             problem.objective(np.array([1.0]))
         assert err.value.term_index == 1
 
+    @pytest.mark.parametrize(
+        "numerators, outer",
+        [([1.0, -0.5, 2.0], "log1p"), ([1.0, 3.0, 0.5], "log1m")],
+        ids=["negative_numerator", "outside_the_outer_domain"],
+    )
+    def test_gradient_raises_the_objective_domain_error(self, numerators, outer):
+        # ratio 1 is the only bad one: a negative numerator whose ratio
+        # log1p would still accept, or a ratio above log1m's domain
+        problem = _identity_box_problem(
+            _constant(numerators, [1.0, 1.0, 1.0]), [OuterFunction("log1p"), OuterFunction(outer), OuterFunction("log1p")]
+        )
+        errors = []
+        for call in (problem.objective, problem.objective_grad):
+            with pytest.raises(DomainError) as err:
+                call(np.array([1.0]))
+            errors.append(err.value)
+        assert [e.term_index for e in errors] == [1, 1]
+        assert str(errors[0]) == str(errors[1])
+
 
 def _two_affine_ratios(a, b):
     """``(a.x + 0.3)/(b.x + 1)`` under log1p and ``(b.x + 0.2)/(a.x + 1.5)``

@@ -121,7 +121,7 @@ class TestPsdSqrt:
 
     def test_diagonal_up_to_unitary(self):
         M = np.diag([9.0, 1.0])
-        F = psd_sqrt(M, ell=2)
+        F = psd_sqrt(M)
         assert np.allclose(F @ F.conj().T, M, atol=1e-12)
 
     def test_reconstruction_random(self):
@@ -131,20 +131,9 @@ class TestPsdSqrt:
             F = psd_sqrt(M)
             assert np.linalg.norm(F @ F.conj().T - M) <= 1e-10 * np.linalg.norm(M)
 
-    def test_rank_one_thin_factor(self):
-        v = np.array([1.0, 2.0, -1.0])
-        M = np.outer(v, v)
-        F = psd_sqrt(M, ell=1)
-        assert F.shape == (3, 1)
-        assert np.allclose(F @ F.conj().T, M, atol=1e-10)
-
     def test_not_psd_rejected(self):
         with pytest.raises(NotPsdError):
             psd_sqrt(np.diag([1.0, -0.5]))
-
-    def test_ell_below_rank_rejected(self):
-        with pytest.raises(InvalidInputError):
-            psd_sqrt(np.diag([1.0, 2.0]), ell=1)
 
     def test_tiny_negative_eigenvalue_clamped(self):
         M = np.diag([1.0, -1e-14])

@@ -419,6 +419,11 @@ class TestOneSolvePerAnchor:
         problem.objective(z)
         problem.objective_grad(z)
         problem.update_aux(z)
+        # the bound and the curvatures read the pairs the objective solved
+        waveforms = problem.split(z)
+        bound = problem.sum_crb(waveforms)
+        assert bound == -problem.objective(z)
+        assert sum(1.0 / problem.fisher(waveforms, m) for m in range(sc.m_radars)) == bound
         assert len(solves) == sc.m_radars
 
     def test_kept_solves_never_go_stale(self):
