@@ -94,6 +94,19 @@ def sum_aoi(rates, mu: float) -> float:
     return float(_sum_aoi_batch(np.asarray(rates, dtype=float)[None], mu)[0])
 
 
+def _age_fractions(rhat: np.ndarray, own: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two-fraction split of every source's age: numerators and
+    denominators along the last axis, rows ``2k`` and ``2k+1`` for source
+    k, from its accumulated earlier load ``rhat_k`` and its own rate
+    (a rate vector or a (batch, K) rate array)."""
+    A, B = np.empty((2,) + own.shape[:-1] + (2 * own.shape[-1],))
+    A[..., 0::2] = rhat**2 + 3 * rhat + 1
+    A[..., 1::2] = (rhat + 1) ** 2
+    B[..., 0::2] = mu * (1 + rhat)
+    B[..., 1::2] = own
+    return A, B
+
+
 def build_aoi_problem(scenario: AoiScenario) -> MixedFpProblem:
     """Min-only mixed FP whose objective equals minus the total average age.
 
@@ -112,11 +125,8 @@ def build_aoi_problem(scenario: AoiScenario) -> MixedFpProblem:
 
     def fractions(x: np.ndarray):
         _, rhat = _loads(x, mu)
-        A, B, dA = np.empty((3, 2 * k_sources))
-        A[0::2] = rhat**2 + 3 * rhat + 1
-        A[1::2] = (rhat + 1) ** 2
-        B[0::2] = mu * (1 + rhat)
-        B[1::2] = x
+        A, B = _age_fractions(rhat, x, mu)
+        dA = np.empty(2 * k_sources)
         dA[0::2] = 2 * rhat + 3
         dA[1::2] = 2 * (rhat + 1)
         dA /= mu
@@ -161,10 +171,9 @@ def _sum_aoi_lower_bound(lo_rows: np.ndarray, hi_rows: np.ndarray, mu: float) ->
     the two-fraction split: both fractions of source k grow with ``rhat_k``
     and the second falls with ``rho_k``, so the earlier rates sit at ``lo``
     and the own rate at ``hi`` (``+inf`` where that is zero)."""
-    _, h = _loads(lo_rows, mu)
+    A, B = _age_fractions(_loads(lo_rows, mu)[1], hi_rows, mu)
     with np.errstate(divide="ignore"):
-        ages = (h * h + 3 * h + 1) / (mu * (1 + h)) + (h + 1) ** 2 / (mu * (hi_rows / mu))
-    return ages.sum(axis=1)
+        return (A / B).sum(axis=1)
 
 
 def oracle_grid(scenario: AoiScenario) -> tuple[np.ndarray, float]:

@@ -64,7 +64,8 @@ def validate_config(cfg: dict, for_sweep: bool = False) -> dict:
     """Strict validation; returns the config unchanged on success."""
     _reject_unknown(cfg, {"experiment", "seed", "scenario", "solver", "oracle", "sweep"}, "")
     experiment = _require(cfg, "experiment", "")
-    if experiment not in _EXPERIMENTS:
+    # a list or a mapping is no experiment name, and cannot be looked up
+    if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; expected one of {sorted(_EXPERIMENTS)}"
         )

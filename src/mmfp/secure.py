@@ -109,25 +109,6 @@ def two_link_benchmark() -> SecureScenario:
     )
 
 
-def five_link_benchmark() -> SecureScenario:
-    """Five cells, first two eavesdropped, unit weights (experiment setup);
-    :func:`tradeoff_point` reweights the open cells 3-5."""
-    diag = [1.0, 0.74, 0.85, 0.93, 0.61]
-    h2 = np.full((5, 5), 0.1)
-    np.fill_diagonal(h2, diag)
-    ht2 = np.full((2, 5), 0.1)
-    ht2[0, 0] = 0.50
-    ht2[1, 1] = 0.15
-    return SecureScenario(
-        h2=h2,
-        ht2=ht2,
-        sigma2=dbm_to_mw(-10.0),
-        sigma2_tilde=dbm_to_mw(0.0),
-        p_max=dbm_to_mw(10.0),
-        w=1.0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Rates
 # ---------------------------------------------------------------------------

