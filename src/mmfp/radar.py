@@ -127,7 +127,22 @@ def steering_vector(n: int, theta: float) -> np.ndarray:
 
 def steering_derivative(n: int, theta: float) -> np.ndarray:
     """Entrywise angle derivative of :func:`steering_vector`."""
-    return -1j * math.pi * np.arange(n) * math.cos(theta) * steering_vector(n, theta)
+    return _steering(n, theta)[1]
+
+
+def _steering(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`steering_vector` and :func:`steering_derivative` of one array,
+    from one steering vector."""
+    a = steering_vector(n, theta)
+    return a, -1j * math.pi * np.arange(n) * math.cos(theta) * a
+
+
+def _response(beta: complex, a_r: np.ndarray, a_t: np.ndarray) -> np.ndarray:
+    return complex(beta) * np.outer(a_r, a_t)
+
+
+def _derivative(beta: complex, a_r: np.ndarray, da_r: np.ndarray, a_t: np.ndarray, da_t: np.ndarray) -> np.ndarray:
+    return complex(beta) * (np.outer(da_r, a_t) + np.outer(a_r, da_t))
 
 
 def response_matrix(scenario: RadarScenario, m: int, m_prime: int) -> np.ndarray:
@@ -137,17 +152,14 @@ def response_matrix(scenario: RadarScenario, m: int, m_prime: int) -> np.ndarray
     """
     a_r = steering_vector(scenario.n_rx[m], scenario.theta[m])
     a_t = steering_vector(scenario.n_tx[m_prime], scenario.theta[m_prime])
-    return complex(scenario.beta[m][m_prime]) * np.outer(a_r, a_t)
+    return _response(scenario.beta[m][m_prime], a_r, a_t)
 
 
 def response_derivative(scenario: RadarScenario, m: int) -> np.ndarray:
     """Angle derivative of the self-response ``G_mm`` (product rule over
     both steering vectors)."""
-    a_r = steering_vector(scenario.n_rx[m], scenario.theta[m])
-    a_t = steering_vector(scenario.n_tx[m], scenario.theta[m])
-    da_r = steering_derivative(scenario.n_rx[m], scenario.theta[m])
-    da_t = steering_derivative(scenario.n_tx[m], scenario.theta[m])
-    return complex(scenario.beta[m][m]) * (np.outer(da_r, a_t) + np.outer(a_r, da_t))
+    rx, tx = _steering(scenario.n_rx[m], scenario.theta[m]), _steering(scenario.n_tx[m], scenario.theta[m])
+    return _derivative(scenario.beta[m][m], *rx, *tx)
 
 
 def stack_waveforms(waveforms: list[np.ndarray]) -> np.ndarray:
@@ -186,18 +198,21 @@ class RadarMmProblem:
     coordinates: its responses, the bound and the driver protocol.
 
     The problem keeps each radar's ``N_R x N_T`` responses, not their
-    sample-space lifts: :meth:`lifts` builds one radar's lifts when they
-    are needed, and a new point is solved one radar at a time, so at most
-    one radar's lifts are alive at once.
+    sample-space lifts. :meth:`lifts` allocates one radar's lifts, the
+    dense reference; a new point writes each lift in turn into one zeroed
+    buffer that lives for that point alone, and clears it again after use.
     """
 
     def __init__(self, scenario: RadarScenario):
         self.scenario = scenario
         radars = range(scenario.m_radars)
+        rx = [_steering(scenario.n_rx[m], scenario.theta[m]) for m in radars]
+        tx = [_steering(scenario.n_tx[m], scenario.theta[m]) for m in radars]
         self._responses = [
-            {mp: response_matrix(scenario, m, mp) for mp in [*radars[:m], *radars[m + 1 :]]} for m in radars
+            {mp: _response(scenario.beta[m][mp], rx[m][0], tx[mp][0]) for mp in [*radars[:m], *radars[m + 1 :]]}
+            for m in radars
         ]
-        self._derivatives = [response_derivative(scenario, m) for m in radars]
+        self._derivatives = [_derivative(scenario.beta[m][m], *rx[m], *tx[m]) for m in radars]
         self.s_dims = [scenario.waveform_length(m) for m in radars]
         # block layout of the stacked real decision vector [Re s_m; Im s_m]
         ends = np.cumsum([2 * d for d in self.s_dims]).tolist()
@@ -220,19 +235,35 @@ class RadarMmProblem:
         cuts = [m for m in radars[1:] if self.s_dims[m] != self.s_dims[m - 1]]
         self._runs = [(a, b, self.s_dims[a]) for a, b in zip([0, *cuts], [*cuts, len(radars)])]
         self.feasible = block_ball_set(list(zip(starts, ends)), list(scenario.power))
-        # the (v_m, K_m^{-1} v_m) pairs and the auxiliary rows of the last
-        # stacked point solved, by its bytes: run_mm asks for the objective
-        # and then the auxiliaries at the same point
+        # the (v_m, K_m^{-1} v_m) pairs of the last stacked point solved, by
+        # its bytes: run_mm asks for the objective and then the auxiliaries
+        # at the same point
         self._solved_key: bytes | None = None
         self._solved_pairs: list[tuple[np.ndarray, np.ndarray]] = []
-        self._solved_linear: np.ndarray | None = None
 
     def _lift(self, g: np.ndarray) -> np.ndarray:
         """``I_L kron g``: ``g`` in each of the L diagonal blocks of zeros."""
         l, (r, c) = self.scenario.l_samples, g.shape
-        out = np.zeros((l, r, l, c), dtype=complex)
-        np.einsum("iaib->iab", out)[...] = g  # a writeable view of the blocks out[i, :, i, :]
-        return out.reshape(l * r, l * c)
+        out = np.zeros((l * r, l * c), dtype=complex)
+        _blocks(out, l)[...] = g
+        return out
+
+    def _lift_buffer(self) -> np.ndarray:
+        """Flat zeros the size of the problem's largest lift, for :meth:`_lifted`."""
+        sc = self.scenario
+        return np.zeros(sc.l_samples**2 * max(sc.n_rx) * max(sc.n_tx), dtype=complex)
+
+    def _lifted(self, buf: np.ndarray, m: int):
+        """Radar m's derivative lift (keyed m) and then its cross lifts (keyed
+        m'), as in :meth:`lifts`, but each written into the leading entries of
+        the flat zeroed ``buf`` and cleared again when the caller moves on."""
+        l = self.scenario.l_samples
+        for mp, g in [(m, self._derivatives[m]), *self._responses[m].items()]:
+            lift = _leading(buf, l * g.shape[0], l * g.shape[1])
+            blocks = _blocks(lift, l)
+            blocks[...] = g
+            yield mp, lift
+            blocks[...] = 0.0
 
     def lifts(self, m: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """Radar m's derivative lift ``D_m = I_L kron dG_mm`` and its cross
@@ -242,57 +273,68 @@ class RadarMmProblem:
 
     def covariance(self, waveforms: list[np.ndarray], m: int) -> np.ndarray:
         """Interference-plus-noise covariance ``K_m`` of the waveforms."""
-        return self._covariance(waveforms, m, self.lifts(m)[1])
+        n = self.scenario.l_samples * self.scenario.n_rx[m]
+        us = (t @ waveforms[mp] for mp, t in self.lifts(m)[1].items())
+        return self._covariance(m, us, np.empty((n, n), dtype=complex), np.empty((n, n), dtype=complex))
 
-    def _covariance(self, waveforms: list[np.ndarray], m: int, cross: dict[int, np.ndarray]) -> np.ndarray:
-        K = self.scenario.sigma2[m] * np.eye(self.scenario.l_samples * self.scenario.n_rx[m], dtype=complex)
-        uu = np.empty_like(K)
-        for mp, t in cross.items():
-            u = t @ waveforms[mp]
+    def _covariance(self, m: int, us, K: np.ndarray, uu: np.ndarray) -> np.ndarray:
+        """``K`` filled with ``sigma_m^2 I + sum_u u u^H`` over the
+        interference vectors ``us``, in order; ``uu`` is scratch."""
+        K[...] = 0.0
+        np.fill_diagonal(K, self.scenario.sigma2[m])
+        for u in us:
             K += np.outer(u, u.conj(), out=uu)
         return K
 
-    def _solve_radar(self, waveforms: list[np.ndarray], m: int, linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Radar m's derivative signal ``v = D_m s_m`` and ``K_m^{-1} v``, the
-        one solve behind the bound and the auxiliaries, with its auxiliary
-        rows written into ``linear`` (see :class:`RadarAux`); its lifts die
-        on return."""
-        d, cross = self.lifts(m)
-        v = d @ waveforms[m]
-        y = np.linalg.solve(self._covariance(waveforms, m, cross), v)
-        # (y^H D)^H is D^H y to the bit on these lifts, without a conjugated
-        # copy of each lift
-        yc = y.conj()
-        linear[0, m, : self.s_dims[m]] = (yc @ d).conj()
-        for mp, t in cross.items():
-            linear[1 + m, mp, : self.s_dims[mp]] = (yc @ t).conj()
-        return v, y
-
-    def _solved(self, z: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-        """Every radar's :meth:`_solve_radar` pair at the stacked point ``z``
-        and the auxiliary rows, solved once per point; both are read-only,
-        as callers share them."""
+    def _solved(self, z: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every radar's derivative signal ``v_m = D_m s_m`` and ``K_m^{-1}
+        v_m`` at the stacked point ``z``: the one solve behind the bound and
+        the auxiliaries, once per point. The lifts, ``K_m`` and its scratch
+        take three buffers that live for the point alone. The pairs are
+        read-only, as callers share them."""
         key = np.asarray(z, dtype=float).tobytes()
         if key != self._solved_key:
             waveforms = self.split(z)
-            linear = np.zeros((len(waveforms) + 1, len(waveforms), max(self.s_dims)), dtype=complex)
-            pairs = [self._solve_radar(waveforms, m, linear) for m in range(self.scenario.m_radars)]
-            for v, y in pairs:
+            buf = self._lift_buffer()
+            n = self.scenario.l_samples * max(self.scenario.n_rx)
+            K, uu = np.empty(n * n, dtype=complex), np.empty(n * n, dtype=complex)
+            pairs = []
+            for m in range(self.scenario.m_radars):
+                lifted = self._lifted(buf, m)
+                v = next(lifted)[1] @ waveforms[m]
+                # the rest of the pass: the cross lifts, one at a time
+                us = (t @ waveforms[mp] for mp, t in lifted)
+                k = len(v)
+                y = np.linalg.solve(self._covariance(m, us, _leading(K, k, k), _leading(uu, k, k)), v)
                 v.flags.writeable = y.flags.writeable = False
-            linear.flags.writeable = False
-            self._solved_key, self._solved_pairs, self._solved_linear = key, pairs, linear
-        return self._solved_pairs, self._solved_linear
+                pairs.append((v, y))
+            self._solved_key, self._solved_pairs = key, pairs
+        return self._solved_pairs
+
+    def _aux_rows(self, Y: list[np.ndarray]) -> np.ndarray:
+        """``linear`` of :class:`RadarAux`: the rows ``D_m^H Y_m`` and
+        ``T_mm'^H Y_m``, each lift written in turn into one zeroed buffer."""
+        buf = self._lift_buffer()
+        linear = np.zeros((len(Y) + 1, len(Y), max(self.s_dims)), dtype=complex)
+        for m, y in enumerate(Y):
+            # (y^H D)^H is D^H y to the bit on these lifts, without a
+            # conjugated copy of each lift
+            yc = y.conj()
+            for mp, t in self._lifted(buf, m):
+                linear[0 if mp == m else 1 + m, mp, : self.s_dims[mp]] = (yc @ t).conj()
+        linear.flags.writeable = False
+        return linear
 
     def fisher(self, waveforms: list[np.ndarray], m: int) -> float:
         """Likelihood curvature ``2 v^H K^{-1} v`` in radar m's arrival angle,
         from the pairs the objective reads; zero when the derivative signal
         vanishes (the bound is then infinite)."""
-        return _curvature(*self._solved(stack_waveforms(waveforms))[0][m])
+        return _curvature(*self._solved(stack_waveforms(waveforms))[m])
 
     def sum_crb(self, waveforms: list[np.ndarray]) -> float:
         """Sum of the per-radar estimator-variance lower bounds ``1/J_m``:
         minus :meth:`objective` at the stacked waveforms."""
-        return _bound(self._solved(stack_waveforms(waveforms))[0])
+        return _bound(self._solved(stack_waveforms(waveforms)))
 
     def initial_waveforms(self) -> list[np.ndarray]:
         """Max-power start. With at least as many samples as radars, radar m
@@ -319,7 +361,7 @@ class RadarMmProblem:
         return [s[:d] for s, d in zip(self._pack(z), self.s_dims)]
 
     def objective(self, z: np.ndarray) -> float:
-        return -_bound(self._solved(z)[0])  # maximization convention
+        return -_bound(self._solved(z))  # maximization convention
 
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
         """Gradient of :meth:`objective`: the surrogate is a smooth
@@ -332,8 +374,8 @@ class RadarMmProblem:
 
     def update_aux(self, z: np.ndarray) -> RadarAux:
         radars = range(self.scenario.m_radars)
-        pairs, linear = self._solved(z)
-        Y = [y for _, y in pairs]
+        Y = [y for _, y in self._solved(z)]
+        linear = self._aux_rows(Y)
         rows = linear[1:].transpose(1, 0, 2).conj()
         rows[radars, radars] = linear[0].conj()
         noise = [self.scenario.sigma2[m] * float(np.real(np.vdot(Y[m], Y[m]))) for m in radars]
@@ -386,6 +428,21 @@ class RadarMmProblem:
         iteration."""
         z, trace = run_mm(self, stack_waveforms(self.initial_waveforms()), opts)
         return self.split(z), trace.negated()
+
+
+def _leading(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first ``rows * cols`` entries of the flat ``buf`` as a C-ordered
+    matrix: the strides of a fresh array, so BLAS takes the same path. A
+    ``[:rows, :cols]`` view of a wider matrix does not: with one column,
+    ``y @ t`` leaves BLAS and rounds differently."""
+    return buf[: rows * cols].reshape(rows, cols)
+
+
+def _blocks(lift: np.ndarray, l: int) -> np.ndarray:
+    """The L diagonal blocks of an ``(L r) x (L c)`` lift as a writeable
+    ``(L, r, c)`` view: ``lift[i r : (i + 1) r, i c : (i + 1) c]`` is block i."""
+    rows, cols = lift.shape
+    return np.einsum("iaib->iab", lift.reshape(l, rows // l, l, cols // l))
 
 
 def _curvature(v: np.ndarray, y: np.ndarray) -> float:

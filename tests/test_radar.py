@@ -426,6 +426,32 @@ class TestOneSolvePerAnchor:
         assert sum(1.0 / problem.fisher(waveforms, m) for m in range(sc.m_radars)) == bound
         assert len(solves) == sc.m_radars
 
+    def test_objective_only_points_take_no_auxiliary_rows(self, solves, monkeypatch):
+        # the rows D_m^H Y_m and T_mm'^H Y_m are taken by update_aux alone:
+        # the objective at a point, and every point MM tests but does not
+        # update its auxiliaries at, takes none
+        rows = []
+        aux_rows = RadarMmProblem._aux_rows
+        monkeypatch.setattr(RadarMmProblem, "_aux_rows", lambda problem, Y: rows.append(1) or aux_rows(problem, Y))
+        sc = _fisher_positive_scenario(32, 3)
+        solves.clear()
+        problem = RadarMmProblem(sc)
+        rng = np.random.default_rng(10)
+        a, b = (problem.feasible.project(rng.standard_normal(problem.total_real_dim)) for _ in range(2))
+        problem.objective(a)
+        problem.objective(b)
+        assert rows == [] and len(solves) == 2 * sc.m_radars
+        problem.update_aux(b)
+        assert rows == [1] and len(solves) == 2 * sc.m_radars
+        # the shipped sweep's 10 dBm row: its extrapolated points are tested
+        # by the objective alone
+        sc = benchmark_scenario(10.0)
+        rows.clear()
+        solves.clear()
+        _, trace = run_algorithm2(sc, solver.SolveOptions(accelerate=True))
+        assert any(r.extrapolated for r in trace.records)
+        assert len(rows) == trace.outer_iterations < len(solves) // sc.m_radars
+
     def test_kept_solves_never_go_stale(self):
         # alternating two points, or changing a point in place between the
         # objective and the auxiliaries, must give a fresh problem's answers
@@ -487,37 +513,49 @@ def _eight_radar_scenario():
 
 class TestTransientLifts:
     """The problem keeps the responses, not their lifts: each new point
-    builds one radar's lifts, takes what it needs of them and drops them
-    before the next radar's."""
+    writes every lift in turn into one zeroed buffer that lives for that
+    point, and clears it again after use."""
 
     @pytest.mark.parametrize("draw", ["benchmark", "one-radar", "four-radars"])
-    def test_each_point_builds_each_lift_once_one_radar_at_a_time(self, monkeypatch, draw):
+    def test_each_point_lifts_into_one_cleared_buffer(self, monkeypatch, draw):
         rng = np.random.default_rng(31)
         sc = {"benchmark": benchmark_scenario, "one-radar": lambda: random_large_scenario(rng, 1),
               "four-radars": lambda: random_large_scenario(rng, 4)}[draw]()
-        built, alive = [], []
-        lift = RadarMmProblem._lift
+        buffers, passes = [], []
+        make, lifted = RadarMmProblem._lift_buffer, RadarMmProblem._lifted
 
-        def counted(problem, g):
-            alive.append(sum(ref() is not None for ref in built))
-            out = lift(problem, g)
-            built.append(weakref.ref(out))
-            return out
+        def counted(problem):
+            buf = make(problem)
+            buffers.append(weakref.ref(buf))
+            return buf
 
-        monkeypatch.setattr(RadarMmProblem, "_lift", counted)
+        def checked(problem, buf, m):
+            dense_d, dense_cross = problem.lifts(m)
+            taken = []
+            for mp, t in lifted(problem, buf, m):
+                assert np.array_equal(t, dense_d if mp == m else dense_cross[mp])
+                taken.append(mp)
+                yield mp, t
+            passes.append((m, taken, not buf.any()))
+
+        monkeypatch.setattr(RadarMmProblem, "_lift_buffer", counted)
+        monkeypatch.setattr(RadarMmProblem, "_lifted", checked)
         problem = RadarMmProblem(sc)
-        assert built == []
+        assert buffers == []
         m = sc.m_radars
-        for point in range(1, 3):
+        # each radar takes its derivative lift and then its cross lifts, and
+        # leaves the buffer all zeros
+        one_pass = [(r, [r, *(mp for mp in range(m) if mp != r)], True) for r in range(m)]
+        for point in range(2):
             z = problem.feasible.project(rng.standard_normal(problem.total_real_dim))
             problem.objective(z)
+            problem.objective(z)
+            assert len(buffers) == 2 * point + 1 and passes == one_pass
+            # the auxiliary rows take a buffer of their own
             problem.update_aux(z)
-            problem.objective_grad(z)
-            # M derivative and M(M - 1) cross lifts; when one is built, only
-            # the lifts already built for the same radar are alive
-            assert len(built) == point * m * m
-            assert alive == [k % m for k in range(point * m * m)]
-            assert all(ref() is None for ref in built)
+            assert len(buffers) == 2 * point + 2 and passes == 2 * one_pass
+            assert all(ref() is None for ref in buffers)
+            passes.clear()
 
     def test_lifts_do_not_outlive_a_point(self):
         # kept for the problem's life, the lifts took 16.9 MB after construction
