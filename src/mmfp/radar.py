@@ -184,13 +184,16 @@ class RadarAux:
     ``linear[0, m] = D_m^H Y_m``; ``linear[1 + m, m'] = T_mm'^H Y_m``, zero
     at ``m' = m``; ``rows[m', m] = conj(linear[1 + m, m'])`` but ``rows[m',
     m'] = conj(linear[0, m'])``, the rows the dots with ``s_m'`` take;
-    ``noise[m] = sigma_m^2 ||Y_m||^2``.
+    ``noise[m] = sigma_m^2 ||Y_m||^2``. ``runs`` holds the ``rows`` of each
+    run of adjacent radars with one waveform length ``d``, cut to ``d`` and
+    shaped as the left operand of the run's stacked dots.
     """
 
     Y: list[np.ndarray]
     linear: np.ndarray
     rows: np.ndarray
     noise: list[float]
+    runs: list[np.ndarray]
 
 
 class RadarMmProblem:
@@ -234,6 +237,24 @@ class RadarMmProblem:
         # (first, stop, length) of each run of adjacent radars of one length
         cuts = [m for m in radars[1:] if self.s_dims[m] != self.s_dims[m - 1]]
         self._runs = [(a, b, self.s_dims[a]) for a, b in zip([0, *cuts], [*cuts, len(radars)])]
+        # surrogate scratch, overwritten by every call. The padded waveforms
+        # and each run's right operand in them; the dots, dot_out[m', m] =
+        # rows[m', m] . s_m', with the row of each radar in _by_radar and
+        # the (M, M, 1) _dots the gradient takes; the brackets and weights;
+        # the weights' complex scale, the gradient terms and the complex
+        # gradient rows, whose float view the gradient is gathered from
+        n, width = len(self.s_dims), max(self.s_dims)
+        self._packed = np.empty((n, width), dtype=complex)
+        self._s_runs = [self._packed[a:b, None, :d, None] for a, b, d in self._runs]
+        dot_out = np.empty((n, n, 1, 1), dtype=complex)
+        self._dot_runs = [dot_out[a:b] for a, b, _ in self._runs]
+        self._by_radar = dot_out[:, :, 0, 0].T
+        self._dots = dot_out[..., 0].swapaxes(0, 1)
+        self._q, self._w = np.empty(n), np.empty(n)
+        self._scale = np.empty((n + 1, n, 1), dtype=complex)
+        self._terms = np.empty((n + 1, n, width), dtype=complex)
+        self._grad_c = np.empty((n, width), dtype=complex)
+        self._grad_floats = self._grad_c.view(float).ravel()
         self.feasible = block_ball_set(list(zip(starts, ends)), list(scenario.power))
         # the (v_m, K_m^{-1} v_m) pairs of the last stacked point solved, by
         # its bytes: run_mm asks for the objective and then the auxiliaries
@@ -379,46 +400,55 @@ class RadarMmProblem:
         rows = linear[1:].transpose(1, 0, 2).conj()
         rows[radars, radars] = linear[0].conj()
         noise = [self.scenario.sigma2[m] * float(np.real(np.vdot(Y[m], Y[m]))) for m in radars]
-        return RadarAux(Y=Y, linear=linear, rows=rows, noise=noise)
+        runs = [rows[a:b, :, None, :d] for a, b, d in self._runs]
+        return RadarAux(Y=Y, linear=linear, rows=rows, noise=noise, runs=runs)
 
-    def _brackets(self, z: np.ndarray, aux: RadarAux) -> tuple[np.ndarray, np.ndarray]:
-        """Per-radar brackets ``q_m`` at the stacked waveforms ``z`` and the
-        dots they use, ``dots[m, m', 0] = rows[m', m] . s_m'``."""
+    def _dot_rows(self, z: np.ndarray, aux: RadarAux) -> list[list[complex]]:
+        """The bracket dots at the stacked waveforms ``z``, left in ``_dots``,
+        ``_dots[m, m', 0] = rows[m', m] . s_m'``, and returned as lists: row
+        m holds radar m's dots in ascending m'."""
         # for each m', M dots of length d_m', each the BLAS dot np.vdot
         # takes; padded to D or as one gemv they would round differently.
         # A run of adjacent radars with one length stacks its dots in one
         # matmul, which takes that dot for each of them.
-        S = self._pack(z)
-        dots = np.concatenate(
-            [
-                np.matmul(aux.rows[a:b, :, None, :d], S[a:b, None, :d, None])[..., 0].swapaxes(0, 1)
-                for a, b, d in self._runs
-            ],
-            axis=1,
-        )
-        q = np.empty(len(aux.noise))
-        for m, row in enumerate(dots[:, :, 0].tolist()):
-            val = 2.0 * row[m].real - aux.noise[m]
-            for d in row[:m] + row[m + 1 :]:
-                val -= abs(d) ** 2  # scalar abs and ** 2: array forms round differently
-            q[m] = val
-        return q, dots
+        self._packed[...] = self._pack(z)
+        for rows, s, out in zip(aux.runs, self._s_runs, self._dot_runs):
+            np.matmul(rows, s, out=out)
+        return self._by_radar.tolist()
+
+    def _brackets(self, z: np.ndarray, aux: RadarAux) -> tuple[np.ndarray, np.ndarray]:
+        """Every radar's bracket ``q_m`` at the stacked waveforms ``z`` and a
+        copy of the dots they use, ``dots[m, m', 0] = rows[m', m] . s_m'``."""
+        rows = self._dot_rows(z, aux)
+        q = np.array([_bracket(row, m, aux.noise[m]) for m, row in enumerate(rows)])
+        return q, self._dots.copy()
 
     def surrogate(self, z: np.ndarray, aux: RadarAux) -> tuple[float, np.ndarray | None]:
-        q, dots = self._brackets(z, aux)
-        if (q <= 0.0).any():
-            return -math.inf, None
-        value = float((-0.5 / q).sum())
-        weights = 0.5 / (q * q)  # d(-1/(2q))/dq
+        """Value and gradient of ``sum_m -1/(2 q_m)``; ``(-inf, None)`` at the
+        first bracket, in ascending m, that is not positive. The gradient is
+        a fresh array: the line search keeps it beside the next one."""
+        q, w = self._q, self._w
+        for m, row in enumerate(self._dot_rows(z, aux)):
+            val = _bracket(row, m, aux.noise[m])
+            if val <= 0.0:  # rejected at the first bracket that is not positive
+                return -math.inf, None
+            q[m] = val
+        # numpy's pairwise sum, which a builtin sum() would not reproduce
+        value = float(np.add.reduce(np.divide(-0.5, q, out=w)))
+        np.divide(0.5, np.multiply(q, q, out=w), out=w)  # d(-1/(2q))/dq
         # row m' of the complex gradient is w_m' linear[0, m'] minus, in
         # ascending m, w_m linear[1 + m, m'] dots[m, m'] (zero at m = m'):
-        # one sequential subtract.reduce down the stacked terms
-        scale = np.empty((len(q) + 1, len(q), 1))
-        scale[0, :, 0] = weights
-        scale[1:] = weights[:, None, None]
-        terms = scale * aux.linear
-        terms[1:] *= dots
-        grad = np.subtract.reduce(terms).view(float).ravel()[self._gather]
+        # one sequential subtract.reduce down the stacked terms. The scale
+        # holds the weights cast to complex, as a float * complex product
+        # casts them, so each product is the same
+        scale, terms = self._scale, self._terms
+        scale[0, :, 0] = w
+        scale[1:] = w[:, None, None]
+        np.multiply(scale, aux.linear, out=terms)
+        cross = terms[1:]
+        np.multiply(cross, self._dots, out=cross)
+        np.subtract.reduce(terms, out=self._grad_c)
+        grad = self._grad_floats[self._gather]
         grad *= 2.0  # on the floats: a complex product would make inf * 0 = nan
         return value, grad
 
@@ -443,6 +473,15 @@ def _blocks(lift: np.ndarray, l: int) -> np.ndarray:
     ``(L, r, c)`` view: ``lift[i r : (i + 1) r, i c : (i + 1) c]`` is block i."""
     rows, cols = lift.shape
     return np.einsum("iaib->iab", lift.reshape(l, rows // l, l, cols // l))
+
+
+def _bracket(row: list[complex], m: int, noise: float) -> float:
+    """``2 Re row[m] - noise`` minus ``|row[m']|^2`` for each m' != m, in
+    ascending m': radar m's bracket from its dots. Pops ``row[m]``."""
+    val = 2.0 * row.pop(m).real - noise
+    for d in row:
+        val -= abs(d) ** 2  # scalar abs and ** 2: array forms round differently
+    return val
 
 
 def _curvature(v: np.ndarray, y: np.ndarray) -> float:

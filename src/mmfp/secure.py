@@ -32,7 +32,9 @@ boundaries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -276,9 +278,12 @@ class TradeoffPoint(NamedTuple):
 
 
 def _rate_split(scenario: SecureScenario, p: np.ndarray) -> tuple[float, float]:
+    """The eavesdropped and the open cells' sum rates in bits, each summed
+    left to right: from Python 3.12 the builtin ``sum`` of floats is
+    compensated, and the columns would then follow the interpreter."""
     k = scenario.k_eavesdropped
     rates = _rates(scenario, p[None])[0].tolist()
-    return nats_to_bits(sum(rates[:k])), nats_to_bits(sum(rates[k:]))
+    return nats_to_bits(reduce(operator.add, rates[:k], 0.0)), nats_to_bits(reduce(operator.add, rates[k:], 0.0))
 
 
 def sweep_start_points(scenario: SecureScenario) -> list[np.ndarray]:

@@ -104,21 +104,38 @@ def box_set(lo, hi, in_domain: Callable[[np.ndarray], bool] | None = None) -> Fe
 def block_ball_set(blocks: list[tuple[int, int]], radii_sq: list[float]) -> FeasibleSet:
     """Product of per-block Euclidean balls over a stacked real vector.
 
-    ``blocks`` holds (start, stop) index pairs; block ``b`` is constrained to
-    squared norm at most ``radii_sq[b]``.
+    ``blocks`` holds ascending, disjoint (start, stop) index pairs; block
+    ``b`` is constrained to squared norm at most ``radii_sq[b]``. The vector
+    ends at the last stop; entries outside every block are free.
     """
     if len(blocks) != len(radii_sq):
         raise InvalidInputError("blocks and radii_sq length mismatch")
     if any(r2 <= 0 for r2 in radii_sq):
         raise InvalidInputError("radius_sq must be positive")
+    stops = [0, *(i for block in blocks for i in block)]
+    if any(b < a for a, b in zip(stops, stops[1:])):
+        raise InvalidInputError("blocks must be ascending and disjoint")
+    dim = stops[-1]
+    # each entry's factor: its block's, or the trailing 1.0 outside every block
+    slot = np.full(dim, len(blocks), dtype=np.intp)
+    for i, (a, b) in enumerate(blocks):
+        slot[a:b] = i
+    pairs = [(a, b, float(r2)) for (a, b), r2 in zip(blocks, radii_sq)]
 
     def proj(x: np.ndarray) -> np.ndarray:
-        out = np.asarray(x, dtype=float).copy()
-        for (a, b), r2 in zip(blocks, radii_sq):
-            seg = out[a:b]
+        x = np.asarray(x, dtype=float)
+        if x.shape != (dim,):
+            raise InvalidInputError(f"expected a vector of length {dim}, got shape {x.shape}")
+        factors = []
+        for a, b, r2 in pairs:
+            seg = x[a:b]
             nrm_sq = float(seg.dot(seg))  # the BLAS dot np.vdot and @ take, dispatched faster
-            if nrm_sq > r2:  # project_ball's scaling, in place
-                seg *= math.sqrt(r2 / nrm_sq)
+            # project_ball's scaling; exactly 1.0 keeps a block inside its ball
+            factors.append(math.sqrt(r2 / nrm_sq) if nrm_sq > r2 else 1.0)
+        factors.append(1.0)
+        # one multiply into a fresh array: the line search keeps earlier points
+        out = np.array(factors)[slot]
+        out *= x
         return out
 
     return FeasibleSet(project=proj)

@@ -355,6 +355,63 @@ class TestAuxAndSubproblem:
             problem.objective_grad(np.zeros_like(z))
 
 
+class TestSurrogateScratch:
+    """The surrogate writes its dots, brackets and gradient terms into
+    buffers the problem keeps; what it returns must not alias them."""
+
+    @staticmethod
+    def _anchored(sc, seed):
+        problem = RadarMmProblem(sc)
+        rng = np.random.default_rng(seed)
+        dim = problem.total_real_dim
+        anchor = problem.feasible.project(rng.standard_normal(dim))
+        points = [problem.feasible.project(anchor + 1e-2 * rng.standard_normal(dim)) for _ in range(2)]
+        return problem, problem.update_aux(anchor), points
+
+    @pytest.mark.parametrize("draw", ["benchmark", "eight"])
+    def test_a_returned_gradient_survives_the_next_call(self, draw):
+        sc = benchmark_scenario(10.0) if draw == "benchmark" else random_large_scenario(np.random.default_rng(7), 8)
+        problem, aux, (z1, z2) = self._anchored(sc, 1)
+        value, grad = problem.surrogate(z1, aux)
+        kept = grad.copy()
+        value2, grad2 = problem.surrogate(z2, aux)
+        assert grad is not None and grad2 is not None and value != value2
+        assert grad.tobytes() == kept.tobytes() and not np.shares_memory(grad, grad2)
+        assert problem.surrogate(z1, aux)[1].tobytes() == kept.tobytes()
+
+    def test_rejects_when_only_the_last_bracket_is_not_positive(self):
+        problem, aux, (z, _) = self._anchored(benchmark_scenario(10.0), 2)
+        q, _ = problem._brackets(z, aux)
+        assert np.all(q > 0.0)
+        noise = [*aux.noise[:-1], aux.noise[-1] + 2.0 * q[-1]]
+        value, grad = problem.surrogate(z, replace(aux, noise=noise))
+        assert value == -math.inf and grad is None
+        # a rejection leaves no stale bracket behind for the next call
+        value, grad = problem.surrogate(z, aux)
+        assert value == float(np.sum(-0.5 / q)) and grad is not None
+
+    def test_rejects_a_bracket_of_exactly_zero(self):
+        # radar 0 puts no echo into radar 1, so radar 1's bracket is 2 Re(D^H
+        # Y . s_1) - noise with nothing else subtracted: that noise makes it 0.0
+        sc = replace(two_radar_scenario(), beta=((1.0, 0.6 + 0.2j), (0.0, 1.0)))
+        problem, aux, (z, _) = self._anchored(sc, 3)
+        d = problem.s_dims[1]
+        re = float(np.real(np.vdot(aux.linear[0, 1, :d], problem.split(z)[1])))
+        zeroed = replace(aux, noise=[aux.noise[0], 2.0 * re])
+        q, _ = problem._brackets(z, zeroed)
+        assert q[0] > 0.0 and q[1] == 0.0
+        assert problem.surrogate(z, zeroed) == (-math.inf, None)
+
+    def test_brackets_returns_every_bracket_past_a_rejection(self):
+        problem, aux, (z, _) = self._anchored(benchmark_scenario(10.0), 4)
+        q, dots = problem._brackets(z, aux)
+        noise = [aux.noise[0] + 2.0 * q[0], *aux.noise[1:]]
+        q_first, dots_first = problem._brackets(z, replace(aux, noise=noise))
+        assert q_first.shape == q.shape and q_first[0] < 0.0
+        assert q_first[1:].tobytes() == q[1:].tobytes() and dots_first.tobytes() == dots.tobytes()
+        assert problem.surrogate(z, replace(aux, noise=noise)) == (-math.inf, None)
+
+
 def _fisher_positive_scenario(seed, m_radars):
     """A :func:`random_large_scenario` with fewer samples than radars, so
     that it starts flat and MM has to move, whose every curvature is

@@ -407,6 +407,31 @@ class TestTradeoffSweep:
         assert calls["run_mm"] == 14
 
 
+class TestRateSplit:
+    @staticmethod
+    def _left_to_right(rates):
+        total = 0.0
+        for r in rates:
+            total += r
+        return nats_to_bits(total)
+
+    def test_sums_left_to_right_on_the_five_cell_config(self):
+        sc = five_cells()
+        k = sc.k_eavesdropped
+        rng = np.random.default_rng(12)
+        points = [*sweep_start_points(sc), *(rng.uniform(0.0, sc.p_max, sc.l_cells) for _ in range(50))]
+        for p in points:
+            rates = secure._rates(sc, p[None])[0].tolist()
+            want = (self._left_to_right(rates[:k]), self._left_to_right(rates[k:]))
+            assert secure._rate_split(sc, p) == want
+
+    def test_is_not_a_compensated_sum(self, monkeypatch):
+        # left to right, 1e16 + 1.0 rounds back to 1e16 and the open cells
+        # sum to 0.0; a compensated sum (builtin sum from Python 3.12) gives 1.0
+        monkeypatch.setattr(secure, "_rates", lambda scenario, p: np.array([[1.0, 2.0, 1e16, 1.0, -1e16]]))
+        assert secure._rate_split(five_cells(), np.zeros(5)) == (nats_to_bits(3.0), 0.0)
+
+
 def test_both_problems_have_the_weighted_sum_rate_as_objective():
     # some cells carry zero weight and some transmit at zero power
     rng = np.random.default_rng(9)

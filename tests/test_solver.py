@@ -94,6 +94,62 @@ class TestProjections:
             assert got.tobytes() == want.tobytes()
             assert x.tobytes() == x_before.tobytes()  # scaled in place, but in a copy
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [(32, 16, 16, 16, 16), (8, 8, 8), (12,), (1, 2, 1, 1, 2, 2), (2, 1)],
+        ids=["benchmark", "one-run", "one-block", "ones-and-twos", "two-then-one"],
+    )
+    def test_block_ball_set_matches_project_ball_inside_on_and_outside(self, sizes):
+        # radar-like layouts: adjacent blocks, runs of one length, and
+        # blocks of one and two entries; each block is drawn inside, exactly
+        # on or outside its ball
+        rng = np.random.default_rng(sum(sizes))
+        stops = np.cumsum(sizes)
+        blocks = [(int(b - n), int(b)) for n, b in zip(sizes, stops)]
+        for _ in range(50):
+            x = rng.standard_normal(int(stops[-1])) * 10 ** rng.uniform(-1, 1)
+            where = rng.integers(0, 3, len(blocks))  # 0 inside, 1 on, 2 outside
+            radii_sq = []
+            for (a, b), w in zip(blocks, where):
+                nrm_sq = float(x[a:b].dot(x[a:b]))
+                radii_sq.append([2.0 * nrm_sq + 0.5, nrm_sq, 0.25 * nrm_sq][w])
+            x_before = x.copy()
+            feasible = block_ball_set(blocks, radii_sq)
+            got = feasible.project(x)
+            want = np.concatenate([project_ball(x[a:b], r2) for (a, b), r2 in zip(blocks, radii_sq)])
+            assert got.tobytes() == want.tobytes()
+            for (a, b), w in zip(blocks, where):
+                if w < 2:  # a block inside or on its ball is kept as it is
+                    assert got[a:b].tobytes() == x[a:b].tobytes()
+            # the input is not written, and the next projection writes no
+            # earlier result
+            assert x.tobytes() == x_before.tobytes()
+            kept = got.copy()
+            feasible.project(rng.standard_normal(x.size) * 100)
+            assert got.tobytes() == kept.tobytes()
+
+    def test_block_ball_set_leaves_entries_outside_every_block_free(self):
+        rng = np.random.default_rng(10)
+        blocks, radii_sq = [(1, 3), (5, 6)], [0.5, 0.25]
+        feasible = block_ball_set(blocks, radii_sq)
+        for _ in range(50):
+            x = rng.standard_normal(6) * 3
+            got = feasible.project(x)
+            assert got[[0, 3, 4]].tobytes() == x[[0, 3, 4]].tobytes()
+            assert got[1:3].tobytes() == project_ball(x[1:3], 0.5).tobytes()
+            assert got[5:].tobytes() == project_ball(x[5:], 0.25).tobytes()
+
+    @pytest.mark.parametrize("blocks", [[(2, 4), (0, 2)], [(0, 3), (2, 4)], [(-1, 2)], [(3, 2)]])
+    def test_block_ball_set_refuses_blocks_out_of_order_or_overlapping(self, blocks):
+        with pytest.raises(InvalidInputError):
+            block_ball_set(blocks, [1.0] * len(blocks))
+
+    def test_block_ball_set_refuses_a_vector_of_another_length(self):
+        feasible = block_ball_set([(0, 2), (2, 4)], [1.0, 1.0])
+        for n in (1, 3, 5):
+            with pytest.raises(InvalidInputError):
+                feasible.project(np.ones(n))
+
     def test_projection_idempotent(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
